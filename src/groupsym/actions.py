@@ -10,13 +10,14 @@ the direct one exactly: x(t) = sum_g p_g(t) a(g, x(0)).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import FiniteGroup, cyclic_group, group_from_table, same_group, symmetric_group
-from .lifted import ConvexWeights
+from .lifted import BLOCK_BYTES, ConvexWeights
 
 __all__ = [
     "VectorSpace",
@@ -76,7 +77,10 @@ class LinearAction:
     ``apply_fn(g, x)`` must implement a left action with respect to the
     group table.  ``adjoint_map`` names, per element, the element whose map
     is the adjoint of a(g, .); all bundled actions are unitary, so it is the
-    inverse map.
+    inverse map.  ``block_fn(gs, x)``, when given, returns the stacked
+    images ``a(g, x).ravel()`` for the consecutive elements of the slice
+    ``gs`` in one array operation; without it orbit blocks stack
+    ``apply_fn`` calls.
     """
 
     def __init__(
@@ -87,10 +91,12 @@ class LinearAction:
         *,
         adjoint_map: Optional[np.ndarray] = None,
         name: str = "",
+        block_fn: Optional[Callable[[slice, np.ndarray], np.ndarray]] = None,
     ):
         self.group = group
         self.space = space
         self._apply = apply_fn
+        self._block = block_fn or self._stacked_apply
         self.adjoint_map = (
             None if adjoint_map is None else np.asarray(adjoint_map, dtype=np.int64)
         )
@@ -108,6 +114,36 @@ class LinearAction:
         """[a(g, x) for every g], in element order."""
         x = self.space.validate(x)
         return [self._apply(g, x) for g in range(self.group.order)]
+
+    def _stacked_apply(self, gs: slice, x: np.ndarray) -> np.ndarray:
+        if gs.stop - gs.start == 1:
+            return self._apply(gs.start, x).reshape(1, -1)
+        return np.stack([self._apply(g, x).ravel() for g in range(gs.start, gs.stop)])
+
+    def orbit_blocks(self, x) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield (start, block) with block[i] = a(start+i, x).ravel().
+
+        Consecutive elements are grouped so that a block's working set (its
+        images plus up to three temporaries of the same size inside the
+        kernel that builds them) stays near BLOCK_BYTES; each block is one
+        gather or batched matrix product for the bundled action kinds.  A
+        state of a quarter of BLOCK_BYTES or more goes one element per block,
+        so memory never exceeds one image beyond what a per-element loop
+        uses.
+        """
+        x = self.space.validate(x)
+        per_block = max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
+        order = self.group.order
+        for start in range(0, order, per_block):
+            yield start, self._block(slice(start, min(order, start + per_block)), x)
+
+    def orbit_matrix(self, x) -> np.ndarray:
+        """The (|G|, dim) array whose row g is a(g, x).ravel()."""
+        x = self.space.validate(x)
+        out = np.empty((self.group.order, self.space.dim), dtype=x.dtype)
+        for start, block in self.orbit_blocks(x):
+            out[start : start + block.shape[0]] = block
+        return out
 
     def matrix(self, g: int) -> np.ndarray:
         """Materialize a(g, .) on the flattened space (cached)."""
@@ -148,12 +184,16 @@ def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> L
     def apply_fn(g: int, x: np.ndarray) -> np.ndarray:
         return x.reshape(m, n)[inverse_perms[g]].reshape(m * n)
 
+    def block_fn(gs: slice, x: np.ndarray) -> np.ndarray:
+        return x.reshape(m, n)[inverse_perms[gs]].reshape(-1, m * n)
+
     return LinearAction(
         group,
         VectorSpace((m * n,)),
         apply_fn,
         adjoint_map=group.inverses,
         name=f"block-permutation(m={m}, n={n})",
+        block_fn=block_fn,
     )
 
 
@@ -175,6 +215,7 @@ def regular_action(group: FiniteGroup) -> LinearAction:
         apply_fn,
         adjoint_map=group.inverses,
         name="regular",
+        block_fn=lambda hs, v: v[table[inv[hs]]],
     )
 
 
@@ -243,12 +284,16 @@ def conjugation_action(
     def apply_fn(g: int, X: np.ndarray) -> np.ndarray:
         return U[g] @ X @ U[g].conj().T
 
+    def block_fn(gs: slice, X: np.ndarray) -> np.ndarray:
+        return np.matmul(U[gs] @ X, U[gs].conj().transpose(0, 2, 1)).reshape(-1, d * d)
+
     action = LinearAction(
         group,
         VectorSpace((d, d), complex=True),
         apply_fn,
         adjoint_map=group.inverses,
         name=f"conjugation(d={d})",
+        block_fn=block_fn,
     )
     action.unitaries = U
     return action
@@ -275,12 +320,17 @@ def axis_permutation_action(
     def apply_fn(g: int, x: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(np.transpose(x, axes=inverse_perms[g]))
 
+    # gather[g] lists, for each entry of a(g, x), the flat index it reads in x
+    flat = np.arange(size**m).reshape((size,) * m)
+    gather = np.array([np.transpose(flat, axes=p).ravel() for p in inverse_perms])
+
     return LinearAction(
         group,
         VectorSpace((size,) * m),
         apply_fn,
         adjoint_map=group.inverses,
         name=f"axis-permutation(m={m}, size={size})",
+        block_fn=lambda gs, x: x.reshape(-1)[gather[gs]],
     )
 
 
@@ -352,18 +402,29 @@ def step(action: LinearAction, s: ConvexWeights, x) -> np.ndarray:
 
 
 def symmetrizer(action: LinearAction, x) -> np.ndarray:
-    """Orbit average F(x) = (1/|G|) sum_g a(g, x); idempotent by construction."""
-    orbit = action.orbit(x)
-    return sum(orbit[1:], start=orbit[0]) / action.group.order
+    """Orbit average F(x) = (1/|G|) sum_g a(g, x); idempotent by construction.
+
+    Sums the orbit block by block (see ``LinearAction.orbit_blocks``).
+    """
+    parts = [block.sum(axis=0) for _, block in action.orbit_blocks(x)]
+    total = sum(parts[1:], start=parts[0])
+    return (total / action.group.order).reshape(action.space.shape)
 
 
 def fixed_point_residual(action: LinearAction, x) -> float:
-    """max_g ||a(g, x) - x||_2; zero exactly on common fixed points."""
+    """max_g ||a(g, x) - x||_2; zero exactly on common fixed points.
+
+    Evaluated block by block (see ``LinearAction.orbit_blocks``): one array
+    operation per block instead of one call per element.
+    """
     x = action.space.validate(x)
-    return max(
-        float(np.linalg.norm(action.apply(g, x, validate=False) - x))
-        for g in range(action.group.order)
-    )
+    flat = x.reshape(-1)
+    worst = 0.0
+    for _, block in action.orbit_blocks(x):
+        # squared row norms over the real view, with no conjugated temporary
+        diff = (block - flat).view(np.float64)
+        worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
+    return math.sqrt(worst)
 
 
 def inner(y, x) -> complex:
@@ -419,8 +480,7 @@ def restricted_operator_bound(action: LinearAction, x0) -> float:
     (1 + b) with b this bound.  Cheap because the span has dimension at most
     |G|.
     """
-    orbit = action.orbit(x0)
-    stacked = np.array([v.ravel() for v in orbit])
+    stacked = action.orbit_matrix(x0)
     # orthonormal basis of the orbit span
     q, r = np.linalg.qr(stacked.conj().T)
     keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())

@@ -135,7 +135,7 @@ def run_symmetrization(
     if residual_fn is None:
         residual_fn = lambda state: fixed_point_residual(action, state)
 
-    orbit_matrix = np.array([v.ravel() for v in action.orbit(x)])
+    orbit_matrix = action.orbit_matrix(x)
     uniform = ConvexWeights.uniform(action.group)
     p = ConvexWeights.point_mass(action.group)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +23,8 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "config_hash",
+    "canonical_sha256",
+    "physical_memory_bytes",
     "APPLICATIONS",
     "SCHEDULE_KINDS",
     "DEFAULT_TOLERANCES",
@@ -50,6 +53,9 @@ DEFAULT_STEPS = {
 DEFAULT_TRIALS = 100000
 MAX_STEPS = 1_000_000
 MAX_TRIALS = 10_000_000
+# A run's dense arrays may take at most this share of physical memory; the
+# rest covers their transient copies, the interpreter and the rest of the host.
+MEMORY_SHARE = 0.5
 
 
 class ConfigError(ValueError):
@@ -226,6 +232,79 @@ def _validate_params(app: str, params, base_dir: str) -> dict:
             out["frame_cap"] = _as_int(params["frame_cap"], f"{path}.frame_cap", lo=0, hi=20)
         return out
     _fail("application", f"unknown application {app!r}")
+
+
+def _group_order(app: str, params: dict) -> Optional[int]:
+    if app in ("gossip", "prob-sym", "quantum-gossip"):
+        return math.factorial(params["m"])
+    if app == "dft":
+        return params["N"]
+    if app == "random-state":
+        spec = params["group"]
+        if spec["kind"] == "cyclic":
+            return spec["n"]
+        if spec["kind"] == "symmetric":
+            return math.factorial(spec["m"])
+        return None  # a table file is capped at a small validated order on load
+    return 4  # dd: the single-qubit Pauli quotient
+
+
+def _state_bytes(app: str, params: dict, order: int) -> int:
+    if app == "gossip":
+        return 8 * params["m"] * params["n"]
+    if app == "prob-sym":
+        return 8 * params["outcome_size"] ** params["m"]
+    if app == "quantum-gossip":
+        return 16 * params["local_dim"] ** (2 * params["m"])
+    if app == "dft":
+        return 16 * params["N"] ** 2
+    if app == "random-state":
+        return 8 * order
+    return 16 * 4  # dd: a 2x2 complex Hamiltonian
+
+
+def _dense_bytes(app: str, params: dict, steps: int, trials: Optional[int] = None) -> dict:
+    """Bytes of the dense arrays a run of this config allocates, by structure.
+
+    Keys: ``table`` (the int32 Cayley table), ``orbit`` (one state per group
+    element), ``weights`` (the realized signal and the lifted trajectory,
+    one float64 per element per step each) and ``trials`` (the sampled
+    walk).  Empty when the group order is only known after loading a file.
+    """
+    order = _group_order(app, params)
+    if order is None:
+        return {}
+    return {
+        "table": 4 * order * order,
+        "orbit": order * _state_bytes(app, params, order),
+        "weights": 2 * 8 * order * (steps + 1),
+        "trials": 2 * 8 * (trials or 0),
+    }
+
+
+def physical_memory_bytes() -> Optional[int]:
+    """Physical memory of the host, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(app: str, params: dict, steps: int, trials: Optional[int]) -> None:
+    parts = _dense_bytes(app, params, steps, trials)
+    physical = physical_memory_bytes()
+    need = sum(parts.values())
+    if physical is None or need <= MEMORY_SHARE * physical:
+        return
+    gib = 2.0**30
+    detail = ", ".join(
+        f"{name} {size / gib:.2f}" for name, size in parts.items() if size >= 0.01 * gib
+    )
+    _fail(
+        "params",
+        f"the run's dense arrays need about {need / gib:.1f} GiB ({detail} GiB), "
+        f"more than {MEMORY_SHARE:.0%} of the {physical / gib:.1f} GiB of physical memory",
+    )
 
 
 def _validate_element_list(value, path: str, *, allow_edges: bool) -> list:
@@ -440,6 +519,7 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
     if seed is not None:
         seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)
 
+    _check_memory(app, params, steps, trials)
     tolerances = _validate_tolerances(doc.get("tolerances"))
 
     output = doc.get("output")
@@ -475,7 +555,12 @@ def serialize_config(config: RunConfig, *, indent: int = 2) -> str:
     return json.dumps(config.to_dict(), indent=indent, sort_keys=True) + "\n"
 
 
+def canonical_sha256(doc: dict) -> str:
+    """sha256 hex digest of a JSON document in canonical form (sorted, compact)."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def config_hash(config: RunConfig) -> str:
     """sha256 of the canonical serialization, hex digest."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_sha256(config.to_dict())

@@ -4,13 +4,21 @@ Elements are integers ``0..order-1`` indexing rows and columns of a
 multiplication table, so products are O(1) lookups and weight-vector
 convolutions reduce to integer gathers.  Groups are immutable after
 construction and safe to share between threads.
+
+The trusted constructors ``symmetric_group`` and ``cyclic_group`` are
+memoized: while any caller holds the group, every call with the same argument
+returns that same instance, so a run builds each table once and
+``same_group`` settles on identity instead of comparing tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from typing import Iterable, Optional, Sequence
+import threading
+import weakref
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -202,12 +210,39 @@ class FiniteGroup:
 
 
 def same_group(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """Whether two group objects describe the same table."""
+    """Whether two group objects describe the same table.
+
+    Instances from the memoized constructors are shared, so the identity
+    check settles the common case; genuinely distinct instances (for example
+    a table loaded from JSON) fall back to comparing tables.
+    """
     if g1 is g2:
         return True
     return g1.order == g2.order and np.array_equal(g1.table, g2.table)
 
 
+# Live groups from the trusted constructors, keyed by (constructor, argument).
+# Values are weak: a table is freed once no caller holds its group, so the
+# cache never pins memory beyond what the process already uses.
+_MEMO: "weakref.WeakValueDictionary[tuple, FiniteGroup]" = weakref.WeakValueDictionary()
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(build: Callable[[int], FiniteGroup]) -> Callable[[int], FiniteGroup]:
+    @functools.wraps(build)
+    def cached(n: int) -> FiniteGroup:
+        key = (build.__name__, n)
+        with _MEMO_LOCK:
+            group = _MEMO.get(key)
+            if group is None:
+                group = build(n)
+                _MEMO[key] = group
+        return group
+
+    return cached
+
+
+@_memoized
 def symmetric_group(m: int) -> FiniteGroup:
     """Symmetric group on m letters, elements ordered lexicographically.
 
@@ -215,6 +250,10 @@ def symmetric_group(m: int) -> FiniteGroup:
     product a*b is the composition a after b, i.e. (a*b)[i] = a[b[i]].
     The table has (m!)^2 entries: m=7 needs ~100 MB, m=8 ~6.5 GB, and
     m > 8 is rejected.
+
+    Memoized: while the group is alive, ``symmetric_group(m) is
+    symmetric_group(m)``.  The instance is immutable and shared, so callers
+    must not write to it.
     """
     if not 1 <= m <= MAX_SYMMETRIC_DEGREE:
         raise ValueError(
@@ -238,8 +277,13 @@ def symmetric_group(m: int) -> FiniteGroup:
     )
 
 
+@_memoized
 def cyclic_group(n: int) -> FiniteGroup:
-    """Cyclic group of order n with addition mod n."""
+    """Cyclic group of order n with addition mod n.
+
+    Memoized like ``symmetric_group``: ``cyclic_group(n) is cyclic_group(n)``
+    while the group is alive.
+    """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     idx = np.arange(n)

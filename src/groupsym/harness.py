@@ -41,7 +41,7 @@ from .applications import (
     run_random_state_generation,
     spectral_comparison,
 )
-from .config import ConfigError, RunConfig, config_hash, serialize_config
+from .config import ConfigError, RunConfig, canonical_sha256, config_hash, serialize_config
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -496,13 +496,6 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-def _canonical_hash_of_doc(doc: dict) -> str:
-    import hashlib
-
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _uniform_lyapunov(weights: np.ndarray) -> np.ndarray:
     n = weights.shape[1]
     return ((weights - 1.0 / n) ** 2).sum(axis=1)
@@ -558,7 +551,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
                 results.append(CheckResult(name, "skip", None, "skipped: artifacts unreadable"))
         return VerificationReport(directory, results)
 
-    hash_ok = manifest.get("config_sha256") == _canonical_hash_of_doc(config_doc)
+    hash_ok = manifest.get("config_sha256") == canonical_sha256(config_doc)
     if hash_ok:
         record("artifacts", "pass", None, "all files present, config hash matches")
     else:

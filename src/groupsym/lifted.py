@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,10 @@ WEIGHT_ATOL = 1e-12
 RENORM_DRIFT = 1e-13
 # Floats in trajectory CSVs round-trip exactly at 17 significant digits.
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
+# Working-set budget of one batched array operation.  Orbit blocks (actions)
+# and the start chunks of the window kernel both stay near this size, large
+# enough to amortize per-call overhead and small enough to stay in cache.
+BLOCK_BYTES = 1 << 20
 
 
 class GroupMismatchError(ValueError):
@@ -165,6 +169,103 @@ def transition_matrix(s: ConvexWeights) -> TransitionMatrix:
     return TransitionMatrix(s.weights[idx], group)
 
 
+def _compact_support(signal: Sequence[ConvexWeights], t0: int, steps: int):
+    """Steps t0..t0+steps-1 as (idx, w) arrays of shape (steps, K).
+
+    Row i lists step t0+i's support in increasing element order (the order in
+    which ``convolve`` adds its terms), padded with zero weight on the
+    identity up to K, the largest support.
+    """
+    group = signal[t0].group
+    supports = []
+    for t in range(t0, t0 + steps):
+        s = signal[t]
+        if not same_group(s.group, group):
+            raise GroupMismatchError(
+                f"signal step {t} lives on {s.group!r}, not {group!r}"
+            )
+        supports.append((s.weights, np.flatnonzero(s.weights)))
+    width = max(len(nz) for _, nz in supports)
+    idx = np.full((steps, width), group.identity, dtype=np.intp)
+    w = np.zeros((steps, width))
+    for i, (weights, nz) in enumerate(supports):
+        idx[i, : nz.size] = nz
+        w[i, : nz.size] = weights[nz]
+    return idx, w
+
+
+def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup) -> None:
+    """One convolution step per row, in place: q[i] <- convolve(s_i, q[i]).
+
+    Row i of (idx, w) is the support of s_i.  The arithmetic is the one
+    ``convolve`` and ``ConvexWeights`` perform on a single vector (terms
+    added in support order, then the same clamp and renormalization, row by
+    row), so each row is bit-identical to the scalar result.
+    """
+    flat = q.reshape(-1)
+    offsets = np.arange(0, flat.size, group.order)[:, None]
+    out = None
+    for k in range(idx.shape[1]):
+        wk, hk = w[:, k], idx[:, k]
+        if not wk.any():
+            continue  # padding only: adding zero terms would change nothing
+        if (hk == group.identity).all():
+            src = q  # translation by the identity
+        else:
+            # src[i] = q[i][table[inv[h_i]]], gathered from the flat chunk
+            src = flat[group.table[group.inverses[hk]] + offsets]
+        term = wk[:, None] * src
+        if out is None:
+            out = term
+        else:
+            out += term
+    low = out.min(axis=1)
+    if low.min() < -WEIGHT_ATOL:
+        i = int(np.argmin(low))
+        raise ValueError(
+            f"weight for element {int(np.argmin(out[i]))} is {low[i]:.3e}, "
+            f"below -{WEIGHT_ATOL:g}"
+        )
+    if low.min() < 0.0:
+        out[out < 0.0] = 0.0
+    total = out.sum(axis=1)
+    drift = np.abs(total - 1.0)
+    if drift.max() > WEIGHT_ATOL:
+        raise ValueError(f"weights sum to {total[int(np.argmax(drift))]!r}, not 1")
+    renorm = drift > RENORM_DRIFT
+    if renorm.any():
+        out[renorm] /= total[renorm, None]
+    q[...] = out
+
+
+def _windows(
+    signal: Sequence[ConvexWeights], t0: int, horizon: int, max_T: int, starts: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Composite window weights for many starts at once, one T at a time.
+
+    Yields (T, q) for T = 1..max_T, where row i of q is q(t0+i, T) for the
+    first min(starts, horizon-T+1) starts, i.e. every start whose window
+    still fits in [t0, t0+horizon).  All rows advance together by one
+    convolution per T, so the scan costs O(starts * max_T * K * order) work
+    in O(starts * order) memory: the same order of memory as the realized
+    signal it reads.  Rows are processed in chunks of about BLOCK_BYTES so
+    the gathers stay in cache.  ``q`` is overwritten by the next step.
+    """
+    group = signal[t0].group
+    idx, w = _compact_support(signal, t0, horizon)
+    q = np.zeros((starts, group.order))
+    q[:, group.identity] = 1.0
+    # per row: the state, the gathered term, the accumulator and the index row
+    chunk = max(1, BLOCK_BYTES // (32 * group.order))
+    for T in range(1, max_T + 1):
+        rows = min(starts, horizon - T + 1)
+        for a in range(0, rows, chunk):
+            b = min(rows, a + chunk)
+            # start t0+i takes its T-th step from signal[t0+i+T-1]
+            _advance(q[a:b], idx[a + T - 1 : b + T - 1], w[a + T - 1 : b + T - 1], group)
+        yield T, q[:rows]
+
+
 def window_weights(signal: Sequence[ConvexWeights], t: int, T: int) -> ConvexWeights:
     """Composite weights q(t,T) of the window [t, t+T).
 
@@ -177,10 +278,9 @@ def window_weights(signal: Sequence[ConvexWeights], t: int, T: int) -> ConvexWei
         raise ValueError(
             f"window [{t}, {t + T}) exceeds signal length {len(signal)}"
         )
-    q = ConvexWeights.point_mass(signal[t].group)
-    for i in range(T):
-        q = convolve(signal[t + i], q)
-    return q
+    for _, q in _windows(signal, t, T, T, starts=1):
+        pass
+    return ConvexWeights(q[0], signal[t].group)
 
 
 @dataclass(frozen=True)
@@ -206,7 +306,11 @@ def check_mixing(
     T: int,
     delta: float,
 ) -> MixingCertificate:
-    """Scan every window start t in [t0, t0+horizon-T] for min_g q_g(t,T) > delta."""
+    """Scan every window start t in [t0, t0+horizon-T] for min_g q_g(t,T) > delta.
+
+    On failure the witness is the first failing start and its smallest
+    minimizing element.
+    """
     if T < 1:
         raise ValueError(f"window length must be >= 1, got {T}")
     if horizon < T:
@@ -215,11 +319,12 @@ def check_mixing(
         raise ValueError(
             f"scan range [{t0}, {t0 + horizon}) exceeds signal length {len(signal)}"
         )
-    for t in range(t0, t0 + horizon - T + 1):
-        q = window_weights(signal, t, T)
-        g = int(np.argmin(q.weights))
-        if q.weights[g] <= delta:
-            return MixingCertificate(T, delta, False, witness=(t, g))
+    for _, q in _windows(signal, t0, horizon, T, starts=horizon - T + 1):
+        pass
+    failing = np.flatnonzero(q.min(axis=1) <= delta)
+    if failing.size:
+        i = int(failing[0])
+        return MixingCertificate(T, delta, False, witness=(t0 + i, int(np.argmin(q[i]))))
     return MixingCertificate(T, delta, True)
 
 
@@ -236,7 +341,13 @@ def find_mixing_certificate(
     Returns a satisfied certificate at the smallest T <= max_T for which
     min over scanned starts of min_g q_g(t,T) exceeds ``delta_floor``, with
     ``delta`` the achieved minimum.  Otherwise returns an unsatisfied
-    certificate at max_T whose witness is the worst (start, element) pair.
+    certificate at max_T whose witness is the worst (start, element) pair:
+    the earliest start attaining the minimum, then its smallest minimizing
+    element.
+
+    Every start advances in lockstep and the scan stops at the first T that
+    passes, so it costs O(horizon * T * K * order) for K the largest step
+    support, in O(horizon * order) memory (see ``_windows``).
     """
     if horizon is None:
         horizon = len(signal) - t0
@@ -247,22 +358,13 @@ def find_mixing_certificate(
             f"scan range [{t0}, {t0 + horizon}) exceeds signal length {len(signal)}"
         )
     max_T = min(max_T, horizon)
-    group = signal[t0].group
-    mins = np.full(max_T + 1, np.inf)
-    argmins: List[Optional[Tuple[int, int]]] = [None] * (max_T + 1)
-    for t in range(t0, t0 + horizon):
-        cap = min(max_T, t0 + horizon - t)
-        q = ConvexWeights.point_mass(group)
-        for T in range(1, cap + 1):
-            q = convolve(signal[t + T - 1], q)
-            g = int(np.argmin(q.weights))
-            if q.weights[g] < mins[T]:
-                mins[T] = q.weights[g]
-                argmins[T] = (t, g)
-    for T in range(1, max_T + 1):
-        if mins[T] > delta_floor:
-            return MixingCertificate(T, float(mins[T]), True)
-    return MixingCertificate(max_T, float(mins[max_T]), False, witness=argmins[max_T])
+    for T, q in _windows(signal, t0, horizon, max_T, starts=horizon):
+        mins = q.min(axis=1)
+        i = int(np.argmin(mins))
+        if mins[i] > delta_floor:
+            return MixingCertificate(T, float(mins[i]), True)
+    witness = (t0 + i, int(np.argmin(q[i])))
+    return MixingCertificate(max_T, float(mins[i]), False, witness=witness)
 
 
 def run_lifted(
@@ -355,22 +457,19 @@ def write_trajectory_csv(
     """Write a lifted trajectory as CSV: step,g0,...,g_{n-1},lyapunov,kl.
 
     Floats are written with 17 significant digits so parsing returns the
-    exact doubles that were computed.
+    exact doubles that were computed.  Rows end in CRLF, and no field ever
+    needs quoting, so the bytes match ``csv.writer`` output.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
     if len(lyapunov) != steps or len(kl) != steps:
         raise ValueError("column lengths do not match the trajectory")
     header = ["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]
+    row_format = "%d," + ",".join([TRAJECTORY_FLOAT_FORMAT] * (order + 2)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for t in range(steps):
-            row = [str(t)]
-            row += [TRAJECTORY_FLOAT_FORMAT % v for v in weights[t]]
-            row.append(TRAJECTORY_FLOAT_FORMAT % lyapunov[t])
-            row.append(TRAJECTORY_FLOAT_FORMAT % kl[t])
-            writer.writerow(row)
+            fh.write(row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t]))
 
 
 def read_trajectory_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import groupsym.actions as actions_module
 from groupsym.actions import (
     LinearAction,
     ProjectionCheck,
@@ -573,3 +574,81 @@ def test_run_lifted_weights_match_repeated_steps_on_regular_action():
     for t, s in enumerate(signal):
         v = step(act, s, v)
         assert np.abs(traj[t + 1].weights - v).max() < 1e-12
+
+
+# -- orbit blocks ------------------------------------------------------------------
+
+
+def action_kinds():
+    """(action, state) for each bundled action kind plus a custom apply_fn."""
+    rng = np.random.default_rng(13)
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    herm = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mats = [np.eye(2), np.array([[1.0, 1.0], [0.0, -1.0]])]
+    return {
+        "block": (permutation_action(4, 3, s4), rng.standard_normal(12)),
+        "axis": (axis_permutation_action(3, 2, s3), rng.standard_normal((2, 2, 2))),
+        "regular": (regular_action(s4), rng.standard_normal(24)),
+        "dft": (
+            dft_action(6),
+            rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+        ),
+        "conjugation": (
+            conjugation_action(s3, subsystem_permutation_unitaries(s3, 2)),
+            herm + herm.conj().T,
+        ),
+        "custom": (
+            LinearAction(cyclic_group(2), VectorSpace((2,)), lambda g, x: mats[g] @ x),
+            rng.standard_normal(2),
+        ),
+    }
+
+
+def stacked_orbit(act, x):
+    return np.stack([act.apply(g, x).ravel() for g in range(act.group.order)])
+
+
+# 4096 bytes splits the test orbits into blocks of a few elements; 64 bytes
+# into single elements
+@pytest.mark.parametrize("budget", [actions_module.BLOCK_BYTES, 4096, 64])
+@pytest.mark.parametrize("kind", sorted(action_kinds()))
+def test_orbit_blocks_match_stacked_apply(kind, budget, monkeypatch):
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
+    act, x = action_kinds()[kind]
+    expected = stacked_orbit(act, x)
+    blocks = list(act.orbit_blocks(x))
+    assert [start for start, _ in blocks] == list(
+        np.cumsum([0] + [b.shape[0] for _, b in blocks[:-1]])
+    )
+    got = np.concatenate([b for _, b in blocks])
+    if kind == "conjugation":  # batched matrix products may round differently
+        assert np.allclose(got, expected, rtol=0, atol=1e-13)
+    else:
+        assert np.array_equal(got, expected)
+    assert np.array_equal(act.orbit_matrix(x), got)
+
+
+def test_orbit_block_size_follows_the_byte_budget(monkeypatch):
+    act = permutation_action(5, 2)
+    x = np.arange(10.0)
+    assert [b.shape for _, b in act.orbit_blocks(x)] == [(120, 10)]
+    # images take a quarter of the budget, the kernel's temporaries the rest
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", 4 * 50 * x.nbytes)
+    assert [b.shape[0] for _, b in act.orbit_blocks(x)] == [50, 50, 20]
+    # a state of a quarter of the budget or more goes one element per block
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", 4 * x.nbytes)
+    assert {b.shape for _, b in act.orbit_blocks(x)} == {(1, 10)}
+
+
+@pytest.mark.parametrize("budget", [actions_module.BLOCK_BYTES, 4096, 64])
+@pytest.mark.parametrize("kind", sorted(action_kinds()))
+def test_batched_residual_and_symmetrizer_match_per_element_loop(kind, budget, monkeypatch):
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
+    act, x = action_kinds()[kind]
+    loop_residual = max(
+        float(np.linalg.norm(act.apply(g, x) - x)) for g in range(act.group.order)
+    )
+    assert fixed_point_residual(act, x) == pytest.approx(loop_residual, rel=1e-12, abs=0)
+    orbit = act.orbit(x)
+    loop_average = sum(orbit[1:], start=orbit[0]) / act.group.order
+    assert np.allclose(symmetrizer(act, x), loop_average, rtol=1e-12, atol=1e-15)

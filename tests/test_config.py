@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import groupsym.config as config_module
 from groupsym.actions import save_state
 from groupsym.config import (
     ConfigError,
@@ -444,3 +445,71 @@ class TestMiscValidation:
     def test_output_must_be_string(self):
         with pytest.raises(ConfigError, match="output"):
             parse_config(minimal_gossip(output=7))
+
+
+class TestMemoryPreflight:
+    """Configs whose dense arrays cannot fit are rejected at parse time.
+
+    The memory probe is patched, so the verdicts do not depend on the host,
+    and parsing allocates no group, table or orbit.
+    """
+
+    GIB = 2**30
+
+    def with_memory(self, monkeypatch, gib):
+        monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: gib * self.GIB)
+
+    def test_symmetric_degree_eight_is_rejected_on_an_8_gib_host(self, monkeypatch):
+        self.with_memory(monkeypatch, 8)
+        with pytest.raises(ConfigError, match=r"params: .*table 6\.06"):
+            parse_config(minimal_gossip(params={"m": 8}))
+        with pytest.raises(ConfigError, match="physical memory"):
+            parse_config(
+                {
+                    "schema_version": 1,
+                    "application": "random-state",
+                    "params": {"group": {"kind": "symmetric", "m": 8}},
+                    "schedule": {"kind": "random-gossip", "support": [1, 2]},
+                    "seed": 1,
+                }
+            )
+        parse_config(minimal_gossip(params={"m": 7}))
+
+    def test_dft_1024_orbit_is_rejected(self, monkeypatch):
+        self.with_memory(monkeypatch, 8)
+        doc = {
+            "schema_version": 1,
+            "application": "dft",
+            "schedule": {"kind": "cyclic", "elements": [1]},
+            "seed": 1,
+        }
+        with pytest.raises(ConfigError, match=r"orbit 16\.00"):
+            parse_config(dict(doc, params={"N": 1024}))
+        parse_config(dict(doc, params={"N": 256}))
+
+    def test_verdict_follows_physical_memory(self, monkeypatch):
+        self.with_memory(monkeypatch, 64)
+        assert parse_config(minimal_gossip(params={"m": 8})).params["m"] == 8
+        self.with_memory(monkeypatch, 0.001)
+        with pytest.raises(ConfigError, match="physical memory"):
+            parse_config(minimal_gossip(params={"m": 6}, steps=1000))
+
+    def test_long_runs_count_their_weight_series(self, monkeypatch):
+        self.with_memory(monkeypatch, 8)
+        with pytest.raises(ConfigError, match=r"weights 37\.5"):
+            parse_config(minimal_gossip(params={"m": 7}, steps=500_000))
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: None)
+        assert parse_config(minimal_gossip(params={"m": 8})).params["m"] == 8
+
+    def test_probe_reads_the_host(self):
+        assert config_module.physical_memory_bytes() > 0
+
+
+def test_config_hash_is_the_canonical_sha256_of_the_document():
+    cfg = parse_config(minimal_gossip())
+    assert config_hash(cfg) == config_module.canonical_sha256(cfg.to_dict())
+    assert config_module.canonical_sha256({"b": 1, "a": [1, 2]}) == (
+        config_module.canonical_sha256({"a": [1, 2], "b": 1})
+    )

@@ -355,6 +355,21 @@ def test_same_group_by_table():
     assert not same_group(symmetric_group(3), cyclic_group(6))
 
 
+def test_trusted_constructors_return_one_shared_instance():
+    assert symmetric_group(4) is symmetric_group(4)
+    assert cyclic_group(9) is cyclic_group(9)
+    assert cyclic_group(6) is not cyclic_group(7)
+    assert not symmetric_group(4).table.flags.writeable
+
+
+def test_same_group_compares_tables_of_distinct_instances():
+    s3 = symmetric_group(3)
+    copy = group_from_table(s3.table)
+    assert copy is not s3
+    assert same_group(copy, s3)
+    assert not same_group(group_from_table(cyclic_group(6).table), s3)
+
+
 def test_element_names():
     g = group_from_table(KLEIN_TABLE, element_names=["I", "X", "Y", "Z"])
     assert g.element_name(1) == "X"

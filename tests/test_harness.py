@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+import groupsym.groups as groups_module
 from groupsym.actions import decode_state, save_state
 from groupsym.config import ConfigError, config_hash, parse_config
 from groupsym.groups import symmetric_group, transposition_index
@@ -481,3 +484,125 @@ class TestSpectralRun:
         )
         with pytest.raises(ConfigError, match="gossip"):
             spectral_run(cfg)
+
+
+# -- golden artifacts ----------------------------------------------------------
+
+# Small runs of every application, with the trajectory.csv sha256 and the
+# certificate that the per-element engine (one convolve per window step, one
+# apply per orbit element) wrote for them.  The batched kernels must
+# reproduce these bytes and certificates exactly.
+GOLDEN_RUNS = {
+    "gossip": (
+        {"params": {"m": 3, "n": 2}, "steps": 200, "seed": 7},
+        "19b20c410724eda534679535e880daa6f9bb1c4ac4be5bf6bb7f518ba311dce5",
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+    ),
+    "gossip-subset": (
+        {
+            "application": "gossip",
+            "params": {"m": 4, "n": 1},
+            "schedule": {"kind": "random-subset"},
+            "steps": 150,
+            "seed": 11,
+        },
+        "e600b2f2df1a920ca740307bb9eaad3ea16ea52a17dd964a22c33d0a5dc5bd57",
+        {"T": 6, "delta": 0.008767675146936998, "satisfied": True, "witness": None},
+    ),
+    "gossip-cyclic": (
+        {
+            "application": "gossip",
+            "params": {"m": 3, "n": 1},
+            "schedule": {"kind": "cyclic", "elements": [[0, 1], [1, 2]], "alpha": 0.4},
+            "steps": 120,
+            "seed": 5,
+        },
+        "5c45f608ead5fbcb5c45263c6dd902a08eaa398cd6da1c631356f7e73e9d61b6",
+        {"T": 3, "delta": 0.06400000000000002, "satisfied": True, "witness": None},
+    ),
+    "prob-sym": (
+        {"params": {"m": 3, "outcome_size": 2}, "steps": 200, "seed": 7},
+        "7030298d6a380afa2f450cdc7c0cf4276f8c968157bb0f0ecad9ff193018ae9b",
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+    ),
+    "quantum-gossip": (
+        {"params": {"m": 3, "local_dim": 2}, "steps": 200, "seed": 7},
+        "6974fa5efa875644562d9347f7d377e6a61e4bd34af8b55d19608dac907977b0",
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+    ),
+    "dft": (
+        {
+            "params": {"N": 8},
+            "schedule": {"kind": "random-gossip", "support": [1, 2, 3, 4, 5, 6, 7]},
+            "steps": 300,
+            "seed": 7,
+        },
+        "fc2f06263a4feb548a2e250b47b5b983f2b6837caae932541110c097451f6338",
+        {"T": 6, "delta": 0.028764968610429997, "satisfied": True, "witness": None},
+    ),
+    "dft-subgroup": (
+        {
+            "application": "dft",
+            "params": {"N": 8},
+            "schedule": {"kind": "random-gossip", "support": [2, 4, 6]},
+            "steps": 60,
+            "seed": 3,
+        },
+        "eba30f08840a7822c3e1aeb68140f520beb8f561ef40c34d8ecce6c9a058351b",
+        {"T": 32, "delta": 0.0, "satisfied": False, "witness": [0, 1]},
+    ),
+    "random-state": (
+        {
+            "params": {"group": {"kind": "symmetric", "m": 3}},
+            "schedule": {"kind": "random-gossip", "support": [1, 2]},
+            "steps": 12,
+            "trials": 5000,
+            "seed": 7,
+        },
+        "9b5b26f4d1aa6e32a8ecc816bf73e4a3b5694b04a2d4fc2bac82f7ed1e47f6df",
+        None,
+    ),
+    "dd": (
+        {"schedule": {"kind": "dd-bisection", "chooser": ["X", "Z"]}, "steps": 8, "seed": 7},
+        "22d45d32c10019a64f8b3ae455bc01881d38c68cd204160001f5a9114989ec00",
+        {"T": 2, "delta": 0.25, "satisfied": True, "witness": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_trajectory_bytes_and_certificate(name, tmp_path):
+    fields, sha256, certificate = GOLDEN_RUNS[name]
+    doc = {"schema_version": 1, "application": name}
+    doc.update(fields)
+    art = execute(parse_config(doc), out_dir=run_dir(tmp_path))
+    with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
+    with open(os.path.join(art.directory, "result.json")) as fh:
+        assert json.load(fh)["certificate"] == certificate
+
+
+@pytest.mark.parametrize(
+    "application, params, group_name",
+    [
+        ("gossip", {"m": 4}, "S4"),
+        ("prob-sym", {"m": 3, "outcome_size": 2}, "S3"),
+        ("quantum-gossip", {"m": 3, "local_dim": 2}, "S3"),
+        ("dft", {"N": 8}, "Z8"),
+    ],
+)
+def test_run_builds_its_group_once(application, params, group_name, tmp_path, monkeypatch):
+    monkeypatch.setattr(groups_module, "_MEMO", weakref.WeakValueDictionary())
+    built = []
+    original_init = groups_module.FiniteGroup.__init__
+
+    def counting_init(self, table, **kwargs):
+        built.append(kwargs.get("name"))
+        original_init(self, table, **kwargs)
+
+    monkeypatch.setattr(groups_module.FiniteGroup, "__init__", counting_init)
+    doc = {"schema_version": 1, "application": application, "params": params, "seed": 3}
+    if application == "dft":
+        doc["schedule"] = {"kind": "random-gossip", "support": list(range(1, 8))}
+    execute(parse_config(doc), out_dir=run_dir(tmp_path))
+    assert built == [group_name]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsym.groups import cyclic_group, symmetric_group, transposition_index
+import groupsym.lifted as lifted_module
+from groupsym.groups import cyclic_group, group_from_table, symmetric_group, transposition_index
 from groupsym.lifted import (
     ConvexWeights,
     GroupMismatchError,
@@ -29,6 +31,7 @@ from groupsym.lifted import (
     window_weights,
     write_trajectory_csv,
 )
+from groupsym.schedules import RandomGossipSchedule, RandomSubsetSchedule
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -293,6 +296,139 @@ def test_check_mixing_range_errors():
         check_mixing(signal, 5, 10, 3, 0.1)
 
 
+# -- window kernel against the scalar reference ----------------------------
+
+
+def reference_window(signal, t, T):
+    """Scalar oracle: q(t, T) by T separate convolutions."""
+    q = ConvexWeights.point_mass(signal[t].group)
+    for i in range(T):
+        q = convolve(signal[t + i], q)
+    return q
+
+
+def reference_check_mixing(signal, t0, horizon, T, delta):
+    for t in range(t0, t0 + horizon - T + 1):
+        q = reference_window(signal, t, T)
+        g = int(np.argmin(q.weights))
+        if q.weights[g] <= delta:
+            return MixingCertificate(T, delta, False, witness=(t, g))
+    return MixingCertificate(T, delta, True)
+
+
+def reference_certificate(signal, *, max_T, t0=0, horizon=None, delta_floor=0.0):
+    """Scalar oracle: every start, one convolution at a time, all T to max_T."""
+    if horizon is None:
+        horizon = len(signal) - t0
+    max_T = min(max_T, horizon)
+    group = signal[t0].group
+    mins = np.full(max_T + 1, np.inf)
+    argmins = [None] * (max_T + 1)
+    for t in range(t0, t0 + horizon):
+        q = ConvexWeights.point_mass(group)
+        for T in range(1, min(max_T, t0 + horizon - t) + 1):
+            q = convolve(signal[t + T - 1], q)
+            g = int(np.argmin(q.weights))
+            if q.weights[g] < mins[T]:
+                mins[T] = q.weights[g]
+                argmins[T] = (t, g)
+    for T in range(1, max_T + 1):
+        if mins[T] > delta_floor:
+            return MixingCertificate(T, float(mins[T]), True)
+    return MixingCertificate(max_T, float(mins[max_T]), False, witness=argmins[max_T])
+
+
+def relabeled_z5():
+    """Z5 with its elements permuted so that the identity is element 3."""
+    sigma = np.array([3, 0, 4, 1, 2])
+    table = np.empty((5, 5), dtype=int)
+    for a in range(5):
+        for b in range(5):
+            table[sigma[a], sigma[b]] = sigma[(a + b) % 5]
+    return group_from_table(table)
+
+
+def kernel_signals():
+    """Signals with supports of 1 to |G| elements and several identity labels."""
+    s4 = symmetric_group(4)
+    z5 = relabeled_z5()
+    rng = np.random.default_rng(5)
+    non_identity = [  # two-point steps that never touch the identity
+        ConvexWeights(np.bincount([1, 2], weights=[a, 1.0 - a], minlength=5), z5)
+        for a in rng.uniform(0.2, 0.8, size=30)
+    ]
+    return {
+        "gossip-s4": RandomGossipSchedule(s4, range(1, 24, 5), (0.3, 0.7), 3).realize(40),
+        "subset-s4": RandomSubsetSchedule(s4, range(1, 24), (0.3, 0.9), 4).realize(40),
+        "subset-z5-relabeled": RandomSubsetSchedule(z5, [0, 1, 2, 4], (0.2, 0.8), 5).realize(40),
+        "dense-s3": [random_weights(S3, rng) for _ in range(30)],
+        # sums of 1 + 6e-14 pass unrenormalized, so window sums drift past
+        # RENORM_DRIFT after a few steps and exercise the renormalization
+        "drifting-s3": [
+            ConvexWeights(w / w.sum() * (1.0 + 6e-14), S3)
+            for w in rng.uniform(0.1, 1.0, size=(30, 6))
+        ],
+        "non-identity-z5": non_identity,
+        "subgroup-z6": [ConvexWeights([0.5, 0.0, 0.5, 0.0, 0.0, 0.0], Z6)] * 25,
+        "s3-cycle": cycle_signal(s3_pair_cycle(0.3), 30),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(kernel_signals()))
+def test_certificate_kernel_matches_scalar_reference(name):
+    signal = kernel_signals()[name]
+    n = len(signal)
+    cases = [
+        dict(max_T=12),
+        dict(max_T=n + 5),  # max_T beyond the horizon
+        dict(max_T=6, t0=3, horizon=n - 7),
+        dict(max_T=4, t0=n - 4),
+        dict(max_T=8, delta_floor=1e-3),
+        dict(max_T=3, delta_floor=0.2),  # unsatisfied: witness at max_T
+        dict(max_T=1, t0=2, horizon=1),
+    ]
+    for kwargs in cases:
+        assert find_mixing_certificate(signal, **kwargs) == reference_certificate(
+            signal, **kwargs
+        ), kwargs
+
+
+@pytest.mark.parametrize("name", sorted(kernel_signals()))
+def test_check_mixing_and_windows_match_scalar_reference(name):
+    signal = kernel_signals()[name]
+    n = len(signal)
+    for t0, horizon, T in ((0, n, 1), (0, n, 5), (2, n - 6, 4), (n - 7, 7, 7)):
+        floor = reference_window(signal, t0 + horizon - T, T).weights.min()
+        for delta in (0.0, floor, 0.05, 0.5):
+            assert check_mixing(signal, t0, horizon, T, delta) == reference_check_mixing(
+                signal, t0, horizon, T, delta
+            )
+        for t in (t0, t0 + horizon - T):
+            got = window_weights(signal, t, T)
+            assert np.array_equal(got.weights, reference_window(signal, t, T).weights)
+
+
+def test_certificate_search_makes_no_convolve_calls(monkeypatch):
+    calls = []
+
+    def counting_convolve(s, p):
+        calls.append(1)
+        return convolve(s, p)
+
+    monkeypatch.setattr(lifted_module, "convolve", counting_convolve)
+    signal = kernel_signals()["subset-s4"]
+    find_mixing_certificate(signal, max_T=10)
+    check_mixing(signal, 0, len(signal), 4, 0.0)
+    window_weights(signal, 3, 6)
+    assert calls == []
+
+
+def test_certificate_rejects_mixed_groups():
+    signal = cycle_signal(s3_pair_cycle(), 6) + [ConvexWeights.uniform(Z6)]
+    with pytest.raises(GroupMismatchError):
+        find_mixing_certificate(signal, max_T=3)
+
+
 # -- lifted runs -------------------------------------------------------------
 
 
@@ -448,6 +584,25 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(w2, weights)
     assert np.array_equal(l2, np.array(lyap))
     assert np.array_equal(k2, np.array(kl))
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    weights = rng.dirichlet(np.ones(7), size=15)
+    weights[3] = np.eye(7)[2]  # exact zeros and ones
+    lyap = rng.uniform(0, 1, size=15).tolist()
+    kl = list(rng.uniform(0, 1, size=15))  # numpy scalars
+    path = tmp_path / "fast.csv"
+    write_trajectory_csv(path, weights, lyap, kl)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step"] + [f"g{i}" for i in range(7)] + ["lyapunov", "kl"])
+        for t in range(15):
+            writer.writerow(
+                [str(t)] + ["%.17g" % v for v in (*weights[t], lyap[t], kl[t])]
+            )
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_trajectory_csv_detects_bad_rows(tmp_path):
