@@ -299,6 +299,14 @@ class DDBisectionSchedule(Schedule):
         return frames
 
     def union_support(self) -> frozenset:
+        """Elements the schedule can put weight on, identity included.
+
+        For a chooser cycle this is exact.  For a callable chooser it is a
+        heuristic: only h(0), ..., h(4|G| - 1) are probed, so an element the
+        callable first picks at step 4|G| or later is missed.
+        ``support_generates`` and the protocols' declared-support checks then
+        judge that prefix alone.
+        """
         if self._cycle is None:
             probe = self.chosen(4 * self.group.order)
             return frozenset(probe) | {self.group.identity}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from groupsym.actions import (
 )
 from groupsym.groups import (
     cyclic_group,
+    group_from_table,
     permutation_index,
     symmetric_group,
     transposition_index,
@@ -210,6 +213,7 @@ def test_is_projection_for_unitary_action():
     assert report.idempotency_residual < 1e-12
     assert report.self_adjoint_residual < 1e-12
     assert report.is_projection
+    assert act._matrices == {}
 
 
 def test_is_projection_flags_non_self_adjoint_average():
@@ -227,6 +231,7 @@ def test_is_projection_flags_non_self_adjoint_average():
     assert report.idempotency_residual < 1e-12
     assert report.self_adjoint_residual > 0.4
     assert not report.is_projection
+    assert act._matrices == {}
     with pytest.raises(ValueError, match="adjoint"):
         conserved_value(act, np.ones(2), np.ones(2))
 
@@ -382,6 +387,77 @@ def test_dft_action_validates_group_order():
         dft_action(4, cyclic_group(5))
 
 
+def orbit_block_residual(act, x):
+    """max_g ||a(g, x) - x||_2 through the orbit blocks: the generic path."""
+    flat = np.asarray(x).ravel()
+    return max(
+        float(np.linalg.norm(block - flat, axis=1).max()) for _, block in act.orbit_blocks(x)
+    )
+
+
+def test_dft_maps_are_diagonal_in_the_fourier_basis():
+    N = 8
+    act = dft_action(N)
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    m = np.arange(N)
+    Y = np.fft.fft(X, axis=0)
+    for k in range(N):
+        phase = np.exp(2j * np.pi * k * (m[:, None] - m[None, :]) / N)
+        assert np.abs(np.fft.fft(act.apply(k, X), axis=0) - phase * Y).max() < 1e-12
+
+
+def dft_states(N, rng):
+    """(label, state): random, a common fixed point, and one 1e-9 away."""
+    noise = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    # fixed points are the matrices whose column-wise FFT is diagonal
+    fixed = np.fft.ifft(np.diag(rng.standard_normal(N) + 1j * rng.standard_normal(N)), axis=0)
+    return [("random", noise), ("fixed", fixed), ("near-fixed", fixed + 1e-9 * noise)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64])
+def test_dft_spectral_residual_matches_orbit_blocks(N):
+    act = dft_action(N)
+    for label, X in dft_states(N, np.random.default_rng(N)):
+        got = fixed_point_residual(act, X)
+        expected = orbit_block_residual(act, X)
+        if label == "random":
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        else:
+            assert abs(got - expected) <= 1e-13 * np.linalg.norm(X)
+        if label == "fixed":
+            assert got <= 1e-13 * np.linalg.norm(X)
+
+
+def test_dft_spectral_residual_on_a_table_built_group():
+    N = 8
+    group = group_from_table(cyclic_group(N).table)
+    assert group is not cyclic_group(N)
+    act = dft_action(N, group)
+    for _, X in dft_states(N, np.random.default_rng(32)):
+        assert abs(fixed_point_residual(act, X) - orbit_block_residual(act, X)) <= (
+            1e-12 * np.linalg.norm(X)
+        )
+        assert fixed_point_residual(act, X) == fixed_point_residual(dft_action(N), X)
+
+
+def test_dft_residual_makes_no_per_element_apply_call(monkeypatch):
+    act = dft_action(16)
+    calls = []
+    inner_apply = act._apply
+
+    def counting_apply(g, x):
+        calls.append(g)
+        return inner_apply(g, x)
+
+    monkeypatch.setattr(act, "_apply", counting_apply)
+    X = np.random.default_rng(33).standard_normal((16, 16)).astype(np.complex128)
+    assert fixed_point_residual(act, X) > 0.0
+    assert calls == []
+    orbit_block_residual(act, X)  # the generic path still goes element by element
+    assert calls == list(range(16))
+
+
 # -- conjugation validation ----------------------------------------------------
 
 
@@ -529,6 +605,22 @@ def test_encode_state_structure():
     assert payload["shape"] == [2]
     assert payload["complex"] is True
     assert payload["data"] == [[1.0, 2.0], [0.0, -3.0]]
+
+
+def recursive_encode(arr):
+    """The original element-recursive encoder of complex entries."""
+    if np.iscomplexobj(arr):
+        if arr.ndim == 0:
+            return [float(arr.real), float(arr.imag)]
+        return [recursive_encode(sub) for sub in arr]
+    return arr.tolist()
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 1, 3), (0,), (3, 0), (0, 2, 2)])
+def test_encode_state_matches_the_recursive_encoder(shape):
+    rng = np.random.default_rng(34)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert json.dumps(encode_state(arr)["data"]) == json.dumps(recursive_encode(arr))
 
 
 def test_decode_state_errors():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groupsym.actions import (
+    dft_action,
     pauli_matrices,
     pauli_quotient_group,
     permutation_action,
@@ -429,6 +430,33 @@ def test_dft_random_vector_first_row_converges():
     assert np.abs(result.extras["chi"] - oracle).max() < 1e-12
     assert result.extras["exact_first_row_gap"] < 1e-10
     assert result.extras["first_row_gap"] < 1e-6
+
+
+def test_dft_spectral_residual_keeps_the_run():
+    # the DFT action's Fourier-diagonal residual against the orbit-block one
+    N = 64
+    schedule = RandomGossipSchedule(cyclic_group(N), list(range(1, N)), (0.3, 0.7), seed=64)
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    action = dft_action(N)
+
+    def orbit_block_residual(X):
+        flat = X.ravel()
+        return max(
+            float(np.linalg.norm(block - flat, axis=1).max())
+            for _, block in action.orbit_blocks(X)
+        )
+
+    spectral = run_dft(N, x, schedule, 400, threshold=1e-8)
+    blocks = run_dft(N, x, schedule, 400, threshold=1e-8, residual_fn=orbit_block_residual)
+    assert spectral.converged and 0 < spectral.steps_run < 400
+    assert spectral.steps_run == blocks.steps_run
+    # Both evaluations carry round-off of order eps * ||X|| whatever the
+    # residual's size: near the 1e-8 stop each is about 2.5e-9 relative off a
+    # long-double reference, so below ~1e-6 the bound is the absolute one.
+    round_off = np.finfo(np.float64).eps * np.linalg.norm(np.outer(x, np.ones(N)))
+    assert np.allclose(spectral.residuals, blocks.residuals, rtol=1e-9, atol=round_off)
+    assert np.array_equal(spectral.final_state, blocks.final_state)
 
 
 def test_dft_validation():
