@@ -62,6 +62,19 @@ __all__ = [
 
 RESIDUAL_THRESHOLD = 1e-8
 DELTA_FLOOR = 1e-6
+# Signal steps the engine's certificate search scans (and certify_run's default).
+CERTIFICATE_HORIZON = 256
+# The lift check's tolerance is LIFT_ROUNDOFF * eps * (steps_run + |G|) *
+# max(1, ||x0||_inf): float64 round-off of steps_run mixing steps on the direct
+# side and of a |G|-term weighted orbit sum on the lifted side.  The shift-phase
+# maps of the DFT action come closest: up to 1.2 eps * (steps_run + |G|) *
+# ||x0||_inf at N=256 over seeds 1-10, which this factor puts at 1/27 of the
+# tolerance.
+LIFT_ROUNDOFF = 32.0
+EPS = float(np.finfo(np.float64).eps)
+# Sampling runs: the largest accepted TV distance between the empirical and
+# the exact endpoint law.
+SAMPLING_TV_TOLERANCE = 0.01
 QUANTUM_DIM_CAP = 64
 OUTCOME_SIZE_CAP = 8
 OUTCOME_AXES_CAP = 4
@@ -79,11 +92,14 @@ class ExperimentResult:
     final_state: np.ndarray
     conserved_drift: float
     lift_direct_gap: float
+    lift_tolerance: float
     converged: bool
     threshold: float
     steps_run: int
     metadata: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    # F(x0), the orbit average of the initial state; not written to artifacts
+    orbit_average: Optional[np.ndarray] = None
 
 
 def _realize(schedule, steps: int) -> List[ConvexWeights]:
@@ -112,8 +128,6 @@ def run_symmetrization(
     threshold: float = RESIDUAL_THRESHOLD,
     early_stop: bool = True,
     certify: bool = False,
-    max_T: Optional[int] = None,
-    cert_horizon: Optional[int] = None,
     delta_floor: float = DELTA_FLOOR,
     monitors: Optional[Dict[str, Callable[[np.ndarray], object]]] = None,
     residual_fn: Optional[Callable[[np.ndarray], float]] = None,
@@ -124,7 +138,8 @@ def run_symmetrization(
     The direct state and the lifted weights advance in lockstep; every step
     verifies that the weights reconstruct the state from the initial orbit.
     Monitors are callables of the state whose values must stay at their
-    initial value; their worst drift is reported.
+    initial value; their worst drift is reported.  The orbit average F(x0)
+    comes from the same orbit matrix and is returned as ``orbit_average``.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -136,6 +151,8 @@ def run_symmetrization(
         residual_fn = lambda state: fixed_point_residual(action, state)
 
     orbit_matrix = action.orbit_matrix(x)
+    orbit_average = orbit_matrix.mean(axis=0).reshape(action.space.shape)
+    lift_scale = max(1.0, float(np.abs(x).max(initial=0.0)))
     uniform = ConvexWeights.uniform(action.group)
     p = ConvexWeights.point_mass(action.group)
 
@@ -171,8 +188,8 @@ def run_symmetrization(
 
     certificate = None
     if certify and len(signal) > 0:
-        horizon = cert_horizon if cert_horizon is not None else min(len(signal), 256)
-        cap = max_T if max_T is not None else max(1, min(4 * action.group.order, horizon))
+        horizon = min(len(signal), CERTIFICATE_HORIZON)
+        cap = max(1, min(4 * action.group.order, horizon))
         certificate = find_mixing_certificate(
             signal[:horizon], max_T=cap, delta_floor=delta_floor
         )
@@ -196,11 +213,13 @@ def run_symmetrization(
         final_state=x,
         conserved_drift=drift,
         lift_direct_gap=lift_gap,
+        lift_tolerance=LIFT_ROUNDOFF * EPS * (steps_run + action.group.order) * lift_scale,
         converged=bool(residuals[-1] <= threshold),
         threshold=threshold,
         steps_run=steps_run,
         metadata=meta,
         extras={"conserved_series": {k: np.array(v) for k, v in monitor_series.items()}},
+        orbit_average=orbit_average,
     )
 
 
@@ -229,50 +248,54 @@ def _check_schedule_support(schedule, allowed: set, what: str) -> None:
             )
 
 
+def _run_on_edges(
+    action: LinearAction, edges, schedule, x0, steps: int, metadata: dict, monitors, engine
+) -> ExperimentResult:
+    """The body the S_m protocols share: edge-support check, engine run, target gap.
+
+    ``metadata`` carries the protocol's own keys, starting with its node count
+    ``m``; the declared edges are appended to it.
+    """
+    group = action.group
+    allowed = set(edge_transpositions(group, metadata["m"], edges)) | {group.identity}
+    _check_schedule_support(schedule, allowed, "edge set")
+    metadata = dict(metadata, edges=[list(map(int, e)) for e in edges])
+    result = run_symmetrization(
+        action, x0, schedule, steps, monitors=monitors, metadata=metadata, **engine
+    )
+    result.extras["target_gap"] = float(
+        np.abs(result.final_state - result.orbit_average).max()
+    )
+    return result
+
+
 def run_gossip_consensus(
-    m: int,
-    n: int,
-    edges,
-    schedule,
-    x0,
-    steps: int,
-    *,
-    threshold: float = RESIDUAL_THRESHOLD,
-    early_stop: bool = True,
-    certify: bool = False,
-    **engine_kwargs,
+    m: int, n: int, edges, schedule, x0, steps: int, **engine
 ) -> ExperimentResult:
     """Pairwise averaging of m agents holding n-dimensional values.
 
     Each swap edge (j, k) mixed with weight alpha moves both agents toward
     their pairwise mean; with a connected edge process all agents reach the
     barycenter, and every coordinate's mean over agents stays constant.
+    ``engine`` keywords go to ``run_symmetrization``.
     """
-    group = symmetric_group(m)
-    action = permutation_action(m, n, group)
-    allowed = set(edge_transpositions(group, m, edges)) | {group.identity}
-    _check_schedule_support(schedule, allowed, "edge set")
-    x0 = action.space.validate(x0)
+    action = permutation_action(m, n, symmetric_group(m))
 
     def component_mean(c):
         return lambda state: float(state.reshape(m, n)[:, c].mean())
 
     monitors = {f"component_mean_{c}": component_mean(c) for c in range(n)}
-    result = run_symmetrization(
+    result = _run_on_edges(
         action,
-        x0,
+        edges,
         schedule,
+        x0,
         steps,
-        threshold=threshold,
-        early_stop=early_stop,
-        certify=certify,
-        monitors=monitors,
-        metadata={"application": "gossip", "m": m, "n": n, "edges": [list(map(int, e)) for e in edges]},
-        **engine_kwargs,
+        {"application": "gossip", "m": m, "n": n},
+        monitors,
+        engine,
     )
-    target = symmetrizer(action, x0)
-    result.extras["barycenter"] = target.reshape(m, n)[0]
-    result.extras["target_gap"] = float(np.abs(result.final_state - target).max())
+    result.extras["barycenter"] = result.orbit_average.reshape(m, n)[0]
     return result
 
 
@@ -355,23 +378,14 @@ def star_consensus_example(alpha: float):
 
 
 def run_probability_symmetrization(
-    m: int,
-    outcome_sizes,
-    edges,
-    schedule,
-    joint0,
-    steps: int,
-    *,
-    threshold: float = RESIDUAL_THRESHOLD,
-    early_stop: bool = True,
-    certify: bool = False,
-    **engine_kwargs,
+    m: int, outcome_sizes, edges, schedule, joint0, steps: int, **engine
 ) -> ExperimentResult:
     """Exchange mixing of a joint distribution over m finite outcome sets.
 
     Swapping variables j and k with probability alpha replaces the joint
     tensor by the matching convex combination of index transpositions; the
-    limit is exchangeable and total probability is conserved.
+    limit is exchangeable and total probability is conserved.  ``engine``
+    keywords go to ``run_symmetrization``.
     """
     if isinstance(outcome_sizes, (int, np.integer)):
         sizes = [int(outcome_sizes)] * m
@@ -399,76 +413,44 @@ def run_probability_symmetrization(
     if abs(joint.sum() - 1.0) > 1e-9:
         raise ValueError(f"joint distribution sums to {joint.sum()}, expected 1")
 
-    group = symmetric_group(m)
-    action = axis_permutation_action(m, size, group)
-    allowed = set(edge_transpositions(group, m, edges)) | {group.identity}
-    _check_schedule_support(schedule, allowed, "edge set")
-
-    monitors = {"total_mass": lambda P: float(P.sum())}
-    result = run_symmetrization(
-        action,
-        joint,
+    return _run_on_edges(
+        axis_permutation_action(m, size, symmetric_group(m)),
+        edges,
         schedule,
+        joint,
         steps,
-        threshold=threshold,
-        early_stop=early_stop,
-        certify=certify,
-        monitors=monitors,
-        metadata={
-            "application": "prob-sym",
-            "m": m,
-            "outcome_size": size,
-            "edges": [list(map(int, e)) for e in edges],
-        },
-        **engine_kwargs,
+        {"application": "prob-sym", "m": m, "outcome_size": size},
+        {"total_mass": lambda P: float(P.sum())},
+        engine,
     )
-    target = symmetrizer(action, joint)
-    result.extras["target_gap"] = float(np.abs(result.final_state - target).max())
-    return result
 
 
 # -- quantum gossip ----------------------------------------------------------------
 
 
 def run_quantum_gossip(
-    m: int,
-    local_dim: int,
-    edges,
-    schedule,
-    X0,
-    steps: int,
-    *,
-    threshold: float = RESIDUAL_THRESHOLD,
-    early_stop: bool = True,
-    certify: bool = False,
-    **engine_kwargs,
+    m: int, local_dim: int, edges, schedule, X0, steps: int, **engine
 ) -> ExperimentResult:
     """Swap-conjugation mixing of a Hermitian operator on m subsystems.
 
     Edge (j, k) acts by the subsystem-swap unitary; the limit is the average
     over all subsystem permutations.  Trace, Hermiticity, and the spectrum of
-    the orbit average are monitored.
+    the orbit average are monitored.  ``engine`` keywords go to
+    ``run_symmetrization``.
     """
     dim = local_dim**m
     if dim > QUANTUM_DIM_CAP:
         raise ValueError(
             f"total dimension {dim} exceeds the dense cap {QUANTUM_DIM_CAP}"
         )
-    group = symmetric_group(m)
-    U = subsystem_permutation_unitaries(group, local_dim)
-    action = conjugation_action(group, U)
-    allowed = set(edge_transpositions(group, m, edges)) | {group.identity}
-    _check_schedule_support(schedule, allowed, "edge set")
-
     X0 = np.asarray(X0, dtype=np.complex128)
     if X0.shape != (dim, dim):
         raise ValueError(f"X0 has shape {X0.shape}, expected {(dim, dim)}")
     herm = float(np.abs(X0 - X0.conj().T).max())
     if herm > 1e-10:
         raise ValueError(f"X0 is not Hermitian (defect {herm:.3e})")
-
-    target = symmetrizer(action, X0)
-    target_spectrum = np.sort(np.linalg.eigvalsh(target))
+    group = symmetric_group(m)
+    action = conjugation_action(group, subsystem_permutation_unitaries(group, local_dim))
 
     monitors = {
         "trace_real": lambda X: float(np.trace(X).real),
@@ -478,46 +460,29 @@ def run_quantum_gossip(
             np.linalg.eigvalsh(symmetrizer(action, X))
         ),
     }
-    result = run_symmetrization(
+    result = _run_on_edges(
         action,
-        X0,
+        edges,
         schedule,
+        X0,
         steps,
-        threshold=threshold,
-        early_stop=early_stop,
-        certify=certify,
-        monitors=monitors,
-        metadata={
-            "application": "quantum-gossip",
-            "m": m,
-            "local_dim": local_dim,
-            "edges": [list(map(int, e)) for e in edges],
-        },
-        **engine_kwargs,
+        {"application": "quantum-gossip", "m": m, "local_dim": local_dim},
+        monitors,
+        engine,
     )
-    result.extras["target_gap"] = float(np.abs(result.final_state - target).max())
-    result.extras["target_spectrum"] = target_spectrum
+    result.extras["target_spectrum"] = np.sort(np.linalg.eigvalsh(result.orbit_average))
     return result
 
 
 # -- distributed discrete Fourier transform ----------------------------------------
 
 
-def run_dft(
-    N: int,
-    x,
-    schedule,
-    steps: int,
-    *,
-    threshold: float = RESIDUAL_THRESHOLD,
-    early_stop: bool = True,
-    certify: bool = False,
-    **engine_kwargs,
-) -> ExperimentResult:
+def run_dft(N: int, x, schedule, steps: int, **engine) -> ExperimentResult:
     """Fourier transform by symmetrization: mix X = x 1^T under shift-phase maps.
 
     The orbit average carries chi = DFT(x)/N in its first row; the run reports
-    how far the trajectory's first row is from chi at the end.
+    how far the trajectory's first row is from chi at the end.  ``engine``
+    keywords go to ``run_symmetrization``.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (N,):
@@ -527,17 +492,9 @@ def run_dft(
     chi = np.fft.fft(x) / N
 
     result = run_symmetrization(
-        action,
-        X0,
-        schedule,
-        steps,
-        threshold=threshold,
-        early_stop=early_stop,
-        certify=certify,
-        metadata={"application": "dft", "N": N},
-        **engine_kwargs,
+        action, X0, schedule, steps, metadata={"application": "dft", "N": N}, **engine
     )
-    x_hat = symmetrizer(action, X0)
+    x_hat = result.orbit_average
     result.extras["chi"] = chi
     result.extras["x_hat_exact"] = x_hat
     result.extras["exact_first_row_gap"] = float(np.abs(x_hat[0] - chi).max())
@@ -610,6 +567,7 @@ def run_random_state_generation(
         final_state=empirical,
         conserved_drift=0.0,
         lift_direct_gap=tv_empirical_exact,
+        lift_tolerance=SAMPLING_TV_TOLERANCE,
         converged=bool(tv_empirical_uniform <= threshold),
         threshold=threshold,
         steps_run=t_steps,

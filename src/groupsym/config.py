@@ -550,9 +550,9 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
     )
 
 
-def serialize_config(config: RunConfig, *, indent: int = 2) -> str:
+def serialize_config(config: RunConfig) -> str:
     """Canonical JSON text for a normalized config."""
-    return json.dumps(config.to_dict(), indent=indent, sort_keys=True) + "\n"
+    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def canonical_sha256(doc: dict) -> str:

@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .actions import (
     regular_action,
 )
 from .applications import (
+    CERTIFICATE_HORIZON,
     ExperimentResult,
     run_dft,
     run_dynamical_decoupling,
@@ -62,6 +63,7 @@ from .schedules import (
     ExplicitSchedule,
     RandomGossipSchedule,
     RandomSubsetSchedule,
+    Schedule,
     schedule_from_csv,
 )
 
@@ -237,82 +239,78 @@ def _initial_array(config: RunConfig, shape, kind: str) -> np.ndarray:
     raise ValueError(f"unknown state flavor {kind!r}")
 
 
+def _build_run(config: RunConfig) -> Tuple[FiniteGroup, Schedule]:
+    """The group and the schedule a validated config runs on."""
+    app, params = config.application, config.params
+    if app in ("gossip", "prob-sym", "quantum-gossip"):
+        m = params["m"]
+        group = symmetric_group(m)
+        support = sorted({transposition_index(group, j, k) for j, k in params["edges"]})
+        return group, build_schedule(config, group, m=m, default_support=support)
+    if app == "dft":
+        group = cyclic_group(params["N"])
+    elif app == "random-state":
+        group = _build_group(params["group"], config)
+    elif app == "dd":
+        group = pauli_quotient_group()
+    else:
+        raise ConfigError(f"application: unknown application {app!r}")
+    return group, build_schedule(config, group)
+
+
 def run_from_config(config: RunConfig) -> ExperimentResult:
     """Dispatch a validated config to its application runner."""
     tol = config.tolerances
-    threshold = tol["residual"]
-    engine = dict(threshold=threshold, certify=True, delta_floor=tol["delta_floor"])
-    app = config.application
-    params = config.params
+    engine = dict(threshold=tol["residual"], certify=True, delta_floor=tol["delta_floor"])
+    app, params, steps = config.application, config.params, config.steps
+    group, schedule = _build_run(config)
 
     if app == "gossip":
-        m, n, edges = params["m"], params["n"], params["edges"]
-        group = symmetric_group(m)
-        support = sorted({transposition_index(group, j, k) for j, k in edges})
-        schedule = build_schedule(config, group, m=m, default_support=support)
+        m, n = params["m"], params["n"]
         x0 = _initial_array(config, (m * n,), "real")
-        return run_gossip_consensus(m, n, edges, schedule, x0, config.steps, **engine)
+        return run_gossip_consensus(m, n, params["edges"], schedule, x0, steps, **engine)
 
     if app == "prob-sym":
-        m, size, edges = params["m"], params["outcome_size"], params["edges"]
-        group = symmetric_group(m)
-        support = sorted({transposition_index(group, j, k) for j, k in edges})
-        schedule = build_schedule(config, group, m=m, default_support=support)
+        m, size = params["m"], params["outcome_size"]
         joint0 = _initial_array(config, (size,) * m, "prob")
         return run_probability_symmetrization(
-            m, size, edges, schedule, joint0, config.steps, **engine
+            m, size, params["edges"], schedule, joint0, steps, **engine
         )
 
     if app == "quantum-gossip":
-        m, d, edges = params["m"], params["local_dim"], params["edges"]
-        group = symmetric_group(m)
-        support = sorted({transposition_index(group, j, k) for j, k in edges})
-        schedule = build_schedule(config, group, m=m, default_support=support)
-        dim = d**m
-        X0 = _initial_array(config, (dim, dim), "hermitian")
-        return run_quantum_gossip(m, d, edges, schedule, X0, config.steps, **engine)
+        m, d = params["m"], params["local_dim"]
+        X0 = _initial_array(config, (d**m, d**m), "hermitian")
+        return run_quantum_gossip(m, d, params["edges"], schedule, X0, steps, **engine)
 
     if app == "dft":
         N = params["N"]
-        group = cyclic_group(N)
-        schedule = build_schedule(config, group)
         x = _initial_array(config, (N,), "complex")
-        return run_dft(N, x, schedule, config.steps, **engine)
+        return run_dft(N, x, schedule, steps, **engine)
 
     if app == "random-state":
-        group = _build_group(params["group"], config)
-        action = regular_action(group)
-        schedule = build_schedule(config, group)
         y0 = _initial_array(config, (group.order,), "real")
         return run_random_state_generation(
-            action,
+            regular_action(group),
             y0,
             schedule,
-            config.steps,
+            steps,
             config.trials,
             _substream(config.seed, SEED_TRIALS),
         )
 
-    if app == "dd":
-        group, unitaries = pauli_quotient_group(), pauli_matrices()
-        chooser = _resolve_elements(config.schedule["chooser"], group, None)
-        H_d = _initial_array(config, (2, 2), "traceless-hermitian-2")
-        kwargs = {"threshold": threshold}
-        if "dt" in params:
-            kwargs["dt"] = params["dt"]
-        if "frame_cap" in params:
-            kwargs["frame_cap"] = params["frame_cap"]
-        return run_dynamical_decoupling(
-            group,
-            H_d,
-            unitaries,
-            chooser,
-            config.steps,
-            config.schedule["alpha"],
-            **kwargs,
-        )
-
-    raise ConfigError(f"application: unknown application {app!r}")
+    # dd: the runner rebuilds its bisection schedule from the chooser cycle
+    H_d = _initial_array(config, (2, 2), "traceless-hermitian-2")
+    kwargs = {key: params[key] for key in ("dt", "frame_cap") if key in params}
+    return run_dynamical_decoupling(
+        group,
+        H_d,
+        pauli_matrices(),
+        schedule.describe()["chooser"],
+        steps,
+        schedule.alpha,
+        threshold=tol["residual"],
+        **kwargs,
+    )
 
 
 # -- artifact output -----------------------------------------------------------
@@ -345,10 +343,10 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
             "delta": float(result.certificate.delta),
             "satisfied": bool(result.certificate.satisfied),
             "witness": _jsonify(result.certificate.witness),
+            "horizon": int(result.certificate.horizon),
         }
     extras = dict(result.extras)
     conserved = extras.pop("conserved_series", {})
-    lift_tol = 0.01 if config.application == "random-state" else config.tolerances["residual"]
     return {
         "schema_version": 1,
         "application": config.application,
@@ -363,7 +361,7 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
             for name, series in conserved.items()
         },
         "lift_direct_gap": float(result.lift_direct_gap),
-        "lift_tolerance": float(lift_tol),
+        "lift_tolerance": float(result.lift_tolerance),
         "tolerances": dict(config.tolerances),
         "certificate": cert,
         "final_state": encode_state(np.asarray(result.final_state)),
@@ -434,7 +432,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
     try:
         doc = result_to_dict(result, config)
         _atomic_write_text(
-            os.path.join(directory, RESULT_FILE), json.dumps(doc, indent=2) + "\n"
+            os.path.join(directory, RESULT_FILE), json.dumps(doc) + "\n"
         )
         _atomic_write_trajectory(os.path.join(directory, TRAJECTORY_FILE), result)
         manifest = {
@@ -614,6 +612,14 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
 
     cert = doc.get("certificate")
     certified = bool(cert and cert.get("satisfied"))
+    # A certificate covers windows inside its scanned horizon, so rows
+    # 0..horizon; one that records no horizon is judged on every row.
+    last = rows - 1
+    if certified and cert.get("horizon") is not None:
+        last = min(last, int(cert["horizon"]))
+    scope = f"steps 0..{last}"
+    if last < rows - 1:
+        scope += f" (the certificate horizon; {rows - 1 - last} later steps not judged)"
 
     # kl: stored column matches; strict decrease across certified windows.
     kl_re = _uniform_kl(weights)
@@ -632,7 +638,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
         T = int(cert["T"])
         worst_gap = math.inf
         bad = None
-        for t in range(rows - T):
+        for t in range(last + 1 - T):
             if np.abs(weights[t] - 1.0 / order).max() <= KL_DISTINGUISH_ATOL:
                 continue
             gap = kl_re[t] - kl_re[t + T]
@@ -640,7 +646,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
                 worst_gap = gap
                 bad = t
         if bad is None:
-            record("kl", "pass", None, "no distinguishable windows to test")
+            record("kl", "pass", None, f"no distinguishable windows in {scope}")
         elif worst_gap <= 0:
             record(
                 "kl",
@@ -649,7 +655,12 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
                 f"window decrease violated at step {bad} (gap {worst_gap:.3e})",
             )
         else:
-            record("kl", "pass", float(worst_gap), f"strict decrease over {T}-step windows")
+            record(
+                "kl",
+                "pass",
+                float(worst_gap),
+                f"strict decrease over {T}-step windows in {scope}",
+            )
 
     # envelope: certified runs stay inside the closed-form bounds.
     if not certified:
@@ -660,7 +671,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
         rho = 1.0 - order * delta
         worst_margin = math.inf
         bad = None
-        for t in range(rows):
+        for t in range(last + 1):
             k = t // T
             upper, lower = envelope_bounds(order, delta, k)
             row = weights[t]
@@ -684,7 +695,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
                 "envelope",
                 "pass",
                 float(worst_margin),
-                f"rho={rho:.6g}, T={T}, all {rows} steps inside",
+                f"rho={rho:.6g}, T={T}, inside over {scope}",
             )
 
     # conserved: every monitor stays at its initial value.
@@ -744,27 +755,8 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
 
 def certify_run(config: RunConfig, max_T: int, *, horizon: Optional[int] = None) -> dict:
     """Scan the configured schedule for a mixing certificate."""
-    app = config.application
-    params = config.params
-    if app in ("gossip", "prob-sym", "quantum-gossip"):
-        m = params["m"]
-        group = symmetric_group(m)
-        support = sorted(
-            {transposition_index(group, j, k) for j, k in params["edges"]}
-        )
-        schedule = build_schedule(config, group, m=m, default_support=support)
-    elif app == "dft":
-        group = cyclic_group(params["N"])
-        schedule = build_schedule(config, group)
-    elif app == "random-state":
-        group = _build_group(params["group"], config)
-        schedule = build_schedule(config, group)
-    else:  # dd
-        group = pauli_quotient_group()
-        chooser = _resolve_elements(config.schedule["chooser"], group, None)
-        schedule = DDBisectionSchedule(group, chooser, config.schedule["alpha"])
-
-    window = horizon if horizon is not None else max(1, min(config.steps, 256))
+    group, schedule = _build_run(config)
+    window = horizon if horizon is not None else max(1, min(config.steps, CERTIFICATE_HORIZON))
     signal = schedule.realize(window)
     cert = find_mixing_certificate(
         signal,
@@ -777,7 +769,7 @@ def certify_run(config: RunConfig, max_T: int, *, horizon: Optional[int] = None)
         "T": int(cert.T),
         "delta": float(cert.delta),
         "group_order": group.order,
-        "horizon": window,
+        "horizon": cert.horizon,
         "witness": _jsonify(cert.witness),
     }
     if cert.satisfied:
@@ -790,11 +782,7 @@ def spectral_run(config: RunConfig) -> dict:
     if config.application != "gossip":
         raise ConfigError("application: spectral comparison applies to gossip configs")
     m = config.params["m"]
-    group = symmetric_group(m)
-    support = sorted(
-        {transposition_index(group, j, k) for j, k in config.params["edges"]}
-    )
-    schedule = build_schedule(config, group, m=m, default_support=support)
+    group, schedule = _build_run(config)
     signal = schedule.realize(1)
     if not signal:
         raise ConfigError("steps: spectral comparison needs at least one step")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -290,13 +290,17 @@ class MixingCertificate:
     When ``satisfied``, every length-T window starting in the scanned range
     put composite weight at least ``delta`` on every group element (so
     necessarily delta <= 1/order).  On failure ``witness`` is the first
-    (start, element) pair at or below the threshold.
+    (start, element) pair at or below the threshold.  ``horizon`` is the
+    number of signal steps the scan covered, from its first window start; it
+    records what was scanned rather than what was found, so it takes no part
+    in equality.
     """
 
     T: int
     delta: float
     satisfied: bool
     witness: Optional[Tuple[int, int]] = None
+    horizon: Optional[int] = field(default=None, compare=False)
 
 
 def check_mixing(
@@ -324,8 +328,9 @@ def check_mixing(
     failing = np.flatnonzero(q.min(axis=1) <= delta)
     if failing.size:
         i = int(failing[0])
-        return MixingCertificate(T, delta, False, witness=(t0 + i, int(np.argmin(q[i]))))
-    return MixingCertificate(T, delta, True)
+        witness = (t0 + i, int(np.argmin(q[i])))
+        return MixingCertificate(T, delta, False, witness=witness, horizon=horizon)
+    return MixingCertificate(T, delta, True, horizon=horizon)
 
 
 def find_mixing_certificate(
@@ -362,9 +367,9 @@ def find_mixing_certificate(
         mins = q.min(axis=1)
         i = int(np.argmin(mins))
         if mins[i] > delta_floor:
-            return MixingCertificate(T, float(mins[i]), True)
+            return MixingCertificate(T, float(mins[i]), True, horizon=horizon)
     witness = (t0 + i, int(np.argmin(q[i])))
-    return MixingCertificate(max_T, float(mins[i]), False, witness=witness)
+    return MixingCertificate(max_T, float(mins[i]), False, witness=witness, horizon=horizon)
 
 
 def run_lifted(

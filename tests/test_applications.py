@@ -7,7 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
+import groupsym.applications as applications_module
 from groupsym.actions import (
+    conjugation_action,
     dft_action,
     pauli_matrices,
     pauli_quotient_group,
@@ -138,6 +140,60 @@ def test_engine_rejects_short_inline_signal():
     signal = s3_cycle_schedule().realize(3)
     with pytest.raises(ValueError, match="supplies 3 steps"):
         run_symmetrization(act, np.ones(3), signal, 10)
+
+
+def _orbit_average_case(protocol, steps=300):
+    """(action, x0, result) for one engine runner on a small random input."""
+    rng = np.random.default_rng(11)
+    if protocol == "dft":
+        N = 8
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        sched = RandomGossipSchedule(cyclic_group(N), list(range(1, N)), (0.3, 0.7), seed=5)
+        return dft_action(N), np.outer(x, np.ones(N)), run_dft(N, x, sched, steps)
+    m = 3
+    group = symmetric_group(m)
+    sched = RandomGossipSchedule(
+        group, edge_transpositions(group, m, complete_edges(m)), (0.3, 0.7), seed=5
+    )
+    if protocol == "gossip":
+        x0 = rng.standard_normal(m * 2)
+        result = run_gossip_consensus(m, 2, complete_edges(m), sched, x0, steps)
+        return permutation_action(m, 2, group), x0, result
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    X0 = (a + a.conj().T) / 2.0
+    result = run_quantum_gossip(m, 2, complete_edges(m), sched, X0, steps)
+    return conjugation_action(group, subsystem_permutation_unitaries(group, 2)), X0, result
+
+
+@pytest.mark.parametrize("protocol", ["gossip", "dft", "quantum-gossip"])
+def test_runners_take_the_orbit_average_from_the_engine(protocol, monkeypatch):
+    calls = []
+
+    def counting_symmetrizer(action, x):
+        calls.append(x)
+        return symmetrizer(action, x)
+
+    monkeypatch.setattr(applications_module, "symmetrizer", counting_symmetrizer)
+    action, x0, result = _orbit_average_case(protocol)
+    # quantum gossip's average-spectrum monitor averages the state at every
+    # recorded step; no runner walks the orbit of x0 for its targets
+    monitor_calls = result.steps_run + 1 if protocol == "quantum-gossip" else 0
+    assert len(calls) == monitor_calls
+
+    average = symmetrizer(action, x0)
+    assert np.abs(result.orbit_average - average).max() < 1e-13
+    extras = result.extras
+    if protocol == "dft":
+        assert np.abs(extras["x_hat_exact"] - average).max() < 1e-13
+        chi = np.fft.fft(x0[:, 0]) / 8
+        assert abs(extras["exact_first_row_gap"] - np.abs(average[0] - chi).max()) < 1e-13
+        return
+    assert abs(extras["target_gap"] - np.abs(result.final_state - average).max()) < 1e-13
+    if protocol == "gossip":
+        assert np.abs(extras["barycenter"] - average.reshape(3, 2)[0]).max() < 1e-13
+    else:
+        spectrum = np.sort(np.linalg.eigvalsh(average))
+        assert np.abs(extras["target_spectrum"] - spectrum).max() < 1e-13
 
 
 # -- gossip consensus --------------------------------------------------------------

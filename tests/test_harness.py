@@ -22,10 +22,12 @@ from groupsym.harness import (
     _substream,
     certify_run,
     execute,
+    run_from_config,
     spectral_run,
     verify,
 )
 from groupsym.lifted import read_trajectory_csv
+from groupsym.schedules import Schedule
 
 
 def gossip_config(**extra):
@@ -451,6 +453,133 @@ class TestCertifyRun:
         assert outcome["horizon"] == 12
 
 
+class TestOneBuilder:
+    CONFIGS = {
+        "gossip": {"application": "gossip", "params": {"m": 3}, "steps": 40, "seed": 7},
+        "dft": {
+            "application": "dft",
+            "params": {"N": 8},
+            "schedule": {"kind": "random-gossip", "support": list(range(1, 8))},
+            "steps": 40,
+            "seed": 7,
+        },
+        "random-state": {
+            "application": "random-state",
+            "params": {"group": {"kind": "symmetric", "m": 3}},
+            "schedule": {"kind": "random-gossip", "support": [1, 2]},
+            "steps": 12,
+            "trials": 500,
+            "seed": 7,
+        },
+        "dd": {
+            "application": "dd",
+            "schedule": {"kind": "dd-bisection", "chooser": ["X", "Z"]},
+            "steps": 8,
+            "seed": 7,
+        },
+    }
+
+    @staticmethod
+    def record_realized(monkeypatch):
+        """Wrap every schedule kind's realize; collect each signal as an array."""
+        realized = []
+        pending = list(Schedule.__subclasses__())
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if "realize" not in cls.__dict__:
+                continue
+
+            def recording(self, steps, _original=cls.__dict__["realize"]):
+                signal = _original(self, steps)
+                realized.append(np.array([w.weights for w in signal]))
+                return signal
+
+            monkeypatch.setattr(cls, "realize", recording)
+        return realized
+
+    @pytest.mark.parametrize("application", sorted(CONFIGS))
+    def test_every_verb_realizes_the_same_signal(self, application, monkeypatch):
+        cfg = parse_config(dict(self.CONFIGS[application], schema_version=1))
+        realized = self.record_realized(monkeypatch)
+        run_from_config(cfg)
+        assert len(realized) == 1 and realized[0].shape[0] == cfg.steps
+        certify_run(cfg, 4)
+        assert len(realized) == 2 and realized[1].shape[0] == cfg.steps
+        if application == "gossip":
+            spectral_run(cfg)
+            assert len(realized) == 3 and realized[2].shape[0] == 1
+        run_signal = realized[0]
+        for other in realized[1:]:
+            assert np.array_equal(other, run_signal[: other.shape[0]])
+
+
+class TestCertificateHorizon:
+    """256 weakly mixing S3 steps, then 3000 identity steps.
+
+    The certificate scans the first 256 steps only (T=3).  verify must judge
+    kl and envelope on that range, and the lift check must hold whatever the
+    residual threshold is.
+    """
+
+    @staticmethod
+    def config(**tolerances):
+        group = symmetric_group(3)
+        mix = [0.0] * 6
+        mix[group.identity] = 0.98
+        mix[transposition_index(group, 0, 1)] = 0.01
+        mix[transposition_index(group, 1, 2)] = 0.01
+        identity = [0.0] * 6
+        identity[group.identity] = 1.0
+        rows = [mix] * 256 + [identity] * 3000
+        return parse_config(
+            {
+                "schema_version": 1,
+                "application": "gossip",
+                "params": {"m": 3},
+                "schedule": {"kind": "custom-sequence", "rows": rows},
+                "steps": len(rows),
+                "seed": 7,
+                "tolerances": tolerances,
+            }
+        )
+
+    def test_verify_judges_only_the_certified_rows(self, tmp_path):
+        art = execute(self.config(), out_dir=run_dir(tmp_path))
+        assert art.exit_code == EXIT_NOT_CONVERGED
+        with open(os.path.join(art.directory, "result.json")) as fh:
+            cert = json.load(fh)["certificate"]
+        assert (cert["T"], cert["satisfied"], cert["horizon"]) == (3, True, 256)
+        report = verify(art.directory)
+        by_name = {c.name: c for c in report.checks}
+        for name in ("kl", "envelope"):
+            assert by_name[name].status == "pass", by_name[name].line()
+            assert "steps 0..256" in by_name[name].detail
+            assert "3000 later steps not judged" in by_name[name].detail
+        assert report.passed
+
+    def test_certificate_without_horizon_is_judged_on_every_row(self, tmp_path):
+        art = execute(self.config(), out_dir=run_dir(tmp_path))
+        path = os.path.join(art.directory, "result.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["certificate"]["horizon"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        kl = next(c for c in verify(art.directory).checks if c.name == "kl")
+        assert kl.status == "fail"
+        assert "step 256" in kl.detail
+
+    def test_lift_tolerance_does_not_follow_the_residual_threshold(self, tmp_path):
+        art = execute(self.config(residual=1e-300), out_dir=run_dir(tmp_path))
+        with open(os.path.join(art.directory, "result.json")) as fh:
+            doc = json.load(fh)
+        assert doc["lift_direct_gap"] > 0
+        assert doc["lift_tolerance"] == art.result.lift_tolerance > doc["lift_direct_gap"]
+        lift = next(c for c in verify(art.directory).checks if c.name == "lift")
+        assert lift.status == "pass", lift.line()
+
+
 class TestSpectralRun:
     def test_star_signal_reproduces_known_factors(self):
         cfg = parse_config(
@@ -491,12 +620,13 @@ class TestSpectralRun:
 # Small runs of every application, with the trajectory.csv sha256 and the
 # certificate that the per-element engine (one convolve per window step, one
 # apply per orbit element) wrote for them.  The batched kernels must
-# reproduce these bytes and certificates exactly.
+# reproduce these bytes and certificates exactly; ``horizon`` (the steps the
+# certificate scanned, min(steps, 256)) was added to the certificates later.
 GOLDEN_RUNS = {
     "gossip": (
         {"params": {"m": 3, "n": 2}, "steps": 200, "seed": 7},
         "19b20c410724eda534679535e880daa6f9bb1c4ac4be5bf6bb7f518ba311dce5",
-        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None, "horizon": 200},
     ),
     "gossip-subset": (
         {
@@ -507,7 +637,7 @@ GOLDEN_RUNS = {
             "seed": 11,
         },
         "e600b2f2df1a920ca740307bb9eaad3ea16ea52a17dd964a22c33d0a5dc5bd57",
-        {"T": 6, "delta": 0.008767675146936998, "satisfied": True, "witness": None},
+        {"T": 6, "delta": 0.008767675146936998, "satisfied": True, "witness": None, "horizon": 150},
     ),
     "gossip-cyclic": (
         {
@@ -518,17 +648,17 @@ GOLDEN_RUNS = {
             "seed": 5,
         },
         "5c45f608ead5fbcb5c45263c6dd902a08eaa398cd6da1c631356f7e73e9d61b6",
-        {"T": 3, "delta": 0.06400000000000002, "satisfied": True, "witness": None},
+        {"T": 3, "delta": 0.06400000000000002, "satisfied": True, "witness": None, "horizon": 120},
     ),
     "prob-sym": (
         {"params": {"m": 3, "outcome_size": 2}, "steps": 200, "seed": 7},
         "7030298d6a380afa2f450cdc7c0cf4276f8c968157bb0f0ecad9ff193018ae9b",
-        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None, "horizon": 200},
     ),
     "quantum-gossip": (
         {"params": {"m": 3, "local_dim": 2}, "steps": 200, "seed": 7},
         "6974fa5efa875644562d9347f7d377e6a61e4bd34af8b55d19608dac907977b0",
-        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None},
+        {"T": 10, "delta": 0.08545330882785694, "satisfied": True, "witness": None, "horizon": 200},
     ),
     "dft": (
         {
@@ -538,7 +668,7 @@ GOLDEN_RUNS = {
             "seed": 7,
         },
         "fc2f06263a4feb548a2e250b47b5b983f2b6837caae932541110c097451f6338",
-        {"T": 6, "delta": 0.028764968610429997, "satisfied": True, "witness": None},
+        {"T": 6, "delta": 0.028764968610429997, "satisfied": True, "witness": None, "horizon": 256},
     ),
     "dft-subgroup": (
         {
@@ -549,7 +679,7 @@ GOLDEN_RUNS = {
             "seed": 3,
         },
         "eba30f08840a7822c3e1aeb68140f520beb8f561ef40c34d8ecce6c9a058351b",
-        {"T": 32, "delta": 0.0, "satisfied": False, "witness": [0, 1]},
+        {"T": 32, "delta": 0.0, "satisfied": False, "witness": [0, 1], "horizon": 60},
     ),
     "random-state": (
         {
@@ -565,7 +695,7 @@ GOLDEN_RUNS = {
     "dd": (
         {"schedule": {"kind": "dd-bisection", "chooser": ["X", "Z"]}, "steps": 8, "seed": 7},
         "22d45d32c10019a64f8b3ae455bc01881d38c68cd204160001f5a9114989ec00",
-        {"T": 2, "delta": 0.25, "satisfied": True, "witness": None},
+        {"T": 2, "delta": 0.25, "satisfied": True, "witness": None, "horizon": 8},
     ),
 }
 
