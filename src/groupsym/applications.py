@@ -34,11 +34,9 @@ from .groups import FiniteGroup, symmetric_group, transposition_index
 from .lifted import (
     ConvexWeights,
     MixingCertificate,
-    convolve,
     find_mixing_certificate,
-    lyapunov_norm,
-    relative_entropy,
-    run_lifted,
+    lifted_series,
+    lifted_steps,
     transition_matrix,
 )
 from .schedules import Schedule, DDBisectionSchedule, _check_seed
@@ -87,7 +85,7 @@ class ExperimentResult:
     residuals: np.ndarray
     lyapunov: np.ndarray
     kl: np.ndarray
-    weights_trajectory: List[ConvexWeights]
+    weights_trajectory: np.ndarray  # read-only, (steps_run + 1, |G|), row t = p(t)
     certificate: Optional[MixingCertificate]
     final_state: np.ndarray
     conserved_drift: float
@@ -153,33 +151,26 @@ def run_symmetrization(
     orbit_matrix = action.orbit_matrix(x)
     orbit_average = orbit_matrix.mean(axis=0).reshape(action.space.shape)
     lift_scale = max(1.0, float(np.abs(x).max(initial=0.0)))
-    uniform = ConvexWeights.uniform(action.group)
-    p = ConvexWeights.point_mass(action.group)
+    lifted = lifted_steps(signal, action.group)
+    traj = next(lifted)
 
     residuals = [float(residual_fn(x))]
-    lyap = [lyapunov_norm(p)]
-    kl = [relative_entropy(p, uniform)]
-    weights_traj = [p]
     monitor_series = {name: [np.asarray(fn(x))] for name, fn in monitors.items()}
     lift_gap = 0.0
-    steps_run = 0
 
-    for t in range(steps):
-        s = signal[t]
+    for s, traj in zip(signal, lifted):
         x = step(action, s, x)
-        p = convolve(s, p)
-        steps_run = t + 1
         residuals.append(float(residual_fn(x)))
-        lyap.append(lyapunov_norm(p))
-        kl.append(relative_entropy(p, uniform))
-        weights_traj.append(p)
-        recon = p.weights @ orbit_matrix
+        recon = traj[-1] @ orbit_matrix
         lift_gap = max(lift_gap, float(np.abs(recon - x.ravel()).max()))
         for name, fn in monitors.items():
             monitor_series[name].append(np.asarray(fn(x)))
         if early_stop and residuals[-1] <= threshold:
             break
 
+    steps_run = len(traj) - 1
+    traj.setflags(write=False)
+    lyap, kl = lifted_series(traj)
     drift = 0.0
     for name, series in monitor_series.items():
         base = series[0]
@@ -206,9 +197,9 @@ def run_symmetrization(
 
     return ExperimentResult(
         residuals=np.array(residuals),
-        lyapunov=np.array(lyap),
-        kl=np.array(kl),
-        weights_trajectory=weights_traj,
+        lyapunov=lyap,
+        kl=kl,
+        weights_trajectory=traj,
         certificate=certificate,
         final_state=x,
         conserved_drift=drift,
@@ -538,8 +529,10 @@ def run_random_state_generation(
                 )
 
     signal = _realize(schedule, t_steps)
-    traj = run_lifted(ConvexWeights.point_mass(group), signal, t_steps)
-    exact_law = traj[-1].weights
+    for traj in lifted_steps(signal, group):
+        pass
+    traj.setflags(write=False)
+    exact_law = traj[-1]
 
     rng = np.random.Generator(np.random.PCG64(seed))
     walk = np.full(trials, group.identity, dtype=np.int64)
@@ -553,15 +546,15 @@ def run_random_state_generation(
     uniform = np.full(group.order, 1.0 / group.order)
     tv_empirical_uniform = 0.5 * float(np.abs(empirical - uniform).sum())
     tv_exact_uniform_series = np.array(
-        [0.5 * float(np.abs(p.weights - uniform).sum()) for p in traj]
+        [0.5 * float(np.abs(row - uniform).sum()) for row in traj]
     )
     tv_empirical_exact = 0.5 * float(np.abs(empirical - exact_law).sum())
 
-    uniform_w = ConvexWeights.uniform(group)
+    lyap, kl = lifted_series(traj)
     return ExperimentResult(
         residuals=tv_exact_uniform_series,
-        lyapunov=np.array([lyapunov_norm(p) for p in traj]),
-        kl=np.array([relative_entropy(p, uniform_w) for p in traj]),
+        lyapunov=lyap,
+        kl=kl,
         weights_trajectory=traj,
         certificate=None,
         final_state=empirical,
@@ -666,7 +659,7 @@ def run_dynamical_decoupling(
                     frame_hams[f] = action.apply(f, H)
                 U_exact = expm(-1j * dt * frame_hams[f]) @ U_exact
             H_bar_n = sum(
-                result.weights_trajectory[n].weights[g] * action.apply(g, H)
+                result.weights_trajectory[n][g] * action.apply(g, H)
                 for g in range(group.order)
             )
             U_avg = expm(-1j * dt * (2**n) * H_bar_n)

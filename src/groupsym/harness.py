@@ -18,7 +18,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .groups import (
 from .lifted import (
     envelope_bounds,
     find_mixing_certificate,
+    lifted_series,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -353,7 +355,7 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
         "converged": bool(result.converged),
         "steps_run": int(result.steps_run),
         "threshold": float(result.threshold),
-        "group_order": int(result.metadata.get("group_order", len(result.weights_trajectory[0].weights))),
+        "group_order": int(result.weights_trajectory.shape[1]),
         "residuals": [float(v) for v in result.residuals],
         "conserved_drift": float(result.conserved_drift),
         "conserved_series": {
@@ -370,31 +372,22 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
     }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[str], object]) -> None:
+    """Let ``write`` fill a temporary file beside ``path``, then move it into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_trajectory(path: str, result: ExperimentResult) -> None:
-    weights = np.array([w.weights for w in result.weights_trajectory])
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     os.close(fd)
     try:
-        write_trajectory_csv(tmp, weights, result.lyapunov, result.kl)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _text(content: str) -> Callable[[str], object]:
+    return lambda tmp: Path(tmp).write_text(content)
 
 
 def _artifact_dir(config: RunConfig, out_dir: Optional[str]) -> str:
@@ -431,10 +424,13 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
     os.makedirs(directory, exist_ok=True)
     try:
         doc = result_to_dict(result, config)
-        _atomic_write_text(
-            os.path.join(directory, RESULT_FILE), json.dumps(doc) + "\n"
+        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc) + "\n"))
+        _atomic_write(
+            os.path.join(directory, TRAJECTORY_FILE),
+            lambda tmp: write_trajectory_csv(
+                tmp, result.weights_trajectory, result.lyapunov, result.kl
+            ),
         )
-        _atomic_write_trajectory(os.path.join(directory, TRAJECTORY_FILE), result)
         manifest = {
             "tool": "groupsym",
             "version": TOOL_VERSION,
@@ -444,11 +440,11 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
             "application": config.application,
             "artifacts": [CONFIG_FILE, RESULT_FILE, TRAJECTORY_FILE],
         }
-        _atomic_write_text(
+        _atomic_write(
             os.path.join(directory, MANIFEST_FILE),
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            _text(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
         )
-        _atomic_write_text(os.path.join(directory, CONFIG_FILE), serialize_config(config))
+        _atomic_write(os.path.join(directory, CONFIG_FILE), _text(serialize_config(config)))
     except OSError as exc:
         raise HarnessError(f"could not write artifacts: {exc}", module="harness") from exc
 
@@ -492,20 +488,6 @@ class VerificationReport:
 
     def lines(self) -> List[str]:
         return [c.line() for c in self.checks]
-
-
-def _uniform_lyapunov(weights: np.ndarray) -> np.ndarray:
-    n = weights.shape[1]
-    return ((weights - 1.0 / n) ** 2).sum(axis=1)
-
-
-def _uniform_kl(weights: np.ndarray) -> np.ndarray:
-    n = weights.shape[1]
-    out = np.zeros(weights.shape[0])
-    for i, row in enumerate(weights):
-        mask = row > 0
-        out[i] = float(np.sum(row[mask] * np.log(row[mask] * n)))
-    return out
 
 
 def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationReport:
@@ -586,7 +568,7 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
         )
 
     # lyapunov: stored column matches the weights and never increases.
-    recomputed = _uniform_lyapunov(weights)
+    recomputed, kl_re = lifted_series(weights)
     col_dev = np.abs(recomputed - lyapunov)
     worst = int(np.argmax(col_dev))
     if col_dev[worst] > SERIES_MATCH_ATOL:
@@ -622,7 +604,6 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
         scope += f" (the certificate horizon; {rows - 1 - last} later steps not judged)"
 
     # kl: stored column matches; strict decrease across certified windows.
-    kl_re = _uniform_kl(weights)
     kl_dev = np.abs(kl_re - kl)
     worst = int(np.argmax(kl_dev))
     if kl_dev[worst] > 1e-9:

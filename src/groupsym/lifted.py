@@ -12,8 +12,6 @@ point; mixing certificates quantify how fast trajectories contract onto it.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -33,11 +31,13 @@ __all__ = [
     "window_weights",
     "check_mixing",
     "find_mixing_certificate",
+    "lifted_steps",
     "run_lifted",
     "envelope_bounds",
     "rate_bound",
     "lyapunov_norm",
     "relative_entropy",
+    "lifted_series",
     "laplacian",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -372,6 +372,34 @@ def find_mixing_certificate(
     return MixingCertificate(max_T, float(mins[i]), False, witness=witness, horizon=horizon)
 
 
+def lifted_steps(
+    signal: Sequence[ConvexWeights], group: FiniteGroup, p0: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """The lifted trajectory p(t+1) = convolve(s(t), p(t)), one step per ``next``.
+
+    p(0) is ``p0``, by default the point mass on the identity.  Yields
+    p(0..t) for t = 0, 1, ..., len(signal): a prefix of one
+    (len(signal)+1, |G|) float64 array whose last row is p(t).  Rows are
+    advanced by the window kernel, so each is bit-identical to iterated
+    ``convolve`` and passes the same simplex checks; rows already yielded
+    never change.  A caller that stops early keeps the last prefix it got.
+    """
+    traj = np.zeros((len(signal) + 1, group.order))
+    if p0 is None:
+        traj[0, group.identity] = 1.0
+    else:
+        traj[0] = p0
+    yield traj[:1]
+    for t, s in enumerate(signal):
+        if not same_group(s.group, group):
+            raise GroupMismatchError(f"signal step {t} lives on {s.group!r}, not {group!r}")
+        # supports per executed step: an early stop skips the rest of the signal
+        nz = np.flatnonzero(s.weights)
+        traj[t + 1] = traj[t]
+        _advance(traj[t + 1 : t + 2], nz[None, :], s.weights[nz][None, :], group)
+        yield traj[: t + 2]
+
+
 def run_lifted(
     p0: ConvexWeights, signal: Sequence[ConvexWeights], steps: int
 ) -> List[ConvexWeights]:
@@ -386,12 +414,9 @@ def run_lifted(
         raise ValueError(
             f"signal exhausted: {len(signal)} steps provided, {steps} requested"
         )
-    trajectory = [p0]
-    p = p0
-    for t in range(steps):
-        p = convolve(signal[t], p)
-        trajectory.append(p)
-    return trajectory
+    for traj in lifted_steps(signal[:steps], p0.group, p0.weights):
+        pass
+    return [p0] + [ConvexWeights(row, p0.group) for row in traj[1:]]
 
 
 def envelope_bounds(order: int, delta: float, k: int) -> Tuple[float, float]:
@@ -422,14 +447,29 @@ def rate_bound(group: FiniteGroup, T: int, delta: float, t: int) -> float:
     return x - y
 
 
+def _lyapunov_row(w: np.ndarray) -> float:
+    d = w - 1.0 / w.size
+    return float(d @ d)
+
+
+def _relative_entropy_row(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0.0
+    if np.any(q[mask] <= 0.0):
+        g = int(np.flatnonzero(mask & (q <= 0.0))[0])
+        raise ValueError(
+            f"relative entropy undefined: q is zero on element {g} where p is not"
+        )
+    pw = p[mask]
+    return float(np.sum(pw * (np.log(pw) - np.log(q[mask]))))
+
+
 def lyapunov_norm(p: ConvexWeights) -> float:
     """Squared distance to the uniform vector, ||p - uniform||^2.
 
     Never increases under a convolution step (the transition matrices are
     doubly stochastic, so M^T M - I is negative semidefinite).
     """
-    d = p.weights - 1.0 / p.group.order
-    return float(d @ d)
+    return _lyapunov_row(p.weights)
 
 
 def relative_entropy(p: ConvexWeights, q: ConvexWeights) -> float:
@@ -438,14 +478,15 @@ def relative_entropy(p: ConvexWeights, q: ConvexWeights) -> float:
     Requires q to carry mass everywhere p does.
     """
     _require_same_group(p, q)
-    mask = p.weights > 0.0
-    if np.any(q.weights[mask] <= 0.0):
-        g = int(np.flatnonzero(mask & (q.weights <= 0.0))[0])
-        raise ValueError(
-            f"relative entropy undefined: q is zero on element {g} where p is not"
-        )
-    pw = p.weights[mask]
-    return float(np.sum(pw * (np.log(pw) - np.log(q.weights[mask]))))
+    return _relative_entropy_row(p.weights, q.weights)
+
+
+def lifted_series(traj: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's ``lyapunov_norm`` and ``relative_entropy`` to uniform, same arithmetic."""
+    uniform = np.full(traj.shape[1], 1.0 / traj.shape[1])
+    lyap = np.array([_lyapunov_row(row) for row in traj])
+    kl = np.array([_relative_entropy_row(row, uniform) for row in traj])
+    return lyap, kl
 
 
 def laplacian(M: TransitionMatrix) -> np.ndarray:
@@ -478,21 +519,22 @@ def write_trajectory_csv(
 
 
 def read_trajectory_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back (weights, lyapunov, kl) from a trajectory CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Read back (weights, lyapunov, kl) from a trajectory CSV.
+
+    ValueError on a bad header, no rows, a wrong field count or a step label.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if header[0] != "step" or header[-2:] != ["lyapunov", "kl"]:
             raise ValueError(f"unrecognized trajectory header: {header}")
-        order = len(header) - 3
-        rows, lyap, kl = [], [], []
-        for t, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(f"row {t} has {len(row)} fields, expected {len(header)}")
-            if int(row[0]) != t:
-                raise ValueError(f"row {t} is labeled step {row[0]}")
-            values = [float(v) for v in row[1:]]
-            rows.append(values[:order])
-            lyap.append(values[order])
-            kl.append(values[order + 1])
-    return np.array(rows), np.array(lyap), np.array(kl)
+        start = fh.tell()
+        if not fh.readline():
+            raise ValueError("trajectory has no rows")
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"rows have {data.shape[1]} fields, expected {len(header)}")
+    bad = np.flatnonzero(data[:, 0] != np.arange(len(data)))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is labeled step {data[bad[0], 0]:g}")
+    return data[:, 1:-2], data[:, -2], data[:, -1]

@@ -143,10 +143,8 @@ class CyclicSchedule(Schedule):
         return out
 
 
-class RandomGossipSchedule(Schedule):
-    """Each step: one uniform element from the support, fresh alpha in range."""
-
-    kind = "random-gossip"
+class _SeededSchedule(Schedule):
+    """Shared parameters of the seeded kinds: support, alpha range and seed."""
 
     def __init__(
         self,
@@ -159,17 +157,6 @@ class RandomGossipSchedule(Schedule):
         self.support = _check_support(group, support)
         self.alpha_range = _check_alpha_range(alpha_range)
         self.seed = _check_seed(seed)
-
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        steps = self._steps_arg(steps)
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        lo, hi = self.alpha_range
-        out = []
-        for _ in range(steps):
-            h = self.support[int(rng.integers(len(self.support)))]
-            alpha = float(rng.uniform(lo, hi))
-            out.append(_two_point(self.group, h, alpha))
-        return out
 
     def union_support(self) -> frozenset:
         return frozenset(self.support) | {self.group.identity}
@@ -185,22 +172,27 @@ class RandomGossipSchedule(Schedule):
         return out
 
 
-class RandomSubsetSchedule(Schedule):
+class RandomGossipSchedule(_SeededSchedule):
+    """Each step: one uniform element from the support, fresh alpha in range."""
+
+    kind = "random-gossip"
+
+    def realize(self, steps: int) -> List[ConvexWeights]:
+        steps = self._steps_arg(steps)
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        lo, hi = self.alpha_range
+        out = []
+        for _ in range(steps):
+            h = self.support[int(rng.integers(len(self.support)))]
+            alpha = float(rng.uniform(lo, hi))
+            out.append(_two_point(self.group, h, alpha))
+        return out
+
+
+class RandomSubsetSchedule(_SeededSchedule):
     """Each step: alpha spread evenly over a random nonempty support subset."""
 
     kind = "random-subset"
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        support: Sequence[int],
-        alpha_range,
-        seed: int,
-    ):
-        super().__init__(group)
-        self.support = _check_support(group, support)
-        self.alpha_range = _check_alpha_range(alpha_range)
-        self.seed = _check_seed(seed)
 
     def realize(self, steps: int) -> List[ConvexWeights]:
         steps = self._steps_arg(steps)
@@ -217,19 +209,6 @@ class RandomSubsetSchedule(Schedule):
             for idx in chosen:
                 w[self.support[int(idx)]] += alpha / k
             out.append(ConvexWeights(w, self.group))
-        return out
-
-    def union_support(self) -> frozenset:
-        return frozenset(self.support) | {self.group.identity}
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out.update(
-            support=list(self.support),
-            alpha_range=list(self.alpha_range),
-            seed=self.seed,
-            rng=RNG_ALGORITHM,
-        )
         return out
 
 

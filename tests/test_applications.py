@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 import groupsym.applications as applications_module
+import groupsym.lifted as lifted_module
 from groupsym.actions import (
     conjugation_action,
     dft_action,
@@ -72,6 +74,48 @@ def test_engine_series_lengths_and_metadata():
     assert len(result.weights_trajectory) == 31
     assert "runtime_seconds" in result.metadata
     assert result.metadata["schedule"]["kind"] == "cyclic"
+
+
+def test_engine_makes_no_weight_objects_and_no_convolve_calls(monkeypatch):
+    signal = s3_cycle_schedule().realize(40)  # inline: built before counting starts
+    calls = []
+    init = ConvexWeights.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("ConvexWeights")
+        init(self, *args, **kwargs)
+
+    def counting_convolve(s, p):
+        calls.append("convolve")
+        return lifted_module.convolve(s, p)
+
+    monkeypatch.setattr(ConvexWeights, "__init__", counting_init)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("groupsym") and hasattr(module, "convolve"):
+            monkeypatch.setattr(module, "convolve", counting_convolve)
+    act = permutation_action(3, 2, symmetric_group(3))
+    x0 = np.random.default_rng(2).standard_normal(6)
+    result = run_symmetrization(act, x0, signal, 40, early_stop=False, certify=True)
+    assert result.steps_run == 40
+    assert calls == []
+
+
+def test_weights_trajectory_is_one_read_only_array():
+    g3 = symmetric_group(3)
+    x0 = np.random.default_rng(4).standard_normal(3)
+    swaps = [transposition_index(g3, j, k) for j, k in complete_edges(3)]
+    schedule = RandomGossipSchedule(g3, swaps, (0.3, 0.7), 4)
+    early = run_gossip_consensus(3, 1, complete_edges(3), schedule, x0, 5000)
+    assert early.converged and early.steps_run < 5000
+    sampled = run_random_state_generation(
+        regular_action(g3), np.arange(6.0), schedule, 12, trials=100, seed=3
+    )
+    for result in (early, sampled):
+        traj = result.weights_trajectory
+        assert isinstance(traj, np.ndarray) and traj.dtype == np.float64
+        assert traj.shape == (result.steps_run + 1, g3.order)
+        with pytest.raises(ValueError, match="read-only"):
+            traj[0, 0] = 0.5
 
 
 def test_engine_zero_steps():

@@ -118,6 +118,19 @@ class TestVerifyVerb:
         assert "FAIL lyapunov" in stdout
         assert "step 3" in stdout
 
+    @pytest.mark.parametrize("keep_header", [False, True])
+    def test_verify_trajectory_without_rows_exits_four(self, tmp_path, capsys, keep_header):
+        cfg = write_config(tmp_path, gossip_doc())
+        out = tmp_path / "art"
+        main(["run", cfg, "--out", str(out)])
+        header = (out / "trajectory.csv").read_bytes().split(b"\n")[0] + b"\n"
+        (out / "trajectory.csv").write_bytes(header if keep_header else b"")
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "FAIL artifacts" in captured.out
+        assert "runtime error" not in captured.err
+
     def test_verify_checks_subset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, gossip_doc())
         out = str(tmp_path / "art")

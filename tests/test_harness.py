@@ -73,7 +73,7 @@ class TestExecute:
         weights, lyap, kl = read_trajectory_csv(
             os.path.join(art.directory, "trajectory.csv")
         )
-        stacked = np.array([w.weights for w in art.result.weights_trajectory])
+        stacked = np.array([w for w in art.result.weights_trajectory])
         assert np.array_equal(weights, stacked)
         assert np.array_equal(lyap, np.asarray(art.result.lyapunov))
         assert np.array_equal(kl, np.asarray(art.result.kl))
@@ -268,6 +268,20 @@ class TestVerify:
         artifacts = next(c for c in report.checks if c.name == "artifacts")
         assert artifacts.status == "fail"
         assert "result.json" in artifacts.detail
+        assert all(c.status == "skip" for c in report.checks if c.name != "artifacts")
+
+    @pytest.mark.parametrize("keep_header", [False, True])
+    def test_trajectory_without_rows_fails_artifacts(self, tmp_path, keep_header):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        csv_path = os.path.join(art.directory, "trajectory.csv")
+        header = open(csv_path, newline="").readline()
+        with open(csv_path, "w", newline="") as fh:
+            fh.write(header if keep_header else "")
+        report = verify(art.directory)
+        assert not report.passed
+        artifacts = next(c for c in report.checks if c.name == "artifacts")
+        assert artifacts.status == "fail"
+        assert "unreadable" in artifacts.detail
         assert all(c.status == "skip" for c in report.checks if c.name != "artifacts")
 
     def test_check_subset_selection(self, tmp_path):

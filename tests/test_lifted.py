@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupsym.lifted as lifted_module
+from groupsym.actions import regular_action
+from groupsym.applications import run_random_state_generation, run_symmetrization
 from groupsym.groups import cyclic_group, group_from_table, symmetric_group, transposition_index
 from groupsym.lifted import (
     ConvexWeights,
@@ -456,6 +458,35 @@ def test_run_lifted_trajectory_length():
     assert len(traj) == 26
 
 
+def reference_trajectory(signal):
+    """Scalar oracle: [p(0), ..., p(T)] by iterated convolve from the identity."""
+    traj = [ConvexWeights.point_mass(signal[0].group)]
+    for s in signal:
+        traj.append(convolve(s, traj[-1]))
+    return traj
+
+
+@pytest.mark.parametrize("name", sorted(kernel_signals()))
+def test_engine_sampler_and_run_lifted_match_iterated_convolve(name):
+    signal = kernel_signals()[name]
+    group, steps = signal[0].group, len(signal)
+    reference = reference_trajectory(signal)
+    expected = np.array([p.weights for p in reference])
+    # distinct entries, so the regular orbit has full size for the sampler
+    y0 = np.random.default_rng(11).permutation(group.order).astype(float)
+    action = regular_action(group)
+    engine = run_symmetrization(action, y0, signal, steps, early_stop=False)
+    sampler = run_random_state_generation(action, y0, signal, steps, trials=10, seed=1)
+    lifted = run_lifted(reference[0], signal, steps)
+    assert np.array_equal(np.array([p.weights for p in lifted]), expected)
+    assert np.array_equal(sampler.extras["exact_law"], expected[-1])
+    uniform = ConvexWeights.uniform(group)
+    for result in (engine, sampler):
+        assert np.array_equal(result.weights_trajectory, expected)
+        assert result.lyapunov.tolist() == [lyapunov_norm(p) for p in reference]
+        assert result.kl.tolist() == [relative_entropy(p, uniform) for p in reference]
+
+
 # -- contraction envelopes ---------------------------------------------------
 
 
@@ -609,4 +640,47 @@ def test_trajectory_csv_detects_bad_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("step,g0,g1,lyapunov,kl\n0,0.5,0.5,0.0,0.0\n7,0.5,0.5,0.0,0.0\n")
     with pytest.raises(ValueError, match="labeled"):
+        read_trajectory_csv(path)
+
+
+def csv_module_read(path):
+    """The csv.reader parse that read_trajectory_csv used before np.loadtxt."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    values = np.array([[float(v) for v in row[1:]] for row in rows])
+    return values[:, :-2], values[:, -2], values[:, -1]
+
+
+def test_trajectory_csv_reader_is_bit_equal_to_csv_module(tmp_path):
+    rng = np.random.default_rng(21)
+    weights = rng.dirichlet(np.ones(9), size=40)
+    weights[5] = np.eye(9)[4]  # exact zeros and ones
+    weights[6, :3] = [5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53]
+    lyap = rng.uniform(0, 1, size=40)
+    kl = rng.exponential(size=40) * 1e-300
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, weights, lyap, kl)
+    for got, want in zip(read_trajectory_csv(path), csv_module_read(path)):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+CSV_HEADER = "step,g0,g1,lyapunov,kl\r\n"
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", "header"),
+        (CSV_HEADER, "no rows"),
+        (CSV_HEADER + "0,0.5,0.5,0.0\r\n1,0.5,0.5,0.0\r\n", "4 fields, expected 5"),
+        (CSV_HEADER + "0,0.5,0.5,0.0,0.0,0.0\r\n", "6 fields, expected 5"),
+        (CSV_HEADER + "0,0.5,0.5,0.0,0.0\r\n1,0.5,0.5,0.0\r\n", None),  # ragged
+        (CSV_HEADER + "0,0.5,half,0.0,0.0\r\n", None),  # not a number
+        (CSV_HEADER + "1,0.5,0.5,0.0,0.0\r\n", "row 0 is labeled step 1"),
+    ],
+)
+def test_trajectory_csv_reader_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=match):
         read_trajectory_csv(path)
