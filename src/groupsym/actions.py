@@ -206,6 +206,8 @@ def regular_action(group: FiniteGroup) -> LinearAction:
 
     Basis vectors move as a(h, e_g) = e_{h g}; the |G| translation maps are
     linearly independent, and the orbit of e_identity enumerates the group.
+    Dense by nature: its orbit reads every translation row, so it reads the
+    group's full table.
     """
     table = group.table
     inv = group.inverses
@@ -299,9 +301,10 @@ def conjugation_action(
                 f"matrix for element {g} is not unitary (defect {defect:.3e})"
             )
     for g in range(group.order):
+        products = group.rows([g])[0]
         for h in range(group.order):
             prod = U[g] @ U[h]
-            target = U[group.mul(g, h)]
+            target = U[products[h]]
             phase = np.trace(target.conj().T @ prod) / d
             if abs(abs(phase) - 1.0) > 1e-8 or np.abs(prod - phase * target).max() > atol:
                 raise ValueError(

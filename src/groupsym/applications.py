@@ -32,6 +32,7 @@ from .actions import (
 )
 from .groups import FiniteGroup, symmetric_group, transposition_index
 from .lifted import (
+    BLOCK_BYTES,
     ConvexWeights,
     MixingCertificate,
     find_mixing_certificate,
@@ -496,6 +497,44 @@ def run_dft(N: int, x, schedule, steps: int, **engine) -> ExperimentResult:
 # -- random state generation --------------------------------------------------------
 
 
+def _orbit_collision(rows: np.ndarray, atol: float = 1e-12) -> Optional[Tuple[int, int]]:
+    """The lexicographically smallest pair g < h with max|rows[g] - rows[h]| < atol.
+
+    ``rows`` is an orbit matrix, row g holding a(g, y0).ravel().  A pair
+    within atol in max norm is within atol in the first coordinate (its real
+    part for a complex state), and the difference of the pair's sorted keys
+    is the very subtraction the full-row test makes there.  So after one sort
+    by that coordinate only pairs less than atol apart in it are candidates.
+    They are taken offset by offset in sorted order until no pair at an
+    offset is that close, and each is confirmed by the full-row test.  When
+    the coordinate separates the orbit this costs O(|G| log |G|) instead of
+    |G|(|G|-1)/2 row comparisons.
+    """
+    order = np.argsort(rows[:, 0].real, kind="stable")
+    key = rows[order, 0].real
+    chunk = max(1, BLOCK_BYTES // (16 * rows.shape[1]))
+    best = None
+    for d in range(1, key.size):
+        near = np.flatnonzero(key[d:] - key[:-d] < atol)
+        if not near.size:
+            break
+        g = np.minimum(order[near], order[near + d])
+        h = np.maximum(order[near], order[near + d])
+        if best is not None:
+            keep = (g < best[0]) | ((g == best[0]) & (h < best[1]))
+            g, h = g[keep], h[keep]
+        for a in range(0, g.size, chunk):
+            gs, hs = g[a : a + chunk], h[a : a + chunk]
+            hit = np.abs(rows[gs] - rows[hs]).max(axis=1) < atol
+            if hit.any():
+                gs, hs = gs[hit], hs[hit]
+                i = np.lexsort((hs, gs))[0]
+                pair = (int(gs[i]), int(hs[i]))
+                if best is None or pair < best:
+                    best = pair
+    return best
+
+
 def run_random_state_generation(
     action: LinearAction,
     y0,
@@ -519,14 +558,12 @@ def run_random_state_generation(
     group = action.group
     y0 = action.space.validate(y0)
 
-    orbit = action.orbit(y0)
-    for g in range(group.order):
-        for h in range(g + 1, group.order):
-            if np.abs(orbit[g] - orbit[h]).max() < 1e-12:
-                raise ValueError(
-                    f"orbit collision between elements {g} and {h}; "
-                    "the orbit must have full group size"
-                )
+    collision = _orbit_collision(action.orbit_matrix(y0))
+    if collision is not None:
+        raise ValueError(
+            f"orbit collision between elements {collision[0]} and {collision[1]}; "
+            "the orbit must have full group size"
+        )
 
     signal = _realize(schedule, t_steps)
     for traj in lifted_steps(signal, group):
@@ -536,10 +573,13 @@ def run_random_state_generation(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     walk = np.full(trials, group.identity, dtype=np.int64)
-    table = group.table
     for s in signal:
-        draws = rng.choice(group.order, size=trials, p=s.weights)
-        walk = table[draws, walk]
+        # Drawing over the support alone is the same stream: the cumulative
+        # weights at the support are the same sums, so each uniform draw
+        # lands on the same element.
+        support = np.flatnonzero(s.weights)
+        draws = rng.choice(support.size, size=trials, p=s.weights[support])
+        walk = group.rows(support)[draws, walk]
     counts = np.bincount(walk, minlength=group.order)
     empirical = counts / float(trials)
 

@@ -25,6 +25,7 @@ __all__ = [
     "config_hash",
     "canonical_sha256",
     "physical_memory_bytes",
+    "check_spectral_memory",
     "APPLICATIONS",
     "SCHEDULE_KINDS",
     "DEFAULT_TOLERANCES",
@@ -263,19 +264,45 @@ def _state_bytes(app: str, params: dict, order: int) -> int:
     return 16 * 4  # dd: a 2x2 complex Hamiltonian
 
 
-def _dense_bytes(app: str, params: dict, steps: int, trials: Optional[int] = None) -> dict:
+def _support_rows(schedule: dict, params: dict, order: int) -> int:
+    """Translation rows a gossip or prob-sym run ranks on a permutation-backed S_m.
+
+    One per support element and per inverse, plus the identity, doubled for
+    the row cache's growth; a custom sequence's support is only known once
+    its weights are loaded, so it is charged every row.
+    """
+    if schedule["kind"] == "cyclic":
+        support = len(schedule["elements"])
+    elif schedule["kind"] in RANDOM_SCHEDULE_KINDS:
+        support = len(schedule.get("support", params["edges"]))
+    else:
+        return order
+    return min(order, 2 * (2 * support + 1))
+
+
+def _dense_bytes(
+    app: str, params: dict, schedule: dict, steps: int, trials: Optional[int] = None
+) -> dict:
     """Bytes of the dense arrays a run of this config allocates, by structure.
 
-    Keys: ``table`` (the int32 Cayley table), ``orbit`` (one state per group
-    element), ``weights`` (the realized signal and the lifted trajectory,
-    one float64 per element per step each) and ``trials`` (the sampled
-    walk).  Empty when the group order is only known after loading a file.
+    Keys: ``table`` (the int32 Cayley table, for groups that hold one and
+    for the dense consumers: the regular action of random-state and the
+    all-pairs homomorphism check of quantum-gossip) or ``rows`` (the int32
+    translation rows that gossip and prob-sym rank on demand), ``orbit``
+    (one state per group element), ``weights`` (the realized signal and the
+    lifted trajectory, one float64 per element per step each) and ``trials``
+    (the sampled walk).  Empty when the group order is only known after
+    loading a file.
     """
     order = _group_order(app, params)
     if order is None:
         return {}
+    if app in ("gossip", "prob-sym"):
+        translations = {"rows": 4 * order * _support_rows(schedule, params, order)}
+    else:
+        translations = {"table": 4 * order * order}
     return {
-        "table": 4 * order * order,
+        **translations,
         "orbit": order * _state_bytes(app, params, order),
         "weights": 2 * 8 * order * (steps + 1),
         "trials": 2 * 8 * (trials or 0),
@@ -290,8 +317,7 @@ def physical_memory_bytes() -> Optional[int]:
         return None
 
 
-def _check_memory(app: str, params: dict, steps: int, trials: Optional[int]) -> None:
-    parts = _dense_bytes(app, params, steps, trials)
+def _check_memory(parts: dict) -> None:
     physical = physical_memory_bytes()
     need = sum(parts.values())
     if physical is None or need <= MEMORY_SHARE * physical:
@@ -305,6 +331,17 @@ def _check_memory(app: str, params: dict, steps: int, trials: Optional[int]) -> 
         f"the run's dense arrays need about {need / gib:.1f} GiB ({detail} GiB), "
         f"more than {MEMORY_SHARE:.0%} of the {physical / gib:.1f} GiB of physical memory",
     )
+
+
+def check_spectral_memory(config: RunConfig) -> None:
+    """Reject a spectral comparison whose dense matrices cannot fit, before any is built.
+
+    The comparison is dense by nature: it reads the group's int32 table and
+    builds the (|G|, |G|) float64 lifted transition matrix, which the
+    eigensolver copies once more.
+    """
+    order = _group_order(config.application, config.params)
+    _check_memory({"table": 4 * order * order, "transition": 2 * 8 * order * order})
 
 
 def _validate_element_list(value, path: str, *, allow_edges: bool) -> list:
@@ -519,7 +556,7 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
     if seed is not None:
         seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)
 
-    _check_memory(app, params, steps, trials)
+    _check_memory(_dense_bytes(app, params, schedule, steps, trials))
     tolerances = _validate_tolerances(doc.get("tolerances"))
 
     output = doc.get("output")

@@ -1,14 +1,23 @@
-"""Finite groups as dense Cayley tables over 0-based element indices.
+"""Finite groups over 0-based element indices.
 
 Elements are integers ``0..order-1`` indexing rows and columns of a
-multiplication table, so products are O(1) lookups and weight-vector
-convolutions reduce to integer gathers.  Groups are immutable after
-construction and safe to share between threads.
+multiplication table ``table[a, b] = a*b``.  Weight-vector convolutions read
+only the translation rows ``table[a]`` of the elements in a step's support,
+which every group serves through ``FiniteGroup.rows``, so they reduce to
+integer gathers.
+
+A group is backed either by its dense table (cyclic groups and tables loaded
+from JSON) or, for ``symmetric_group``, by its sorted permutation arrays
+alone.  A permutation-backed group ranks a translation row on first request
+and caches it, and builds the dense table only when ``table`` is read by a
+consumer that is dense by nature.  Groups are immutable after construction
+apart from those caches, which fill under a lock, so they are safe to share
+between threads.
 
 The trusted constructors ``symmetric_group`` and ``cyclic_group`` are
 memoized: while any caller holds the group, every call with the same argument
-returns that same instance, so a run builds each table once and
-``same_group`` settles on identity instead of comparing tables.
+returns that same instance, so a run builds each group once and
+``same_group`` settles on identity instead of comparing contents.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ __all__ = [
 
 # Full O(order^3) associativity validation is only feasible for small tables.
 MAX_TABLE_ORDER = 1024
-# Table size grows as (m!)^2; m=8 already needs ~6.5 GB for the table alone.
+# S_m holds m! permutations and ranks translation rows of m! entries on
+# demand; m=8 (40,320 elements, 161 KB per row) is the largest accepted.  Its
+# dense table, read only by dense consumers, would take 6.5 GB.
 MAX_SYMMETRIC_DEGREE = 8
 
 
@@ -59,17 +70,26 @@ class GroupValidationError(ValueError):
 
 
 class FiniteGroup:
-    """Immutable finite group backed by a dense multiplication table.
+    """Immutable finite group over element indices ``0..order-1``.
 
-    ``table[a, b]`` is the index of the product ``a * b``.  ``identity`` and
+    ``table[a, b]`` is the index of the product ``a * b``; ``rows(elems)``
+    serves the translation rows ``table[elems]``.  ``identity`` and
     ``inverses`` are derived from the table unless supplied by a trusted
     constructor.  ``perms`` optionally carries each element's underlying
     permutation of ``0..m-1`` (set for symmetric groups).
+
+    Without a table the group is permutation-backed, which only a trusted
+    constructor may ask for (``validate=False``): ``perms`` must list the
+    elements in strictly increasing lexicographic order and be closed under
+    composition ``(a*b)[i] = a[b[i]]``.  Products, the identity and the
+    inverses are then ranked by binary search on the permutations' radix
+    keys, translation rows are built on first request and cached, and the
+    dense table is built on the first read of ``table``.
     """
 
     def __init__(
         self,
-        table,
+        table=None,
         *,
         name: str = "",
         element_names: Optional[Sequence[str]] = None,
@@ -78,18 +98,46 @@ class FiniteGroup:
         inverses: Optional[np.ndarray] = None,
         validate: bool = True,
     ):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise GroupValidationError(
-                "shape", (), f"table must be square, got shape {table.shape}"
-            )
-        order = table.shape[0]
+        self._lock = threading.Lock()
+        self._keys = None
+        if table is None:
+            if perms is None or validate:
+                raise ValueError(
+                    "a group without a table needs perms from a trusted "
+                    "constructor (validate=False)"
+                )
+            perms = np.asarray(perms, dtype=np.int64)
+            order, m = perms.shape
+            if m**m > np.iinfo(np.int64).max:
+                raise ValueError(f"degree {m} is too large for radix keys")
+            self._radix = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            keys = perms @ self._radix  # lex order == big-endian radix value
+            if not (np.diff(keys) > 0).all():
+                raise ValueError("perms must be in strictly increasing lexicographic order")
+            keys.setflags(write=False)
+            self._keys = keys
+            # slot of each element's cached row in _row_store, -1 until built
+            self._row_slot = np.full(order, -1, dtype=np.intp)
+            self._row_store = np.empty((0, order), dtype=np.int32)
+            self._rows_built = 0
+            if identity is None:
+                identity = self._rank(np.arange(m))
+            if inverses is None:
+                inverses = self._rank(np.argsort(perms, axis=1))
+        else:
+            table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+            if table.ndim != 2 or table.shape[0] != table.shape[1]:
+                raise GroupValidationError(
+                    "shape", (), f"table must be square, got shape {table.shape}"
+                )
+            order = table.shape[0]
+            if validate:
+                self._validate_entries(table)
+            table.setflags(write=False)
         if order == 0:
             raise GroupValidationError("shape", (), "table must be nonempty")
-        if validate:
-            self._validate_entries(table)
         self.order = order
-        self.table = table
+        self._table = table
         self.name = name
         if element_names is not None:
             element_names = tuple(str(s) for s in element_names)
@@ -111,10 +159,69 @@ class FiniteGroup:
             self.perms = np.ascontiguousarray(np.asarray(perms, dtype=np.int64))
             if self.perms.shape[0] != order:
                 raise ValueError("perms must have one row per element")
-        for arr in (self.table, self.inverses, self.perms):
+        for arr in (self.inverses, self.perms):
             if arr is not None:
                 arr.setflags(write=False)
         self._perm_lookup: Optional[dict] = None
+
+    @property
+    def permutation_backed(self) -> bool:
+        """Whether products are ranked from ``perms`` rather than read from a table."""
+        return self._keys is not None
+
+    @property
+    def table(self) -> np.ndarray:
+        """The dense ``(order, order)`` int32 Cayley table, read-only.
+
+        A permutation-backed group builds it on first read, in O(order^2)
+        memory; only consumers that are dense by nature should read it.
+        """
+        if self._table is None:
+            with self._lock:
+                if self._table is None:
+                    table = np.empty((self.order, self.order), dtype=np.int32)
+                    for a in range(self.order):
+                        table[a] = self._rank_row(a)
+                    table.setflags(write=False)
+                    self._table = table
+        return self._table
+
+    def rows(self, elems) -> np.ndarray:
+        """Translation rows ``table[elems]``: row i lists ``elems[i] * b`` for every b.
+
+        A table-backed group (or one whose table was already read) gathers
+        them from the table.  A permutation-backed group ranks each row it
+        has not served before, in O(order log order), and keeps it, so a run
+        pays for the rows its supports touch and never for the full table.
+        """
+        elems = np.asarray(elems, dtype=np.intp)
+        if self._table is not None:
+            return self._table[elems]
+        with self._lock:
+            slots = self._row_slot[elems]
+            if (slots < 0).any():
+                self._build_rows(np.unique(elems[slots < 0]))
+                slots = self._row_slot[elems]
+            return self._row_store[slots]
+
+    def _rank(self, perms: np.ndarray) -> np.ndarray:
+        """Element indices of permutation arrays (along the last axis)."""
+        return np.searchsorted(self._keys, perms @ self._radix)
+
+    def _rank_row(self, a: int) -> np.ndarray:
+        # row b of perms[a][perms] is the permutation a*b
+        return self._rank(self.perms[a][self.perms])
+
+    def _build_rows(self, missing: np.ndarray) -> None:
+        start, stop = self._rows_built, self._rows_built + missing.size
+        if stop > self._row_store.shape[0]:
+            grown = np.empty((min(self.order, 2 * stop), self.order), np.int32)
+            grown[:start] = self._row_store[:start]
+            self._row_store = grown
+        for slot, a in enumerate(missing, start):
+            self._row_store[slot] = self._rank_row(a)
+        self._row_slot[missing] = np.arange(start, stop)
+        self._rows_built = stop
 
     # -- validation helpers -------------------------------------------------
 
@@ -185,7 +292,9 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         """Product a*b as an element index."""
-        return int(self.table[a, b])
+        if self._table is not None:
+            return int(self._table[a, b])
+        return int(self._rank(self.perms[a][self.perms[b]]))
 
     def inv(self, a: int) -> int:
         """Inverse element index of a."""
@@ -213,12 +322,17 @@ def same_group(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     """Whether two group objects describe the same table.
 
     Instances from the memoized constructors are shared, so the identity
-    check settles the common case; genuinely distinct instances (for example
-    a table loaded from JSON) fall back to comparing tables.
+    check settles the common case.  Two distinct permutation-backed
+    instances compare their permutations, which fix every product; any other
+    pair (for example a table loaded from JSON) compares tables.
     """
     if g1 is g2:
         return True
-    return g1.order == g2.order and np.array_equal(g1.table, g2.table)
+    if g1.order != g2.order:
+        return False
+    if g1.permutation_backed and g2.permutation_backed:
+        return np.array_equal(g1.perms, g2.perms)
+    return np.array_equal(g1.table, g2.table)
 
 
 # Live groups from the trusted constructors, keyed by (constructor, argument).
@@ -248,8 +362,10 @@ def symmetric_group(m: int) -> FiniteGroup:
 
     Permutations are stored as arrays p with p[i] the image of i, and the
     product a*b is the composition a after b, i.e. (a*b)[i] = a[b[i]].
-    The table has (m!)^2 entries: m=7 needs ~100 MB, m=8 ~6.5 GB, and
-    m > 8 is rejected.
+    The group is permutation-backed: it holds the m! permutations and their
+    inverses, and ranks a translation row (m! entries) when ``rows`` first
+    asks for it.  The dense table of (m!)^2 entries (m=7 ~100 MB, m=8
+    ~6.5 GB) is built only if ``table`` is read.  m > 8 is rejected.
 
     Memoized: while the group is alive, ``symmetric_group(m) is
     symmetric_group(m)``.  The instance is immutable and shared, so callers
@@ -257,24 +373,10 @@ def symmetric_group(m: int) -> FiniteGroup:
     """
     if not 1 <= m <= MAX_SYMMETRIC_DEGREE:
         raise ValueError(
-            f"m must be in 1..{MAX_SYMMETRIC_DEGREE} (table size is (m!)^2), got {m}"
+            f"m must be in 1..{MAX_SYMMETRIC_DEGREE} (the group has m! elements), got {m}"
         )
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    order = perms.shape[0]
-    radix = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    keys = perms @ radix  # strictly increasing: lex order == big-endian value
-    table = np.empty((order, order), dtype=np.int32)
-    for a in range(order):
-        table[a] = np.searchsorted(keys, perms[a][perms] @ radix)
-    inverses = np.searchsorted(keys, np.argsort(perms, axis=1) @ radix)
-    return FiniteGroup(
-        table,
-        name=f"S{m}",
-        perms=perms,
-        identity=0,
-        inverses=inverses,
-        validate=False,
-    )
+    return FiniteGroup(None, name=f"S{m}", perms=perms, validate=False)
 
 
 @_memoized
@@ -345,23 +447,27 @@ def group_from_json(path) -> FiniteGroup:
 
 
 def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset:
-    """Smallest subgroup containing the given elements (and the identity)."""
+    """Smallest subgroup containing the given elements (and the identity).
+
+    Grows the reached set from the identity by left translation through the
+    rows of the generators and their inverses, one frontier at a time, so it
+    makes no per-product call.
+    """
     seed = {int(a) for a in elements}
     for a in seed:
         if not 0 <= a < group.order:
             raise ValueError(f"element index {a} out of range for order {group.order}")
-    known = seed | {group.identity}
-    frontier = list(known)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in seed | {group.inv(a)}:
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in known:
-                        known.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(known)
+    known = np.zeros(group.order, dtype=bool)
+    known[group.identity] = True
+    if seed:
+        gens = np.array(sorted(seed | {group.inv(a) for a in seed}))
+        translations = group.rows(gens)
+        frontier = np.array([group.identity])
+        while frontier.size:
+            reached = np.unique(translations[:, frontier])
+            frontier = reached[~known[reached]]
+            known[frontier] = True
+    return frozenset(np.flatnonzero(known).tolist())
 
 
 def generates(group: FiniteGroup, elements: Iterable[int]) -> bool:

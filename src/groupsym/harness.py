@@ -43,7 +43,14 @@ from .applications import (
     run_random_state_generation,
     spectral_comparison,
 )
-from .config import ConfigError, RunConfig, canonical_sha256, config_hash, serialize_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    canonical_sha256,
+    check_spectral_memory,
+    config_hash,
+    serialize_config,
+)
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -762,6 +769,7 @@ def spectral_run(config: RunConfig) -> dict:
     """Compare consensus-matrix contraction with the lifted transition matrix."""
     if config.application != "gossip":
         raise ConfigError("application: spectral comparison applies to gossip configs")
+    check_spectral_memory(config)
     m = config.params["m"]
     group, schedule = _build_run(config)
     signal = schedule.realize(1)

@@ -128,11 +128,11 @@ def convolve(s: ConvexWeights, p: ConvexWeights) -> ConvexWeights:
     Runs in O(support(s) * order) without materializing the matrix.
     """
     _require_same_group(s, p)
-    table = s.group.table
-    inv = s.group.inverses
+    support = np.flatnonzero(s.weights)
+    translations = s.group.rows(s.group.inverses[support])
     out = np.zeros(s.group.order)
-    for h in np.flatnonzero(s.weights):
-        out += s.weights[h] * p.weights[table[inv[h]]]
+    for h, row in zip(support, translations):
+        out += s.weights[h] * p.weights[row]
     return ConvexWeights(out, s.group)
 
 
@@ -163,7 +163,11 @@ class TransitionMatrix:
 
 
 def transition_matrix(s: ConvexWeights) -> TransitionMatrix:
-    """Materialize M(s): M[g, k] = s_{g k^-1}, so that M p = convolve(s, p)."""
+    """Materialize M(s): M[g, k] = s_{g k^-1}, so that M p = convolve(s, p).
+
+    Dense by nature: it reads the group's full table, (order, order) int32,
+    on top of the (order, order) float64 matrix.
+    """
     group = s.group
     idx = group.table[:, group.inverses]  # idx[g, k] = g * k^-1
     return TransitionMatrix(s.weights[idx], group)
@@ -213,7 +217,7 @@ def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup) 
             src = q  # translation by the identity
         else:
             # src[i] = q[i][table[inv[h_i]]], gathered from the flat chunk
-            src = flat[group.table[group.inverses[hk]] + offsets]
+            src = flat[group.rows(group.inverses[hk]) + offsets]
         term = wk[:, None] * src
         if out is None:
             out = term

@@ -637,6 +637,72 @@ def test_random_state_validation():
         run_random_state_generation(act, y0, sched, 5, 10, seed=None)
 
 
+def pairwise_collision_oracle(orbit):
+    """Oracle: the first pair of the all-pairs loop within 1e-12 in max norm."""
+    for g in range(len(orbit)):
+        for h in range(g + 1, len(orbit)):
+            if np.abs(orbit[g] - orbit[h]).max() < 1e-12:
+                return g, h
+    return None
+
+
+def coset_invariant_state(group, t, gap, seed=5):
+    """A regular-action state with y[t*x] = y[x] + gap for x < t*x (t an involution)."""
+    table = group.table
+    y = np.random.default_rng(seed).normal(size=group.order)
+    for x in range(group.order):
+        if x < table[t, x]:
+            y[table[t, x]] = y[x] + gap
+    return y
+
+
+@pytest.mark.parametrize("gap, collides", [(0.0, True), (0.5e-12, True), (2e-12, False)])
+def test_orbit_collision_scan_matches_the_pairwise_loop(gap, collides):
+    s4 = symmetric_group(4)
+    cases = [
+        # repeated or nearly repeated agent values under S4 on R^4
+        (permutation_action(4, 1, s4), np.array([2.0, 1.0, 1.0 + gap, -3.0])),
+        # left translation by (0 1) (nearly) fixes the state of the regular action
+        (regular_action(s4), coset_invariant_state(s4, transposition_index(s4, 0, 1), gap)),
+        (regular_action(cyclic_group(8)), coset_invariant_state(cyclic_group(8), 4, gap)),
+    ]
+    for act, y0 in cases:
+        oracle = pairwise_collision_oracle(act.orbit(y0))
+        assert (oracle is not None) == collides
+        assert applications_module._orbit_collision(act.orbit_matrix(y0)) == oracle
+        sched = CyclicSchedule(act.group, [1], 0.5)
+        if collides:
+            with pytest.raises(ValueError, match=f"between elements {oracle[0]} and {oracle[1]};"):
+                run_random_state_generation(act, y0, sched, 2, 10, seed=1)
+        else:
+            run_random_state_generation(act, y0, sched, 2, 10, seed=1)
+
+
+def test_orbit_collision_scan_on_tied_keys():
+    # every orbit row starts with the same value, so every pair is a candidate
+    rows = np.zeros((40, 3))
+    rows[:, 1] = np.arange(40) % 7
+    rows[:, 2] = np.arange(40) % 5
+    assert applications_module._orbit_collision(rows) == pairwise_collision_oracle(rows) == (0, 35)
+    rows[35, 2] += 1.0
+    assert applications_module._orbit_collision(rows) == pairwise_collision_oracle(rows)
+
+
+def test_random_state_support_walk_matches_a_dense_table_walk():
+    s4 = symmetric_group(4)
+    act = regular_action(s4)
+    y0 = np.random.default_rng(2).normal(size=s4.order)
+    sched = RandomGossipSchedule(s4, [1, 5, 9, 14], (0.3, 0.7), seed=3)
+    trials, steps = 5000, 12
+    result = run_random_state_generation(act, y0, sched, steps, trials, seed=21)
+    rng = np.random.Generator(np.random.PCG64(21))
+    walk = np.full(trials, s4.identity, dtype=np.int64)
+    for s in sched.realize(steps):
+        walk = s4.table[rng.choice(s4.order, size=trials, p=s.weights), walk]
+    counts = np.bincount(walk, minlength=s4.order)
+    assert np.array_equal(result.final_state, counts / float(trials))
+
+
 # -- dynamical decoupling ---------------------------------------------------------------
 
 

@@ -459,11 +459,12 @@ class TestMemoryPreflight:
     def with_memory(self, monkeypatch, gib):
         monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: gib * self.GIB)
 
-    def test_symmetric_degree_eight_is_rejected_on_an_8_gib_host(self, monkeypatch):
+    def test_degree_eight_is_rejected_only_where_the_table_is_built(self, monkeypatch):
         self.with_memory(monkeypatch, 8)
+        # gossip ranks its support's translation rows, never the 6 GB table
+        assert parse_config(minimal_gossip(params={"m": 8})).params["m"] == 8
+        # random-state runs the regular action, which reads the dense table
         with pytest.raises(ConfigError, match=r"params: .*table 6\.06"):
-            parse_config(minimal_gossip(params={"m": 8}))
-        with pytest.raises(ConfigError, match="physical memory"):
             parse_config(
                 {
                     "schema_version": 1,
@@ -474,6 +475,32 @@ class TestMemoryPreflight:
                 }
             )
         parse_config(minimal_gossip(params={"m": 7}))
+
+    def test_support_rows_follow_the_schedule(self):
+        parts = config_module._dense_bytes
+        edges = [[0, 1], [1, 2]]
+        params = {"m": 8, "n": 1, "edges": edges}
+        row = 4 * 40320
+        random = {"kind": "random-gossip", "alpha_range": [0.3, 0.7]}
+        assert parts("gossip", params, random, 10)["rows"] == row * 2 * (2 * 2 + 1)
+        cyclic = {"kind": "cyclic", "elements": [1, 2, 3], "alpha": 0.5}
+        assert parts("gossip", params, cyclic, 10)["rows"] == row * 2 * (2 * 3 + 1)
+        custom = {"kind": "custom-sequence", "policy": "cycle", "rows": [[1.0]]}
+        assert parts("gossip", params, custom, 10)["rows"] == row * 40320
+        assert "rows" not in parts("quantum-gossip", {"m": 5, "local_dim": 2}, random, 10)
+
+    def test_spectral_keeps_its_dense_guard(self, monkeypatch):
+        import groupsym.harness as harness_module
+
+        self.with_memory(monkeypatch, 8)
+        cfg = parse_config(minimal_gossip(params={"m": 8}, steps=10))
+
+        def no_build(config):
+            raise AssertionError("the spectral guard must fire before the group is built")
+
+        monkeypatch.setattr(harness_module, "_build_run", no_build)
+        with pytest.raises(ConfigError, match=r"table 6\.06.*transition 24\.2"):
+            harness_module.spectral_run(cfg)
 
     def test_dft_1024_orbit_is_rejected(self, monkeypatch):
         self.with_memory(monkeypatch, 8)

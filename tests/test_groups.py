@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -375,3 +378,144 @@ def test_element_names():
     assert g.element_name(1) == "X"
     s3 = symmetric_group(3)
     assert s3.element_name(0) == "(0, 1, 2)"
+
+
+# -- permutation-backed symmetric groups --------------------------------------
+
+
+def dense_symmetric_oracle(m):
+    """Oracle: S_m's perms, dense Cayley table and inverses, built row by row up front."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    radix = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    keys = perms @ radix
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    for a in range(len(perms)):
+        table[a] = np.searchsorted(keys, perms[a][perms] @ radix)
+    inverses = np.searchsorted(keys, np.argsort(perms, axis=1) @ radix)
+    return perms, table, inverses
+
+
+def fresh_symmetric(m):
+    """A non-memoized permutation-backed S_m, so no other test has read its table."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    return FiniteGroup(None, name=f"S{m}", perms=perms, validate=False)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_permutation_backed_group_agrees_with_dense_construction(m):
+    perms, table, inverses = dense_symmetric_oracle(m)
+    g = fresh_symmetric(m)
+    assert g.permutation_backed
+    assert g.identity == 0
+    assert np.array_equal(g.perms, perms)
+    assert np.array_equal(g.inverses, inverses)
+    rng = np.random.default_rng(m)
+    elems = rng.integers(0, g.order, size=min(40, 3 * g.order))
+    assert np.array_equal(g.rows(elems), table[elems])
+    assert np.array_equal(g.rows(elems[::-1]), table[elems[::-1]])  # served from the cache
+    pairs = rng.integers(0, g.order, size=(min(500, g.order**2), 2))
+    assert [g.mul(a, b) for a, b in pairs] == [int(table[a, b]) for a, b in pairs]
+    assert g._table is None  # rows and products never built the dense table
+    assert np.array_equal(g.table, table)
+    assert not g.table.flags.writeable
+    assert np.array_equal(g.rows(elems), table[elems])  # now gathered from the table
+    assert np.array_equal(symmetric_group(m).table, table)
+
+
+def test_rows_of_a_table_backed_group_gather_its_table():
+    for g in (cyclic_group(8), group_from_table(KLEIN_TABLE)):
+        elems = np.array([3, 0, 3, 1])
+        assert np.array_equal(g.rows(elems), g.table[elems])
+        assert not g.permutation_backed
+
+
+def test_permutation_backed_constructor_is_for_trusted_callers():
+    perms = symmetric_group(3).perms
+    with pytest.raises(ValueError, match="trusted"):
+        FiniteGroup(None, perms=perms)
+    with pytest.raises(ValueError, match="trusted"):
+        FiniteGroup(None, validate=False)
+    with pytest.raises(ValueError, match="lexicographic"):
+        FiniteGroup(None, perms=perms[::-1], validate=False)
+
+
+def test_same_group_on_distinct_permutation_backed_instances():
+    s4 = symmetric_group(4)
+    other = fresh_symmetric(4)
+    assert other is not s4
+    assert same_group(other, s4) and same_group(s4, other)
+    assert other._table is None  # settled by the permutations alone
+    assert not same_group(fresh_symmetric(3), group_from_table(cyclic_group(6).table))
+    assert same_group(group_from_table(symmetric_group(3).table), fresh_symmetric(3))
+
+
+def closure_oracle(group, elements):
+    """Oracle: the pairwise closure loop over mul and inv."""
+    seed = {int(a) for a in elements}
+    known = seed | {group.identity}
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in seed | {group.inv(a)}:
+                for c in (group.mul(a, b), group.mul(b, a)):
+                    if c not in known:
+                        known.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return frozenset(known)
+
+
+def test_closure_matches_the_pairwise_loop(tmp_path):
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps({"order": 4, "table": KLEIN_TABLE}))
+    groups = [symmetric_group(m) for m in (3, 4, 5)] + [cyclic_group(8), group_from_json(path)]
+    rng = np.random.default_rng(11)
+    for g in groups:
+        subsets = [[], [g.identity], list(range(g.order))]
+        subsets += [
+            rng.choice(g.order, size=rng.integers(1, 4), replace=False).tolist()
+            for _ in range(12)
+        ]
+        for subset in subsets:
+            got = closure(g, subset)
+            assert got == closure_oracle(g, subset), (g, subset)
+            assert all(type(a) is int for a in got)
+
+
+def test_closure_on_s7_builds_only_generator_rows():
+    g = fresh_symmetric(7)
+    adjacent = [transposition_index(g, j, j + 1) for j in range(6)]
+    assert generates(g, adjacent)
+    assert len(closure(g, adjacent[:3])) == 24  # S4 on the first four letters
+    assert g._table is None
+    assert g._rows_built == len(adjacent)  # transpositions are their own inverses
+
+
+def test_row_cache_is_consistent_under_concurrent_callers():
+    _, table, _ = dense_symmetric_oracle(6)
+    g = fresh_symmetric(6)
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            elems = rng.integers(0, g.order, size=rng.integers(1, 9))
+            if not np.array_equal(g.rows(elems), table[elems]):
+                errors.append(elems)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    # every row was ranked once: the cached elements own slots 0..built-1, one each
+    slots = g._row_slot[g._row_slot >= 0]
+    assert np.array_equal(np.sort(slots), np.arange(g._rows_built))

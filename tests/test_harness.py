@@ -750,3 +750,24 @@ def test_run_builds_its_group_once(application, params, group_name, tmp_path, mo
         doc["schedule"] = {"kind": "random-gossip", "support": list(range(1, 8))}
     execute(parse_config(doc), out_dir=run_dir(tmp_path))
     assert built == [group_name]
+
+
+@pytest.mark.parametrize(
+    "application, params",
+    [
+        ("gossip", {"m": 5, "n": 2}),
+        ("prob-sym", {"m": 4, "outcome_size": 2}),
+        ("quantum-gossip", {"m": 5, "local_dim": 2}),
+    ],
+)
+def test_symmetric_runs_never_build_the_dense_table(application, params, tmp_path, monkeypatch):
+    monkeypatch.setattr(groups_module, "_MEMO", weakref.WeakValueDictionary())
+    group = symmetric_group(params["m"])  # held, so the run shares this instance
+    cfg = parse_config(
+        {"schema_version": 1, "application": application, "params": params, "seed": 3, "steps": 60}
+    )
+    art = execute(cfg, out_dir=run_dir(tmp_path))
+    assert art.result.certificate is not None
+    assert all(c.status != "fail" for c in verify(art.directory).checks)
+    assert certify_run(cfg, 8)["group_order"] == group.order
+    assert group.permutation_backed and group._table is None
