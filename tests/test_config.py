@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import groupsym.config as config_module
+import groupsym.harness as harness_module
 from groupsym.actions import save_state
 from groupsym.config import (
     ConfigError,
@@ -490,8 +491,6 @@ class TestMemoryPreflight:
         assert "rows" not in parts("quantum-gossip", {"m": 5, "local_dim": 2}, random, 10)
 
     def test_spectral_keeps_its_dense_guard(self, monkeypatch):
-        import groupsym.harness as harness_module
-
         self.with_memory(monkeypatch, 8)
         cfg = parse_config(minimal_gossip(params={"m": 8}, steps=10))
 
