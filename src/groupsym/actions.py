@@ -83,6 +83,9 @@ class LinearAction:
     ``apply_fn`` calls.  ``residual_fn(x)``, when given, returns
     ``max_g ||a(g, x) - x||_2`` for a validated state without forming the
     orbit; ``fixed_point_residual`` uses it in place of the orbit blocks.
+    ``mix_fn(x)``, when given, returns the mixing kernel of a validated
+    state, a callable ``p -> sum_g p_g a(g, x).ravel()`` built without the
+    orbit; ``mixer`` uses it in place of the orbit matrix.
     """
 
     def __init__(
@@ -95,12 +98,14 @@ class LinearAction:
         name: str = "",
         block_fn: Optional[Callable[[slice, np.ndarray], np.ndarray]] = None,
         residual_fn: Optional[Callable[[np.ndarray], float]] = None,
+        mix_fn: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
     ):
         self.group = group
         self.space = space
         self._apply = apply_fn
         self._block = block_fn or self._stacked_apply
         self._residual = residual_fn
+        self._mix = mix_fn
         self.adjoint_map = (
             None if adjoint_map is None else np.asarray(adjoint_map, dtype=np.int64)
         )
@@ -148,6 +153,26 @@ class LinearAction:
         for start, block in self.orbit_blocks(x):
             out[start : start + block.shape[0]] = block
         return out
+
+    def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """(mix, average) for the orbit of x, built once.
+
+        ``mix(p)`` is the flattened mixture ``sum_g p_g a(g, x).ravel()`` for
+        a weight vector p over the group, and ``average`` is the orbit
+        average F(x) in the state's shape.  Through the action's own mixing
+        kernel when it has one (the DFT action's Fourier form), with the
+        average the kernel at uniform p; otherwise through the orbit matrix,
+        as ``p @ orbit_matrix`` and its row mean.
+        """
+        x = self.space.validate(x)
+        if self._mix is not None:
+            mix = self._mix(x)
+            average = mix(np.full(self.group.order, 1.0 / self.group.order))
+        else:
+            orbit_matrix = self.orbit_matrix(x)
+            mix = lambda p: p @ orbit_matrix
+            average = orbit_matrix.mean(axis=0)
+        return mix, average.reshape(self.space.shape)
 
     def matrix(self, g: int) -> np.ndarray:
         """Materialize a(g, .) on the flattened space (cached)."""
@@ -243,8 +268,19 @@ def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
     a sum of nonnegative terms in which the fixed diagonal d = 0 carries
     weight zero, so there is no cancellation near fixed points.  The action's
     residual evaluates it for all k at once in O(N^2 log N), against O(N^3)
-    through the orbit.  The formula depends only on the shift index k, so it
-    holds for any group of order N passed in.
+    through the orbit.
+
+    The same diagonal form gives the whole mixture of an orbit at once.
+    With P = N ifft(p), so that P[j] = sum_k p_k w^{k j},
+
+        sum_k p_k a(k, X) = ifft(fft(X, axis=0) * P[(m - n) mod N], axis=0),
+
+    entry (m, n) of the product taking P at (m - n) mod N.  The action's
+    mixing kernel keeps fft(X0, axis=0) and the index once per initial
+    state, then costs one length-N ifft, one gather, one product and one
+    column-wise ifft per call: O(N^2 log N) against O(N^3) and the N^3
+    complex orbit matrix.  Both formulas depend only on the shift index k,
+    so they hold for any group of order N passed in.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -268,6 +304,17 @@ def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
         power = np.einsum("ij,ij->i", Y, Y)
         return math.sqrt(float((gains @ power[diagonals].sum(axis=1)).max()))
 
+    def mix_fn(X0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        Y0 = np.fft.fft(X0, axis=0)
+        shifts = (n[:, None] - n[None, :]) % N
+
+        def mix(p: np.ndarray) -> np.ndarray:
+            W = (N * np.fft.ifft(p))[shifts]
+            W *= Y0
+            return np.fft.ifft(W, axis=0).reshape(-1)
+
+        return mix
+
     return LinearAction(
         group,
         VectorSpace((N, N), complex=True),
@@ -275,6 +322,7 @@ def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
         adjoint_map=group.inverses,
         name=f"dft(N={N})",
         residual_fn=residual_fn,
+        mix_fn=mix_fn,
     )
 
 

@@ -57,6 +57,12 @@ MAX_TRIALS = 10_000_000
 # A run's dense arrays may take at most this share of physical memory; the
 # rest covers their transient copies, the interpreter and the rest of the host.
 MEMORY_SHARE = 0.5
+# dft mixes, reconstructs and measures its state through the Fourier kernels
+# of the DFT action and never forms the orbit.  About ten N x N complex arrays
+# are live at once (the action's phase, gain and index tables, the initial
+# state, its transform and the orbit average, the state, and the step,
+# residual and reconstruction temporaries); they are charged as twelve.
+DFT_KERNEL_ARRAYS = 12
 
 
 class ConfigError(ValueError):
@@ -289,10 +295,11 @@ def _dense_bytes(
     for the dense consumers: the regular action of random-state and the
     all-pairs homomorphism check of quantum-gossip) or ``rows`` (the int32
     translation rows that gossip and prob-sym rank on demand), ``orbit``
-    (one state per group element), ``weights`` (the realized signal and the
-    lifted trajectory, one float64 per element per step each) and ``trials``
-    (the sampled walk).  Empty when the group order is only known after
-    loading a file.
+    (one state per group element) or, for dft, ``kernel`` (the Fourier
+    kernels' N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
+    (the realized signal and the lifted trajectory, one float64 per element
+    per step each) and ``trials`` (the sampled walk).  Empty when the group
+    order is only known after loading a file.
     """
     order = _group_order(app, params)
     if order is None:
@@ -301,9 +308,14 @@ def _dense_bytes(
         translations = {"rows": 4 * order * _support_rows(schedule, params, order)}
     else:
         translations = {"table": 4 * order * order}
+    state = _state_bytes(app, params, order)
+    if app == "dft":
+        states = {"kernel": DFT_KERNEL_ARRAYS * state}
+    else:
+        states = {"orbit": order * state}
     return {
         **translations,
-        "orbit": order * _state_bytes(app, params, order),
+        **states,
         "weights": 2 * 8 * order * (steps + 1),
         "trials": 2 * 8 * (trials or 0),
     }

@@ -479,18 +479,32 @@ def generates(group: FiniteGroup, elements: Iterable[int]) -> bool:
 
 
 def permutation_index(group: FiniteGroup, perm: Sequence[int]) -> int:
-    """Element index of the given permutation array (symmetric groups only)."""
+    """Element index of the given permutation array (symmetric groups only).
+
+    A permutation-backed group ranks it by its radix key in O(log order); a
+    table-backed group that carries ``perms`` looks it up in a dict built on
+    first use.
+    """
     if group.perms is None:
         raise ValueError("group does not carry permutation data")
-    if group._perm_lookup is None:
-        group._perm_lookup = {
-            tuple(int(v) for v in row): i for i, row in enumerate(group.perms)
-        }
-    key = tuple(int(v) for v in perm)
-    try:
-        return group._perm_lookup[key]
-    except KeyError:
-        raise ValueError(f"{key} is not a permutation of this group") from None
+    m = group.perms.shape[1]
+    arr = np.asarray(perm)
+    if arr.shape != (m,) or not np.array_equal(np.sort(arr), np.arange(m)):
+        raise ValueError(f"{tuple(arr.tolist())} is not a permutation of range({m})")
+    arr = arr.astype(np.int64)
+    if group.permutation_backed:
+        index = int(group._rank(arr))
+        if index < group.order and np.array_equal(group.perms[index], arr):
+            return index
+    else:
+        if group._perm_lookup is None:
+            group._perm_lookup = {
+                tuple(int(v) for v in row): i for i, row in enumerate(group.perms)
+            }
+        index = group._perm_lookup.get(tuple(arr.tolist()))
+        if index is not None:
+            return index
+    raise ValueError(f"{tuple(arr.tolist())} is not a permutation of this group")
 
 
 def transposition_index(group: FiniteGroup, j: int, k: int) -> int:

@@ -441,6 +441,63 @@ def test_dft_spectral_residual_on_a_table_built_group():
         assert fixed_point_residual(act, X) == fixed_point_residual(dft_action(N), X)
 
 
+def dft_kernel_round_off(N, X):
+    """Round-off bound on |mix(p) - p @ orbit_matrix| for the DFT action.
+
+    Both sides are convex combinations of the N orbit images, whose entries
+    are at most ||X||_inf.  The orbit-matrix sum of N terms carries at most
+    N eps ||X||_inf.  The kernel's length-N and column-wise FFTs carry
+    O(eps log2 N) of a column's 2-norm, which is at most sqrt(N) ||X||_inf.
+    Four times the sum of the two covers the constants of both.
+    """
+    eps = np.finfo(np.float64).eps
+    return 4 * eps * (N + np.sqrt(N) * np.log2(2 * N)) * np.abs(X).max()
+
+
+def dft_weight_vectors(N, rng):
+    """(label, p): random dense, one-hot, dense with zeros, uniform."""
+    dense = rng.random(N)
+    holes = dense * (rng.random(N) < 0.5)
+    holes[rng.integers(N)] = 1.0  # at least one nonzero
+    one_hot = np.zeros(N)
+    one_hot[rng.integers(N)] = 1.0
+    return [
+        ("dense", dense / dense.sum()),
+        ("one-hot", one_hot),
+        ("zeros", holes / holes.sum()),
+        ("uniform", np.full(N, 1.0 / N)),
+    ]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 17, 64])
+def test_dft_mixing_kernel_matches_the_orbit_matrix(N):
+    act = dft_action(N)
+    rng = np.random.default_rng(100 + N)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    orbit_matrix = act.orbit_matrix(X)
+    bound = dft_kernel_round_off(N, X)
+    mix, average = act.mixer(X)
+    for label, p in dft_weight_vectors(N, rng):
+        assert np.abs(mix(p) - p @ orbit_matrix).max() <= bound, label
+    for k in range(N):  # every single map a(k, X)
+        assert np.abs(mix(np.eye(N)[k]) - act.apply(k, X).ravel()).max() <= bound
+    assert average.shape == (N, N)
+    assert np.abs(average.ravel() - orbit_matrix.mean(axis=0)).max() <= bound
+    assert np.abs(average - symmetrizer(act, X)).max() <= bound
+
+
+def test_dft_mixing_kernel_on_a_table_built_group():
+    N = 8
+    group = group_from_table(cyclic_group(N).table)
+    assert group is not cyclic_group(N)
+    act = dft_action(N, group)
+    X = np.random.default_rng(34).standard_normal((N, N)).astype(np.complex128)
+    orbit_matrix = act.orbit_matrix(X)
+    mix, _ = act.mixer(X)
+    for _, p in dft_weight_vectors(N, np.random.default_rng(35)):
+        assert np.abs(mix(p) - p @ orbit_matrix).max() <= dft_kernel_round_off(N, X)
+
+
 def test_dft_residual_makes_no_per_element_apply_call(monkeypatch):
     act = dft_action(16)
     calls = []

@@ -11,12 +11,15 @@ import pytest
 import groupsym.applications as applications_module
 import groupsym.lifted as lifted_module
 from groupsym.actions import (
+    LinearAction,
+    axis_permutation_action,
     conjugation_action,
     dft_action,
     pauli_matrices,
     pauli_quotient_group,
     permutation_action,
     regular_action,
+    step,
     subsystem_permutation_unitaries,
     symmetrizer,
 )
@@ -557,6 +560,72 @@ def test_dft_spectral_residual_keeps_the_run():
     round_off = np.finfo(np.float64).eps * np.linalg.norm(np.outer(x, np.ones(N)))
     assert np.allclose(spectral.residuals, blocks.residuals, rtol=1e-9, atol=round_off)
     assert np.array_equal(spectral.final_state, blocks.final_state)
+
+
+def _s3_engine_case(protocol, steps=300):
+    """(action, x0, schedule, result) for one orbit-matrix runner on S3."""
+    rng = np.random.default_rng(12)
+    m = 3
+    group = symmetric_group(m)
+    sched = RandomGossipSchedule(
+        group, edge_transpositions(group, m, complete_edges(m)), (0.3, 0.7), seed=6
+    )
+    if protocol == "gossip":
+        x0 = rng.standard_normal(m * 2)
+        result = run_gossip_consensus(m, 2, complete_edges(m), sched, x0, steps)
+        return permutation_action(m, 2, group), x0, sched, result
+    if protocol == "prob-sym":
+        raw = rng.random((2, 2, 2))
+        joint0 = raw / raw.sum()
+        result = run_probability_symmetrization(
+            m, 2, complete_edges(m), sched, joint0, steps
+        )
+        return axis_permutation_action(m, 2, group), joint0, sched, result
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    X0 = (a + a.conj().T) / 2.0
+    result = run_quantum_gossip(m, 2, complete_edges(m), sched, X0, steps)
+    action = conjugation_action(group, subsystem_permutation_unitaries(group, 2))
+    return action, X0, sched, result
+
+
+@pytest.mark.parametrize("protocol", ["gossip", "quantum-gossip", "prob-sym"])
+def test_orbit_matrix_runners_keep_their_average_and_lift_gap_bit_for_bit(protocol):
+    action, x0, sched, result = _s3_engine_case(protocol)
+    assert result.converged and result.steps_run > 0
+    # the engine's expressions before actions could supply a mixing kernel
+    orbit_matrix = action.orbit_matrix(x0)
+    average = orbit_matrix.mean(axis=0).reshape(action.space.shape)
+    x = action.space.validate(x0)
+    gap = 0.0
+    rows = result.weights_trajectory[1:]
+    for s, row in zip(sched.realize(result.steps_run), rows):
+        x = step(action, s, x)
+        gap = max(gap, float(np.abs(row @ orbit_matrix - x.ravel()).max()))
+    assert np.array_equal(x, result.final_state)
+    assert np.array_equal(result.orbit_average, average)
+    assert result.lift_direct_gap == gap
+
+
+def test_dft_run_builds_no_orbit_matrix(monkeypatch):
+    calls = []
+    for name in ("orbit_matrix", "orbit_blocks"):
+        inner = getattr(LinearAction, name)
+
+        def counting(self, x, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(self, x)
+
+        monkeypatch.setattr(LinearAction, name, counting)
+    N = 32
+    sched = RandomGossipSchedule(cyclic_group(N), list(range(1, N)), (0.3, 0.7), seed=8)
+    x = np.random.default_rng(8).standard_normal(N) + 0j
+    result = run_dft(N, x, sched, 400)
+    assert result.converged and result.steps_run > 0
+    assert 0 < result.lift_direct_gap <= result.lift_tolerance
+    assert calls == []
+    # the counter sees the orbit-matrix path of every other action
+    run_gossip_consensus(3, 1, complete_edges(3), s3_cycle_schedule(), np.arange(3.0), 5)
+    assert calls.count("orbit_matrix") == 1
 
 
 def test_dft_validation():

@@ -501,17 +501,23 @@ class TestMemoryPreflight:
         with pytest.raises(ConfigError, match=r"table 6\.06.*transition 24\.2"):
             harness_module.spectral_run(cfg)
 
-    def test_dft_1024_orbit_is_rejected(self, monkeypatch):
-        self.with_memory(monkeypatch, 8)
+    def test_dft_1024_is_charged_its_kernel_not_its_orbit(self, monkeypatch):
         doc = {
             "schema_version": 1,
             "application": "dft",
+            "params": {"N": 1024},
             "schedule": {"kind": "cyclic", "elements": [1]},
             "seed": 1,
         }
-        with pytest.raises(ConfigError, match=r"orbit 16\.00"):
-            parse_config(dict(doc, params={"N": 1024}))
-        parse_config(dict(doc, params={"N": 256}))
+        # the 16 GiB orbit matrix is never built: twelve 16 MiB arrays
+        parts = config_module._dense_bytes("dft", {"N": 1024}, doc["schedule"], 500)
+        assert "orbit" not in parts
+        assert parts["kernel"] == 12 * 16 * 1024**2
+        self.with_memory(monkeypatch, 8)
+        assert parse_config(doc).params["N"] == 1024
+        self.with_memory(monkeypatch, 0.25)
+        with pytest.raises(ConfigError, match=r"params: .*kernel 0\.19"):
+            parse_config(doc)
 
     def test_verdict_follows_physical_memory(self, monkeypatch):
         self.with_memory(monkeypatch, 64)

@@ -422,6 +422,42 @@ def test_permutation_backed_group_agrees_with_dense_construction(m):
     assert np.array_equal(symmetric_group(m).table, table)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_permutation_index_ranks_by_radix_key_as_the_dict_does(m):
+    perms, table, inverses = dense_symmetric_oracle(m)
+    backed = fresh_symmetric(m)
+    # a table-backed group carrying the same perms keeps the dict lookup
+    tabled = FiniteGroup(table, perms=perms, identity=0, inverses=inverses, validate=False)
+    assert not tabled.permutation_backed
+    ranked = [permutation_index(backed, p) for p in perms]
+    assert ranked == [permutation_index(tabled, tuple(p)) for p in perms]
+    assert ranked == list(range(backed.order))
+    assert backed._perm_lookup is None and tabled._perm_lookup is not None
+    assert backed._table is None
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), (-1, 0, 1), ((0, 1, 2),), (0.5, 1, 2)],
+)
+def test_permutation_index_rejects_non_permutations(perm):
+    s3 = symmetric_group(3)
+    for group in (fresh_symmetric(3), FiniteGroup(s3.table, perms=s3.perms)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_index(group, perm)
+
+
+def test_permutation_index_rejects_a_permutation_outside_a_subgroup():
+    # the alternating group A3 as a permutation-backed group of its own
+    a3 = FiniteGroup(None, perms=np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), validate=False)
+    assert [permutation_index(a3, p) for p in a3.perms] == [0, 1, 2]
+    a3_table = FiniteGroup(a3.table, perms=a3.perms)
+    for odd in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
+        for group in (a3, a3_table):
+            with pytest.raises(ValueError, match="not a permutation of this group"):
+                permutation_index(group, odd)
+
+
 def test_rows_of_a_table_backed_group_gather_its_table():
     for g in (cyclic_group(8), group_from_table(KLEIN_TABLE)):
         elems = np.array([3, 0, 3, 1])
