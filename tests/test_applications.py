@@ -592,7 +592,7 @@ def _s3_engine_case(protocol, steps=300):
 def test_orbit_matrix_runners_keep_their_average_and_lift_gap_bit_for_bit(protocol):
     action, x0, sched, result = _s3_engine_case(protocol)
     assert result.converged and result.steps_run > 0
-    # the engine's expressions before actions could supply a mixing kernel
+    # reference: the orbit matrix against the re-stepped state, and its row mean
     orbit_matrix = action.orbit_matrix(x0)
     average = orbit_matrix.mean(axis=0).reshape(action.space.shape)
     x = action.space.validate(x0)
