@@ -28,6 +28,7 @@ __all__ = [
     "conjugation_action",
     "axis_permutation_action",
     "subsystem_permutation_unitaries",
+    "subsystem_permutation_action",
     "pauli_matrices",
     "pauli_quotient_group",
     "pauli_unitaries",
@@ -412,12 +413,12 @@ def axis_permutation_action(
     )
 
 
-def subsystem_permutation_unitaries(group: FiniteGroup, local_dim: int) -> np.ndarray:
-    """Stacked permutation unitaries rearranging m tensor factors of C^d.
+def _subsystem_routing(group: FiniteGroup, local_dim: int) -> np.ndarray:
+    """Basis routing of the subsystem permutations, one int64 row per element.
 
-    V_pi |i_1 .. i_m> = |j_1 .. j_m> with j_k = i_{pi^-1(k)}; the family is a
-    genuine homomorphism with respect to the group table, and conjugation by
-    V_pi permutes local operators: V (A_1 x .. x A_m) V^dag = A_{pi^-1(1)} x ...
+    ``routing[g, i]`` is the basis index of V_g |i>, where V_pi |i_1 .. i_m> =
+    |j_1 .. j_m> with j_k = i_{pi^-1(k)}: the digits of i in base
+    ``local_dim`` (most significant first) are permuted and ranked back.
     """
     if group.perms is None:
         raise ValueError("group does not carry permutation data")
@@ -429,11 +430,52 @@ def subsystem_permutation_unitaries(group: FiniteGroup, local_dim: int) -> np.nd
         digits[:, k] = rem % local_dim
         rem //= local_dim
     radix = local_dim ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return (digits[:, group.perms[group.inverses]] @ radix).T
+
+
+def subsystem_permutation_unitaries(group: FiniteGroup, local_dim: int) -> np.ndarray:
+    """Stacked permutation unitaries rearranging m tensor factors of C^d.
+
+    V_pi |i_1 .. i_m> = |j_1 .. j_m> with j_k = i_{pi^-1(k)}; the family is a
+    genuine homomorphism with respect to the group table, and conjugation by
+    V_pi permutes local operators: V (A_1 x .. x A_m) V^dag = A_{pi^-1(1)} x ...
+    """
+    routing = _subsystem_routing(group, local_dim)
+    dim = routing.shape[1]
     U = np.zeros((group.order, dim, dim), dtype=np.complex128)
-    for g in range(group.order):
-        target = digits[:, group.perms[group.inverses[g]]] @ radix
-        U[g, target, np.arange(dim)] = 1.0
+    U[np.arange(group.order)[:, None], routing, np.arange(dim)] = 1.0
     return U
+
+
+def subsystem_permutation_action(group: FiniteGroup, local_dim: int) -> LinearAction:
+    """Conjugation by the subsystem permutation unitaries, as an index gather.
+
+    The same maps as ``conjugation_action(group,
+    subsystem_permutation_unitaries(group, local_dim))``, without forming a
+    unitary.  V_g is a permutation matrix, so V_g X V_g^dag only relabels
+    entries: (V_g X V_g^dag)[a, b] = X[src_g[a], src_g[b]], with src_g the
+    inverse of V_g's basis routing.  One int64 table gather[g] = src_g x src_g
+    of flat indices serves every map and every orbit block.  The family is a
+    homomorphism by construction, so no pair check is run, as
+    ``symmetric_group(validate=False)`` runs none.  The name matches the
+    conjugation it replaces.
+    """
+    routing = _subsystem_routing(group, local_dim)
+    dim = routing.shape[1]
+    src = np.argsort(routing, axis=1)  # src[g, routing[g, i]] = i
+    gather = (src[:, :, None] * dim + src[:, None, :]).reshape(group.order, dim * dim)
+
+    def apply_fn(g: int, X: np.ndarray) -> np.ndarray:
+        return X.reshape(-1)[gather[g]].reshape(dim, dim)
+
+    return LinearAction(
+        group,
+        VectorSpace((dim, dim), complex=True),
+        apply_fn,
+        adjoint_map=group.inverses,
+        name=f"conjugation(d={dim})",
+        block_fn=lambda gs, X: X.reshape(-1)[gather[gs]],
+    )
 
 
 def pauli_matrices() -> np.ndarray:

@@ -27,7 +27,7 @@ from .actions import (
     fixed_point_residual,
     permutation_action,
     step,
-    subsystem_permutation_unitaries,
+    subsystem_permutation_action,
     symmetrizer,
 )
 from .groups import FiniteGroup, symmetric_group, transposition_index
@@ -444,7 +444,7 @@ def run_quantum_gossip(
     if herm > 1e-10:
         raise ValueError(f"X0 is not Hermitian (defect {herm:.3e})")
     group = symmetric_group(m)
-    action = conjugation_action(group, subsystem_permutation_unitaries(group, local_dim))
+    action = subsystem_permutation_action(group, local_dim)
 
     monitors = {
         "trace_real": lambda X: float(np.trace(X).real),

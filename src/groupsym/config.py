@@ -271,7 +271,7 @@ def _state_bytes(app: str, params: dict, order: int) -> int:
 
 
 def _support_rows(schedule: dict, params: dict, order: int) -> int:
-    """Translation rows a gossip or prob-sym run ranks on a permutation-backed S_m.
+    """Translation rows an S_m run ranks on a permutation-backed S_m.
 
     One per support element and per inverse, plus the identity, doubled for
     the row cache's growth; a custom sequence's support is only known once
@@ -292,9 +292,9 @@ def _dense_bytes(
     """Bytes of the dense arrays a run of this config allocates, by structure.
 
     Keys: ``table`` (the int32 Cayley table, for groups that hold one and
-    for the dense consumers: the regular action of random-state and the
-    all-pairs homomorphism check of quantum-gossip) or ``rows`` (the int32
-    translation rows that gossip and prob-sym rank on demand), ``orbit``
+    for the regular action of random-state, which is dense by nature) or
+    ``rows`` (the int32 translation rows that gossip, prob-sym and
+    quantum-gossip rank on demand), ``orbit``
     (one state per group element) or, for dft, ``kernel`` (the Fourier
     kernels' N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
     (the realized signal and the lifted trajectory, one float64 per element
@@ -304,7 +304,7 @@ def _dense_bytes(
     order = _group_order(app, params)
     if order is None:
         return {}
-    if app in ("gossip", "prob-sym"):
+    if app in ("gossip", "prob-sym", "quantum-gossip"):
         translations = {"rows": 4 * order * _support_rows(schedule, params, order)}
     else:
         translations = {"table": 4 * order * order}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from groupsym.actions import (
     restricted_operator_bound,
     save_state,
     step,
+    subsystem_permutation_action,
     subsystem_permutation_unitaries,
     symmetrizer,
 )
@@ -588,11 +591,92 @@ def test_subsystem_unitaries_basis_routing():
     assert np.array_equal(U[0], np.eye(4, dtype=np.complex128))
 
 
+@pytest.mark.parametrize("m, local_dim", [(1, 3), (2, 3), (3, 2), (4, 2), (5, 2), (3, 4)])
+def test_subsystem_unitaries_match_the_digit_by_digit_definition(m, local_dim):
+    # V_pi |i_1 .. i_m> = |j_1 .. j_m> with j_k = i_{pi^-1(k)}, one basis state at a time
+    group = symmetric_group(m)
+    U = subsystem_permutation_unitaries(group, local_dim)
+    rank = lambda digits: int(np.ravel_multi_index(digits, (local_dim,) * m))
+    for g in group.elements():
+        pinv = group.perms[group.inverses[g]]
+        oracle = np.zeros_like(U[g])
+        for i in itertools.product(range(local_dim), repeat=m):
+            oracle[rank(tuple(i[p] for p in pinv)), rank(i)] = 1.0
+        assert np.array_equal(U[g], oracle)
+
+
 def test_subsystem_unitaries_feed_conjugation_action():
     g3 = symmetric_group(3)
     U = subsystem_permutation_unitaries(g3, 2)
     act = conjugation_action(g3, U)
     assert act.space.shape == (8, 8)
+
+
+# -- subsystem permutations as a gather ----------------------------------------
+
+
+def subsystem_cases():
+    """(m, local_dim) for S1-S4 at local dimensions 2 and 3 within the dense cap."""
+    return [(m, d) for m in range(1, 5) for d in (2, 3) if d**m <= 64]
+
+
+def random_states(dim, rng):
+    X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return {"complex": X, "hermitian": X + X.conj().T}
+
+
+@pytest.mark.parametrize("m, local_dim", subsystem_cases())
+def test_subsystem_gather_is_bit_equal_to_unitary_conjugation(m, local_dim):
+    group = symmetric_group(m)
+    gather = subsystem_permutation_action(group, local_dim)
+    dense = conjugation_action(group, subsystem_permutation_unitaries(group, local_dim))
+    assert gather.name == dense.name
+    assert gather.space == dense.space
+    rng = np.random.default_rng(100 * m + local_dim)
+    for X in random_states(local_dim**m, rng).values():
+        for g in group.elements():
+            assert gather.apply(g, X).tobytes() == dense.apply(g, X).tobytes()
+        pairs = zip(gather.orbit_blocks(X), dense.orbit_blocks(X))
+        for (start, block), (dense_start, dense_block) in pairs:
+            assert start == dense_start
+            assert block.tobytes() == dense_block.tobytes()
+        assert gather.orbit_matrix(X).tobytes() == dense.orbit_matrix(X).tobytes()
+        assert symmetrizer(gather, X).tobytes() == symmetrizer(dense, X).tobytes()
+        assert fixed_point_residual(gather, X) == fixed_point_residual(dense, X)
+
+
+def test_subsystem_gather_action_axioms_exhaustive():
+    g3 = symmetric_group(3)
+    act = subsystem_permutation_action(g3, 2)
+    assert np.array_equal(act.adjoint_map, g3.inverses)
+    rng = np.random.default_rng(12)
+    X = random_states(8, rng)["complex"]
+    Y = random_states(8, rng)["complex"]
+    assert np.array_equal(act.apply(g3.identity, X), X)
+    for h in range(6):
+        for g in range(6):
+            lhs = act.apply(h, act.apply(g, X))
+            assert np.array_equal(lhs, act.apply(g3.mul(h, g), X))
+        # <a(h, Y), X> = <Y, a(adjoint_map[h], X)>
+        lhs = inner(act.apply(h, Y), X)
+        rhs = inner(Y, act.apply(act.adjoint_map[h], X))
+        assert abs(lhs - rhs) < 1e-12
+
+
+def test_subsystem_gather_on_s6_builds_fast_and_matches_the_unitaries():
+    group = symmetric_group(6)
+    start = time.perf_counter()
+    act = subsystem_permutation_action(group, 2)
+    assert time.perf_counter() - start < 1.0  # about 0.03 s; no pair check
+    U = subsystem_permutation_unitaries(group, 2)
+    X = random_states(64, np.random.default_rng(6))["hermitian"]
+    for g in np.random.default_rng(7).choice(group.order, size=12, replace=False):
+        assert np.array_equal(act.apply(int(g), X), U[g] @ X @ U[g].conj().T)
+
+
+def test_subsystem_gather_rejects_a_group_without_permutations():
+    with pytest.raises(ValueError, match="permutation data"):
+        subsystem_permutation_action(group_from_table([[0]]), 2)
 
 
 # -- pauli helpers --------------------------------------------------------------
@@ -746,6 +830,7 @@ def action_kinds():
             conjugation_action(s3, subsystem_permutation_unitaries(s3, 2)),
             herm + herm.conj().T,
         ),
+        "subsystem": (subsystem_permutation_action(s3, 2), herm + herm.conj().T),
         "custom": (
             LinearAction(cyclic_group(2), VectorSpace((2,)), lambda g, x: mats[g] @ x),
             rng.standard_normal(2),

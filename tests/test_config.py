@@ -488,7 +488,10 @@ class TestMemoryPreflight:
         assert parts("gossip", params, cyclic, 10)["rows"] == row * 2 * (2 * 3 + 1)
         custom = {"kind": "custom-sequence", "policy": "cycle", "rows": [[1.0]]}
         assert parts("gossip", params, custom, 10)["rows"] == row * 40320
-        assert "rows" not in parts("quantum-gossip", {"m": 5, "local_dim": 2}, random, 10)
+        # quantum gossip gathers its orbit, so it is charged rows, not the S_5 table
+        quantum = parts("quantum-gossip", {"m": 5, "local_dim": 2, "edges": edges}, random, 10)
+        assert "table" not in quantum
+        assert quantum["rows"] == 4 * 120 * 2 * (2 * 2 + 1)
 
     def test_spectral_keeps_its_dense_guard(self, monkeypatch):
         self.with_memory(monkeypatch, 8)
