@@ -335,6 +335,9 @@ def conjugation_action(
     ``unitaries`` maps each element to a d x d unitary forming a projective
     homomorphism: U_g U_h = phase * U_{g*h} with |phase| = 1.  Phases cancel
     under conjugation, so the action axioms hold exactly on the quotient.
+    Both properties are checked, the second over all |G|^2 pairs; subsystem
+    permutations, a homomorphism by construction, go through
+    ``subsystem_permutation_action`` instead.
     """
     U = np.asarray(unitaries, dtype=np.complex128)
     if U.ndim != 3 or U.shape[0] != group.order or U.shape[1] != U.shape[2]:

@@ -772,25 +772,10 @@ def test_symmetric_runs_never_build_the_dense_table(application, params, tmp_pat
     assert all(c.status != "fail" for c in verify(art.directory).checks)
     assert certify_run(cfg, 8)["group_order"] == group.order
     assert group.permutation_backed and group._table is None
-
-
-def test_quantum_gossip_ranks_only_its_support_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(groups_module, "_MEMO", weakref.WeakValueDictionary())
-    group = symmetric_group(5)  # held, so the run shares this instance
-    cfg = parse_config(
-        {
-            "schema_version": 1,
-            "application": "quantum-gossip",
-            "params": {"m": 5, "local_dim": 2},
-            "seed": 7,
-        }
-    )
-    execute(cfg, out_dir=run_dir(tmp_path))
-    assert group._table is None
-    # the rows of the ten edge transpositions (their own inverses; identity
-    # translations are skipped), within what the memory preflight charges in
-    # place of the 120 x 120 table
-    assert group._rows_built == 10
+    # only the rows of the edge transpositions (their own inverses; identity
+    # translations are skipped), within the preflight's charge for them
+    assert group._rows_built == len(cfg.params["edges"])
     parts = config_module._dense_bytes(cfg.application, cfg.params, cfg.schedule, cfg.steps)
     assert "table" not in parts
     assert 4 * group.order * group._rows_built <= parts["rows"]
+
