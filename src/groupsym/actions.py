@@ -416,24 +416,20 @@ def axis_permutation_action(
     )
 
 
-def _subsystem_routing(group: FiniteGroup, local_dim: int) -> np.ndarray:
-    """Basis routing of the subsystem permutations, one int64 row per element.
+def _subsystem_sources(group: FiniteGroup, local_dim: int) -> np.ndarray:
+    """Basis sources of the subsystem permutations, one int64 row per element.
 
-    ``routing[g, i]`` is the basis index of V_g |i>, where V_pi |i_1 .. i_m> =
-    |j_1 .. j_m> with j_k = i_{pi^-1(k)}: the digits of i in base
-    ``local_dim`` (most significant first) are permuted and ranked back.
+    ``sources[g, j]`` is the basis index that V_g sends to j, where V_pi
+    |i_1 .. i_m> = |j_1 .. j_m> with j_k = i_{pi^-1(k)}.  On the digit tensor
+    of j, one axis of length ``local_dim`` per subsystem, the source is
+    i_k = j_{pi(k)}: the axis permutation of ``axis_permutation_action``, so
+    its orbit of the flat-index labelling lists every source.
     """
     if group.perms is None:
         raise ValueError("group does not carry permutation data")
     m = group.perms.shape[1]
-    dim = local_dim**m
-    digits = np.empty((dim, m), dtype=np.int64)
-    rem = np.arange(dim)
-    for k in range(m - 1, -1, -1):
-        digits[:, k] = rem % local_dim
-        rem //= local_dim
-    radix = local_dim ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return (digits[:, group.perms[group.inverses]] @ radix).T
+    labels = np.arange(local_dim**m, dtype=np.float64).reshape((local_dim,) * m)
+    return axis_permutation_action(m, local_dim, group).orbit_matrix(labels).astype(np.int64)
 
 
 def subsystem_permutation_unitaries(group: FiniteGroup, local_dim: int) -> np.ndarray:
@@ -443,10 +439,10 @@ def subsystem_permutation_unitaries(group: FiniteGroup, local_dim: int) -> np.nd
     genuine homomorphism with respect to the group table, and conjugation by
     V_pi permutes local operators: V (A_1 x .. x A_m) V^dag = A_{pi^-1(1)} x ...
     """
-    routing = _subsystem_routing(group, local_dim)
-    dim = routing.shape[1]
+    sources = _subsystem_sources(group, local_dim)
+    dim = sources.shape[1]
     U = np.zeros((group.order, dim, dim), dtype=np.complex128)
-    U[np.arange(group.order)[:, None], routing, np.arange(dim)] = 1.0
+    U[np.arange(group.order)[:, None], np.arange(dim), sources] = 1.0
     return U
 
 
@@ -457,15 +453,14 @@ def subsystem_permutation_action(group: FiniteGroup, local_dim: int) -> LinearAc
     subsystem_permutation_unitaries(group, local_dim))``, without forming a
     unitary.  V_g is a permutation matrix, so V_g X V_g^dag only relabels
     entries: (V_g X V_g^dag)[a, b] = X[src_g[a], src_g[b]], with src_g the
-    inverse of V_g's basis routing.  One int64 table gather[g] = src_g x src_g
-    of flat indices serves every map and every orbit block.  The family is a
+    basis sources of V_g.  One int64 table gather[g] = src_g x src_g of flat
+    indices serves every map and every orbit block.  The family is a
     homomorphism by construction, so no pair check is run, as
     ``symmetric_group(validate=False)`` runs none.  The name matches the
     conjugation it replaces.
     """
-    routing = _subsystem_routing(group, local_dim)
-    dim = routing.shape[1]
-    src = np.argsort(routing, axis=1)  # src[g, routing[g, i]] = i
+    src = _subsystem_sources(group, local_dim)
+    dim = src.shape[1]
     gather = (src[:, :, None] * dim + src[:, None, :]).reshape(group.order, dim * dim)
 
     def apply_fn(g: int, X: np.ndarray) -> np.ndarray:

@@ -46,8 +46,8 @@ def test_traced_run_sees_the_engine_and_its_monitors(tmp_path):
     config = parse_config(
         {
             "schema_version": 1,
-            "application": "gossip",
-            "params": {"m": 3, "n": 2},
+            "application": "quantum-gossip",
+            "params": {"m": 3, "local_dim": 2},
             "seed": 3,
         }
     )
