@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -136,10 +136,11 @@ class LinearAction:
         Consecutive elements are grouped so that a block's working set (its
         images plus up to three temporaries of the same size inside the
         kernel that builds them) stays near BLOCK_BYTES; each block is one
-        gather or batched matrix product for the bundled action kinds.  A
-        state of a quarter of BLOCK_BYTES or more goes one element per block,
-        so memory never exceeds one image beyond what a per-element loop
-        uses.
+        relabeling gather for the permutation actions (block, axis,
+        subsystem and regular) and stacked ``apply`` calls for the DFT,
+        conjugation and custom actions.  A state of a quarter of BLOCK_BYTES
+        or more goes one element per block, so memory never exceeds one
+        image beyond what a per-element loop uses.
         """
         x = self.space.validate(x)
         per_block = max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
@@ -196,6 +197,38 @@ class LinearAction:
 # -- concrete actions ---------------------------------------------------------
 
 
+def _relabeling_action(
+    group: FiniteGroup,
+    space: VectorSpace,
+    sources: np.ndarray,
+    name: str,
+    block: int = 1,
+    rows: Optional[np.ndarray] = None,
+) -> LinearAction:
+    """An action by permutation matrices: every map and orbit block is one gather.
+
+    Block j (of ``block`` consecutive flat entries) of a(g, x) is block
+    ``sources[g, j]`` of x, or ``sources[rows[g], j]`` when ``rows`` is given,
+    so that a table the group holds serves without a reordered copy.  The
+    maps are orthogonal, so the adjoint of a(g, .) is a(g^-1, .).
+    """
+
+    def relabel(gs, x: np.ndarray) -> np.ndarray:
+        index = sources[gs] if rows is None else sources[rows[gs]]
+        # np.take along axis 0 gathers whole blocks, where fancy indexing of
+        # the (-1, block) view runs about twice as slow
+        return np.take(x.reshape(-1, block), index, axis=0)
+
+    return LinearAction(
+        group,
+        space,
+        lambda g, x: relabel(g, x).reshape(space.shape),
+        adjoint_map=group.inverses,
+        name=name,
+        block_fn=lambda gs, x: relabel(gs, x).reshape(gs.stop - gs.start, -1),
+    )
+
+
 def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> LinearAction:
     """Permutation of m stacked n-dimensional blocks of a real vector.
 
@@ -209,21 +242,12 @@ def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> L
         group = symmetric_group(m)
     if group.perms is None or group.perms.shape[1] != m:
         raise ValueError(f"group does not act on {m} blocks")
-    inverse_perms = group.perms[group.inverses]
-
-    def apply_fn(g: int, x: np.ndarray) -> np.ndarray:
-        return x.reshape(m, n)[inverse_perms[g]].reshape(m * n)
-
-    def block_fn(gs: slice, x: np.ndarray) -> np.ndarray:
-        return x.reshape(m, n)[inverse_perms[gs]].reshape(-1, m * n)
-
-    return LinearAction(
+    return _relabeling_action(
         group,
         VectorSpace((m * n,)),
-        apply_fn,
-        adjoint_map=group.inverses,
-        name=f"block-permutation(m={m}, n={n})",
-        block_fn=block_fn,
+        group.perms[group.inverses],
+        f"block-permutation(m={m}, n={n})",
+        block=n,
     )
 
 
@@ -235,19 +259,8 @@ def regular_action(group: FiniteGroup) -> LinearAction:
     Dense by nature: its orbit reads every translation row, so it reads the
     group's full table.
     """
-    table = group.table
-    inv = group.inverses
-
-    def apply_fn(h: int, v: np.ndarray) -> np.ndarray:
-        return v[table[inv[h]]]
-
-    return LinearAction(
-        group,
-        VectorSpace((group.order,)),
-        apply_fn,
-        adjoint_map=group.inverses,
-        name="regular",
-        block_fn=lambda hs, v: v[table[inv[hs]]],
+    return _relabeling_action(
+        group, VectorSpace((group.order,)), group.table, "regular", rows=group.inverses
     )
 
 
@@ -363,19 +376,12 @@ def conjugation_action(
                     f"unitaries do not form a projective homomorphism at ({g},{h})"
                 )
 
-    def apply_fn(g: int, X: np.ndarray) -> np.ndarray:
-        return U[g] @ X @ U[g].conj().T
-
-    def block_fn(gs: slice, X: np.ndarray) -> np.ndarray:
-        return np.matmul(U[gs] @ X, U[gs].conj().transpose(0, 2, 1)).reshape(-1, d * d)
-
     action = LinearAction(
         group,
         VectorSpace((d, d), complex=True),
-        apply_fn,
+        lambda g, X: U[g] @ X @ U[g].conj().T,
         adjoint_map=group.inverses,
         name=f"conjugation(d={d})",
-        block_fn=block_fn,
     )
     action.unitaries = U
     return action
@@ -395,24 +401,11 @@ def axis_permutation_action(
         group = symmetric_group(m)
     if group.perms is None or group.perms.shape[1] != m:
         raise ValueError(f"group does not act on {m} axes")
-    # np.transpose(x, axes=sigma) composes anti-homomorphically in sigma, so a
-    # left action needs the inverse permutation as the axes argument.
-    inverse_perms = group.perms[group.inverses]
-
-    def apply_fn(g: int, x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.transpose(x, axes=inverse_perms[g]))
-
-    # gather[g] lists, for each entry of a(g, x), the flat index it reads in x
-    flat = np.arange(size**m).reshape((size,) * m)
-    gather = np.array([np.transpose(flat, axes=p).ravel() for p in inverse_perms])
-
-    return LinearAction(
-        group,
-        VectorSpace((size,) * m),
-        apply_fn,
-        adjoint_map=group.inverses,
-        name=f"axis-permutation(m={m}, size={size})",
-        block_fn=lambda gs, x: x.reshape(-1)[gather[gs]],
+    # entry i of a(pi, P) reads the flat index of i's digits taken in the order pi
+    digits = np.indices((size,) * m).reshape(m, -1)
+    sources = size ** np.arange(m - 1, -1, -1) @ digits[group.perms]
+    return _relabeling_action(
+        group, VectorSpace((size,) * m), sources, f"axis-permutation(m={m}, size={size})"
     )
 
 
@@ -453,26 +446,16 @@ def subsystem_permutation_action(group: FiniteGroup, local_dim: int) -> LinearAc
     subsystem_permutation_unitaries(group, local_dim))``, without forming a
     unitary.  V_g is a permutation matrix, so V_g X V_g^dag only relabels
     entries: (V_g X V_g^dag)[a, b] = X[src_g[a], src_g[b]], with src_g the
-    basis sources of V_g.  One int64 table gather[g] = src_g x src_g of flat
-    indices serves every map and every orbit block.  The family is a
-    homomorphism by construction, so no pair check is run, as
-    ``symmetric_group(validate=False)`` runs none.  The name matches the
-    conjugation it replaces.
+    basis sources of V_g, and the flat sources src_g x src_g form the
+    gather table.  The family is a homomorphism by construction, so no pair
+    check is run, as ``symmetric_group(validate=False)`` runs none.  The
+    name matches the conjugation it replaces.
     """
     src = _subsystem_sources(group, local_dim)
     dim = src.shape[1]
     gather = (src[:, :, None] * dim + src[:, None, :]).reshape(group.order, dim * dim)
-
-    def apply_fn(g: int, X: np.ndarray) -> np.ndarray:
-        return X.reshape(-1)[gather[g]].reshape(dim, dim)
-
-    return LinearAction(
-        group,
-        VectorSpace((dim, dim), complex=True),
-        apply_fn,
-        adjoint_map=group.inverses,
-        name=f"conjugation(d={dim})",
-        block_fn=lambda gs, X: X.reshape(-1)[gather[gs]],
+    return _relabeling_action(
+        group, VectorSpace((dim, dim), complex=True), gather, f"conjugation(d={dim})"
     )
 
 

@@ -137,6 +137,8 @@ def _cmd_certify(args) -> int:
     config = _load_config(args.config, args)
     if args.max_T < 1:
         raise ConfigError(f"--max-T must be >= 1, got {args.max_T}")
+    if args.horizon is not None and args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     outcome = certify_run(config, args.max_T, horizon=args.horizon)
     if outcome["satisfied"]:
         print(
@@ -145,7 +147,7 @@ def _cmd_certify(args) -> int:
         )
         return EXIT_OK
     print(
-        f"no certificate up to T={args.max_T} over horizon={outcome['horizon']}; "
+        f"no certificate up to T={outcome['T']} over horizon={outcome['horizon']}; "
         f"witness: {json.dumps(outcome['witness'])}"
     )
     return EXIT_NOT_CONVERGED

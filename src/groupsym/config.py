@@ -17,6 +17,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .applications import OUTCOME_AXES_CAP, OUTCOME_SIZE_CAP, QUANTUM_DIM_CAP
+from .groups import MAX_SYMMETRIC_DEGREE
+
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -190,7 +193,8 @@ def _validate_group_spec(spec, base_dir: str, path: str) -> dict:
         return {"kind": "cyclic", "n": _as_int(spec["n"], f"{path}.n", lo=1, hi=1024)}
     if kind == "symmetric":
         _require_keys(spec, {"kind", "m"}, {"kind", "m"}, path)
-        return {"kind": "symmetric", "m": _as_int(spec["m"], f"{path}.m", lo=1, hi=8)}
+        m = _as_int(spec["m"], f"{path}.m", lo=1, hi=MAX_SYMMETRIC_DEGREE)
+        return {"kind": "symmetric", "m": m}
     if kind == "table":
         _require_keys(spec, {"kind", "path"}, {"kind", "path"}, path)
         return {
@@ -206,22 +210,24 @@ def _validate_params(app: str, params, base_dir: str) -> dict:
         params = {}
     if app == "gossip":
         _require_keys(params, {"m", "n", "edges"}, set(), path)
-        m = _as_int(params.get("m", 3), f"{path}.m", lo=2, hi=8)
+        m = _as_int(params.get("m", 3), f"{path}.m", lo=2, hi=MAX_SYMMETRIC_DEGREE)
         n = _as_int(params.get("n", 1), f"{path}.n", lo=1, hi=64)
         edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
         return {"m": m, "n": n, "edges": edges}
     if app == "prob-sym":
         _require_keys(params, {"m", "outcome_size", "edges"}, {"m", "outcome_size"}, path)
-        m = _as_int(params["m"], f"{path}.m", lo=1, hi=4)
-        size = _as_int(params["outcome_size"], f"{path}.outcome_size", lo=1, hi=8)
+        m = _as_int(params["m"], f"{path}.m", lo=1, hi=OUTCOME_AXES_CAP)
+        size = _as_int(
+            params["outcome_size"], f"{path}.outcome_size", lo=1, hi=OUTCOME_SIZE_CAP
+        )
         edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
         return {"m": m, "outcome_size": size, "edges": edges}
     if app == "quantum-gossip":
         _require_keys(params, {"m", "local_dim", "edges"}, {"m", "local_dim"}, path)
         m = _as_int(params["m"], f"{path}.m", lo=1, hi=6)
         d = _as_int(params["local_dim"], f"{path}.local_dim", lo=2, hi=64)
-        if d**m > 64:
-            _fail(path, f"total dimension {d**m} exceeds the dense cap 64")
+        if d**m > QUANTUM_DIM_CAP:
+            _fail(path, f"total dimension {d**m} exceeds the dense cap {QUANTUM_DIM_CAP}")
         edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
         return {"m": m, "local_dim": d, "edges": edges}
     if app == "dft":

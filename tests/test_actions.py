@@ -39,6 +39,7 @@ from groupsym.actions import (
 )
 from groupsym.groups import (
     cyclic_group,
+    group_from_json,
     group_from_table,
     permutation_index,
     symmetric_group,
@@ -626,6 +627,19 @@ def random_states(dim, rng):
     return {"complex": X, "hermitian": X + X.conj().T}
 
 
+def assert_bit_equal_actions(act, reference, x):
+    """Every map, orbit block and orbit quantity of act is byte-equal to reference's."""
+    for g in act.group.elements():
+        assert act.apply(g, x).tobytes() == reference.apply(g, x).tobytes()
+    blocks, ref_blocks = list(act.orbit_blocks(x)), list(reference.orbit_blocks(x))
+    assert [start for start, _ in blocks] == [start for start, _ in ref_blocks]
+    for (_, block), (_, ref_block) in zip(blocks, ref_blocks):
+        assert block.tobytes() == ref_block.tobytes()
+    assert act.orbit_matrix(x).tobytes() == reference.orbit_matrix(x).tobytes()
+    assert symmetrizer(act, x).tobytes() == symmetrizer(reference, x).tobytes()
+    assert fixed_point_residual(act, x) == fixed_point_residual(reference, x)
+
+
 @pytest.mark.parametrize("m, local_dim", subsystem_cases())
 def test_subsystem_gather_is_bit_equal_to_unitary_conjugation(m, local_dim):
     group = symmetric_group(m)
@@ -635,15 +649,7 @@ def test_subsystem_gather_is_bit_equal_to_unitary_conjugation(m, local_dim):
     assert gather.space == dense.space
     rng = np.random.default_rng(100 * m + local_dim)
     for X in random_states(local_dim**m, rng).values():
-        for g in group.elements():
-            assert gather.apply(g, X).tobytes() == dense.apply(g, X).tobytes()
-        blocks, dense_blocks = list(gather.orbit_blocks(X)), list(dense.orbit_blocks(X))
-        assert [start for start, _ in blocks] == [start for start, _ in dense_blocks]
-        for (_, block), (_, dense_block) in zip(blocks, dense_blocks):
-            assert block.tobytes() == dense_block.tobytes()
-        assert gather.orbit_matrix(X).tobytes() == dense.orbit_matrix(X).tobytes()
-        assert symmetrizer(gather, X).tobytes() == symmetrizer(dense, X).tobytes()
-        assert fixed_point_residual(gather, X) == fixed_point_residual(dense, X)
+        assert_bit_equal_actions(gather, dense, X)
 
 
 def test_subsystem_gather_action_axioms_exhaustive():
@@ -857,10 +863,7 @@ def test_orbit_blocks_match_stacked_apply(kind, budget, monkeypatch):
         np.cumsum([0] + [b.shape[0] for _, b in blocks[:-1]])
     )
     got = np.concatenate([b for _, b in blocks])
-    if kind == "conjugation":  # batched matrix products may round differently
-        assert np.allclose(got, expected, rtol=0, atol=1e-13)
-    else:
-        assert np.array_equal(got, expected)
+    assert np.array_equal(got, expected)
     assert np.array_equal(act.orbit_matrix(x), got)
 
 
@@ -888,3 +891,76 @@ def test_batched_residual_and_symmetrizer_match_per_element_loop(kind, budget, m
     orbit = act.orbit(x)
     loop_average = sum(orbit[1:], start=orbit[0]) / act.group.order
     assert np.allclose(symmetrizer(act, x), loop_average, rtol=1e-12, atol=1e-15)
+
+
+# -- relabeling gathers against the implementations they replaced ---------------
+
+
+def relabeling_references(tmp_path):
+    """name -> (action, reference, states) for the gathers and Pauli conjugation.
+
+    Each reference builds the same maps the way the action once did: an axis
+    transpose, a block reshape, a Cayley-table row read, and, for conjugation,
+    orbit blocks as one batched matrix product.  Relabeling cases run on S1-S4;
+    the regular action also on a cyclic group and a table loaded from JSON.
+    """
+    rng = np.random.default_rng(41)
+    cases = {}
+
+    def reference(act, apply_fn, block_fn=None):
+        return LinearAction(
+            act.group, act.space, apply_fn, adjoint_map=act.group.inverses, block_fn=block_fn
+        )
+
+    def add_regular(name, group):
+        table, inv = group.table, group.inverses
+        act = regular_action(group)
+        ref = reference(act, lambda h, v: v[table[inv[h]]])
+        cases[name] = (act, ref, [rng.standard_normal(group.order)])
+
+    for m in range(1, 5):
+        group = symmetric_group(m)
+        inverse_perms = group.perms[group.inverses]
+        act = permutation_action(m, 2, group)
+        ref = reference(act, lambda g, x, m=m, p=inverse_perms: x.reshape(m, 2)[p[g]].ravel())
+        cases[f"block-S{m}"] = (act, ref, [rng.standard_normal(2 * m)])
+        act = axis_permutation_action(m, 3, group)
+        ref = reference(
+            act,
+            lambda g, x, p=inverse_perms: np.ascontiguousarray(np.transpose(x, axes=p[g])),
+        )
+        cases[f"axis-S{m}"] = (act, ref, [rng.standard_normal((3,) * m)])
+        add_regular(f"regular-S{m}", group)
+    add_regular("regular-Z7", cyclic_group(7))
+    # S3's table relabelled back to front, so the identity is element 5
+    table = 5 - symmetric_group(3).table[::-1, ::-1]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"order": 6, "table": table.tolist()}))
+    add_regular("regular-json", group_from_json(path))
+
+    group, U = pauli_unitaries()
+    act = conjugation_action(group, U)
+    ref = reference(
+        act,
+        lambda g, X: U[g] @ X @ U[g].conj().T,
+        lambda gs, X: np.matmul(U[gs] @ X, U[gs].conj().transpose(0, 2, 1)).reshape(-1, 4),
+    )
+    cases["pauli"] = (act, ref, list(random_states(2, rng).values()))
+    return cases
+
+
+RELABELING_CASES = [
+    f"{kind}-S{m}" for kind in ("block", "axis", "regular") for m in range(1, 5)
+] + ["regular-Z7", "regular-json", "pauli"]
+
+
+# 64 bytes puts every element in its own block, so gathers start mid-table
+@pytest.mark.parametrize("budget", [actions_module.BLOCK_BYTES, 64])
+@pytest.mark.parametrize("name", RELABELING_CASES)
+def test_actions_are_bit_equal_to_their_reference_implementations(
+    name, budget, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
+    act, reference, states = relabeling_references(tmp_path)[name]
+    for x in states:
+        assert_bit_equal_actions(act, reference, x)

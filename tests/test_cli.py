@@ -182,6 +182,18 @@ class TestCertifyVerb:
         cfg = write_config(tmp_path, gossip_doc())
         assert main(["certify", cfg, "--max-T", "0"]) == 4
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_certify_bad_horizon_exits_four(self, tmp_path, capsys, horizon):
+        cfg = write_config(tmp_path, gossip_doc())
+        assert main(["certify", cfg, "--max-T", "4", "--horizon", horizon]) == 4
+        assert f"--horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+
+    def test_certify_failure_names_the_window_it_scanned(self, tmp_path, capsys):
+        # --steps 0 scans a one-step horizon, so max_T is clamped to T=1
+        cfg = write_config(tmp_path, gossip_doc())
+        assert main(["certify", cfg, "--max-T", "4", "--steps", "0"]) == 3
+        assert "no certificate up to T=1 over horizon=1;" in capsys.readouterr().out
+
 
 class TestSpectralVerb:
     def test_spectral_prints_both_factors(self, tmp_path, capsys):
