@@ -908,9 +908,7 @@ def relabeling_references(tmp_path):
     cases = {}
 
     def reference(act, apply_fn, block_fn=None):
-        return LinearAction(
-            act.group, act.space, apply_fn, adjoint_map=act.group.inverses, block_fn=block_fn
-        )
+        return LinearAction(act.group, act.space, apply_fn, block_fn=block_fn)
 
     def add_regular(name, group):
         table, inv = group.table, group.inverses
