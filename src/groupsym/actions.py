@@ -9,6 +9,8 @@ the direct one exactly: x(t) = sum_g p_g(t) a(g, x(0)).
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -48,6 +50,11 @@ __all__ = [
 
 UNITARY_ATOL = 1e-10
 FIXED_POINT_ATOL = 1e-10
+# encode_state writes float64 and complex128 arrays with more entries than
+# this as the base64 of their raw little-endian C-order bytes; smaller arrays
+# and every other dtype stay nested lists.
+INLINE_ARRAY_MAX = 64
+_BINARY_DTYPES = {("f", 8): "<f8", ("c", 16): "<c16"}
 
 
 @dataclass(frozen=True)
@@ -610,8 +617,22 @@ def restricted_operator_bound(action: LinearAction, x0) -> float:
 
 
 def encode_state(x: np.ndarray) -> dict:
-    """JSON-ready form: nested lists, complex entries as [re, im] pairs."""
+    """JSON-ready form of an array, exact either way.
+
+    A float64 or complex128 array with more than INLINE_ARRAY_MAX entries is
+    ``{"shape", "dtype": "<f8" | "<c16", "base64"}`` over its raw
+    little-endian C-order bytes.  Anything else is ``{"shape", "complex",
+    "data"}`` with nested lists, complex entries as [re, im] pairs.
+    """
     arr = np.asarray(x)
+    dtype = _BINARY_DTYPES.get((arr.dtype.kind, arr.dtype.itemsize))
+    if dtype is not None and arr.size > INLINE_ARRAY_MAX:
+        raw = arr.astype(dtype, copy=False).tobytes(order="C")
+        return {
+            "shape": list(arr.shape),
+            "dtype": dtype,
+            "base64": base64.b64encode(raw).decode("ascii"),
+        }
     return {
         "shape": list(arr.shape),
         "complex": bool(np.iscomplexobj(arr)),
@@ -623,24 +644,57 @@ def encode_state(x: np.ndarray) -> dict:
     }
 
 
-def _decode_entries(data, complex_entries: bool):
+def _payload_shape(payload: dict) -> Tuple[int, ...]:
+    shape = payload["shape"]
+    if not isinstance(shape, (list, tuple)) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    ):
+        raise ValueError(f"state shape must be a list of nonnegative integers, got {shape!r}")
+    return tuple(shape)
+
+
+def _decode_binary(payload: dict, shape: Tuple[int, ...]) -> np.ndarray:
+    dtype = payload["dtype"]
+    if dtype not in _BINARY_DTYPES.values():
+        raise ValueError(
+            f"state dtype must be one of {sorted(_BINARY_DTYPES.values())}, got {dtype!r}"
+        )
+    dtype = np.dtype(dtype)
+    try:
+        raw = base64.b64decode(payload["base64"], validate=True)
+    except (binascii.Error, TypeError) as exc:
+        raise ValueError(f"state base64 is malformed: {exc}") from exc
+    expected = math.prod(shape) * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"state base64 holds {len(raw)} bytes, expected {expected}")
+    # astype copies out of the read-only bytes buffer into native byte order
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+
+
+def _decode_entries(data, complex_entries: bool, shape: Tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
+    if arr.size == 0 and math.prod(shape) == 0:
+        # nested empty lists do not carry the trailing axes (or [re, im] pairs)
+        return np.zeros(shape, dtype=np.complex128 if complex_entries else np.float64)
     if complex_entries:
-        if arr.shape[-1] != 2:
+        if arr.shape[-1:] != (2,):
             raise ValueError("complex state entries must be [re, im] pairs")
-        return arr[..., 0] + 1j * arr[..., 1]
+        return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
     return arr
 
 
 def decode_state(payload: dict) -> np.ndarray:
-    """Inverse of encode_state, with shape verification."""
+    """Inverse of encode_state for both forms, with shape verification."""
     if not isinstance(payload, dict):
         raise ValueError("state payload must be a JSON object")
-    missing = {"shape", "complex", "data"} - set(payload)
+    keys = {"shape", "dtype", "base64"} if "base64" in payload else {"shape", "complex", "data"}
+    missing = keys - set(payload)
     if missing:
         raise ValueError(f"state payload missing keys: {sorted(missing)}")
-    arr = _decode_entries(payload["data"], payload["complex"])
-    shape = tuple(payload["shape"])
+    shape = _payload_shape(payload)
+    if "base64" in payload:
+        return _decode_binary(payload, shape)
+    arr = _decode_entries(payload["data"], payload["complex"], shape)
     if arr.shape != shape:
         raise ValueError(f"state data has shape {arr.shape}, expected {shape}")
     return arr

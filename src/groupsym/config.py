@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .actions import decode_state
 from .applications import OUTCOME_AXES_CAP, OUTCOME_SIZE_CAP, QUANTUM_DIM_CAP
 from .groups import MAX_SYMMETRIC_DEGREE
 
@@ -482,6 +483,11 @@ def _validate_initial_state(spec, base_dir: str) -> dict:
     source = spec["source"]
     if source == "inline":
         _require_keys(spec, {"source", "data"}, {"source", "data"}, path)
+        if isinstance(spec["data"], dict):
+            try:
+                decode_state(spec["data"])
+            except (TypeError, ValueError) as exc:
+                _fail(f"{path}.data", str(exc))
         return {"source": "inline", "data": copy.deepcopy(spec["data"])}
     if source == "file":
         _require_keys(spec, {"source", "path"}, {"source", "path"}, path)

@@ -8,7 +8,9 @@ atomic, and a rerun of the same config and seed produces a byte-identical
 trajectory CSV.
 
 verify replays nothing: every check reads the artifacts alone and reports
-pass/fail with its worst-case margin.
+pass/fail with its worst-case margin.  The dft check also rebuilds the
+initial state from config.json, a pure function of the config, to re-derive
+the transform the run had to reach.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .actions import (
 )
 from .applications import (
     CERTIFICATE_HORIZON,
+    EPS,
+    LIFT_ROUNDOFF,
     ExperimentResult,
     run_dft,
     run_dynamical_decoupling,
@@ -49,6 +53,7 @@ from .config import (
     canonical_sha256,
     check_spectral_memory,
     config_hash,
+    parse_config,
     serialize_config,
 )
 from .groups import (
@@ -108,6 +113,8 @@ RESULT_FILE = "result.json"
 TRAJECTORY_FILE = "trajectory.csv"
 MANIFEST_FILE = "manifest.json"
 CONFIG_FILE = "config.json"
+# result.json layout; 2 writes large float arrays as base64 (actions.encode_state)
+RESULT_SCHEMA_VERSION = 2
 
 VERIFY_CHECKS = (
     "artifacts",
@@ -118,6 +125,7 @@ VERIFY_CHECKS = (
     "conserved",
     "lift",
     "consistency",
+    "dft",
 )
 
 # Verification slack: CSV and JSON round-trips are exact, so consistency
@@ -357,7 +365,7 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
     extras = dict(result.extras)
     conserved = extras.pop("conserved_series", {})
     return {
-        "schema_version": 1,
+        "schema_version": RESULT_SCHEMA_VERSION,
         "application": config.application,
         "converged": bool(result.converged),
         "steps_run": int(result.steps_run),
@@ -366,8 +374,7 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
         "residuals": [float(v) for v in result.residuals],
         "conserved_drift": float(result.conserved_drift),
         "conserved_series": {
-            name: [np.asarray(v).tolist() for v in series]
-            for name, series in conserved.items()
+            name: encode_state(np.asarray(series)) for name, series in conserved.items()
         },
         "lift_direct_gap": float(result.lift_direct_gap),
         "lift_tolerance": float(result.lift_tolerance),
@@ -531,6 +538,11 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
         with open(os.path.join(directory, CONFIG_FILE)) as fh:
             config_doc = json.load(fh)
         weights, lyapunov, kl = read_trajectory_csv(os.path.join(directory, TRAJECTORY_FILE))
+        final_state = decode_state(doc.get("final_state"))
+        series = {
+            name: decode_state(payload)
+            for name, payload in doc.get("conserved_series", {}).items()
+        }
     except (ValueError, OSError) as exc:
         record("artifacts", "fail", None, f"unreadable: {exc}")
         for name in selected:
@@ -688,14 +700,12 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
 
     # conserved: every monitor stays at its initial value.
     conserved_tol = float(doc.get("tolerances", {}).get("conserved", 1e-9))
-    series = doc.get("conserved_series", {})
     if not series:
         record("conserved", "skip", None, "skipped: no conserved series recorded")
     else:
         worst_drift = 0.0
         worst_name = ""
-        for name, values in series.items():
-            arr = np.asarray(values, dtype=np.float64)
+        for name, arr in series.items():
             drift = float(np.abs(arr - arr[0]).max()) if arr.size else 0.0
             if drift > worst_drift:
                 worst_drift = drift
@@ -735,7 +745,55 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
     else:
         record("consistency", "pass", None, "series lengths and trajectory agree")
 
+    if "dft" in selected:
+        results.append(_check_dft(directory, config_doc, weights, final_state))
     return VerificationReport(directory, results)
+
+
+def _check_dft(
+    directory: str, config_doc: dict, weights: np.ndarray, final_state: np.ndarray
+) -> CheckResult:
+    """dft: the final state's first row is DFT(x)/N, re-derived from the config.
+
+    Entry (0, n) of a(k, x 1^T) is x[k] w^{-kn}, so the lifted state
+    sum_k w_k a(k, X0) has a first row within sum_k |w_k - 1/N| |x_k| of
+    fft(x)/N.  With w_T the last trajectory row, the direct state must be
+    within ||w_T - 1/N||_1 ||x||_inf of it, plus the lift round-off
+    allowance LIFT_ROUNDOFF * eps * (steps_run + N) * max(1, ||x||_inf).
+    x comes from config.json alone; nothing in result.json is trusted.
+    """
+    if config_doc.get("application") != "dft":
+        return CheckResult("dft", "skip", None, "skipped: not a dft run")
+    try:
+        config = parse_config(os.path.join(directory, CONFIG_FILE))
+        N = config.params["N"]
+        x = np.asarray(_initial_array(config, (N,), "complex"), dtype=np.complex128)
+    except (ValueError, OSError) as exc:
+        return CheckResult("dft", "skip", None, f"skipped: initial state not rebuilt ({exc})")
+    if x.shape != (N,) or final_state.shape != (N, N) or weights.shape[1] != N:
+        return CheckResult(
+            "dft",
+            "fail",
+            None,
+            f"shapes x {x.shape}, final state {final_state.shape} and "
+            f"{weights.shape[1]} trajectory columns do not fit N={N}",
+        )
+    gaps = np.abs(final_state[0] - np.fft.fft(x) / N)
+    column = int(np.argmax(gaps))
+    gap = float(gaps[column])
+    scale = float(np.abs(x).max(initial=0.0))
+    roundoff = LIFT_ROUNDOFF * EPS * (weights.shape[0] - 1 + N) * max(1.0, scale)
+    bound = float(np.abs(weights[-1] - 1.0 / N).sum()) * scale + roundoff
+    if gap <= bound:
+        return CheckResult(
+            "dft", "pass", bound - gap, f"first row within {bound:.3e} of DFT(x)/N (gap {gap:.3e})"
+        )
+    return CheckResult(
+        "dft",
+        "fail",
+        bound - gap,
+        f"first row off DFT(x)/N by {gap:.3e} at column {column}, bound {bound:.3e}",
+    )
 
 
 # -- certification and spectral comparison ------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import weakref
@@ -779,6 +780,104 @@ def test_decode_state_errors():
         decode_state({"shape": [3], "complex": False, "data": [1.0, 2.0]})
     with pytest.raises(ValueError, match="JSON object"):
         decode_state([1.0, 2.0])
+
+
+def json_round_trip(arr):
+    return decode_state(json.loads(json.dumps(encode_state(arr))))
+
+
+def big_complex(shape, seed=44):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array(2.5),
+        np.array(1.0 - 2.0j),
+        np.zeros((0,)),
+        np.zeros((3, 0), dtype=np.complex128),
+        np.zeros((0, 40, 40)),
+        np.asfortranarray(big_complex((9, 11))),
+        big_complex((20, 30))[::2, 1::3],
+        np.random.default_rng(45).standard_normal((12, 12))[:, ::-1].T,
+        big_complex((80,)).astype(">c16"),
+        np.arange(100.0).astype(">f8"),
+        np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324] * 20),
+    ],
+    ids=[
+        "0d-real", "0d-complex", "empty", "empty-complex-2d", "empty-3d", "fortran",
+        "strided", "reversed-transposed", "big-endian-c16", "big-endian-f8", "specials",
+    ],
+)
+def test_state_round_trip_is_exact(arr):
+    back = json_round_trip(arr)
+    assert back.shape == arr.shape
+    assert back.dtype == (np.complex128 if np.iscomplexobj(arr) else np.float64)
+    assert back.flags.writeable
+    assert np.array_equal(back, arr, equal_nan=True)
+    assert np.array_equal(np.signbit(back.real), np.signbit(arr.real))
+
+
+def test_large_float_arrays_use_the_binary_form():
+    arr = big_complex((actions_module.INLINE_ARRAY_MAX + 1,))
+    payload = encode_state(arr)
+    assert set(payload) == {"shape", "dtype", "base64"}
+    assert payload["dtype"] == "<c16"
+    assert base64.b64decode(payload["base64"]) == arr.astype("<c16").tobytes()
+    assert encode_state(arr.real)["dtype"] == "<f8"
+    # at the threshold the list form stays
+    assert "data" in encode_state(arr[: actions_module.INLINE_ARRAY_MAX])
+
+
+@pytest.mark.parametrize(
+    "arr", [np.arange(200), np.arange(200) % 3 == 0, np.arange(200, dtype=np.float32)]
+)
+def test_other_dtypes_keep_the_list_form(arr):
+    payload = encode_state(arr)
+    assert payload["complex"] is False
+    assert payload["data"] == arr.tolist()
+    assert np.array_equal(decode_state(payload), arr)
+
+
+def test_list_form_state_file_still_loads(tmp_path):
+    x = big_complex((10, 10))
+    path = tmp_path / "state.json"
+    path.write_text(
+        json.dumps(
+            {
+                "shape": [10, 10],
+                "complex": True,
+                "data": np.stack([x.real, x.imag], axis=-1).tolist(),
+            }
+        )
+    )
+    assert np.array_equal(load_state(path), x)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda p: p.update(base64="!!not base64!!"), "base64 is malformed"),
+        (lambda p: p.update(base64=p["base64"][:-3]), "base64 is malformed"),
+        (lambda p: p.update(base64=p["base64"][:-4]), "798 bytes, expected 800"),
+        (lambda p: p.update(base64=12), "base64 is malformed"),
+        (lambda p: p.update(shape=[101]), "800 bytes, expected 808"),
+        (lambda p: p.update(dtype="<f4"), "dtype must be one of"),
+        (lambda p: p.update(dtype=">f8"), "dtype must be one of"),
+        (lambda p: p.update(shape=[-100]), "nonnegative integers"),
+        (lambda p: p.update(shape=[100.0]), "nonnegative integers"),
+        (lambda p: p.update(shape=[True] * 100), "nonnegative integers"),
+        (lambda p: p.update(shape="100"), "nonnegative integers"),
+        (lambda p: p.pop("dtype"), r"missing keys: \['dtype'\]"),
+    ],
+)
+def test_decode_state_rejects_malformed_binary_payloads(corrupt, match):
+    payload = encode_state(np.arange(100.0))
+    corrupt(payload)
+    with pytest.raises(ValueError, match=match):
+        decode_state(payload)
 
 
 def test_vector_space_validation():

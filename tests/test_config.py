@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import groupsym.config as config_module
+import groupsym.groups as groups_module
 import groupsym.harness as harness_module
-from groupsym.actions import save_state
+from groupsym.actions import encode_state, save_state
 from groupsym.config import (
     ConfigError,
     config_hash,
@@ -418,6 +419,41 @@ class TestInitialStateAndFiles:
         )
         cfg = parse_config(str(cfg_path))
         assert cfg.base_dir == str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda p: p.update(base64=p["base64"][:-6]), "base64"),
+            (lambda p: p.update(shape=[9, 9]), "expected 648"),
+            (lambda p: p.update(dtype="<i8"), "dtype"),
+            (lambda p: p.update(shape=[100, 1], dtype="<c16"), "expected 1600"),
+            (lambda p: p.pop("shape"), "missing keys"),
+        ],
+    )
+    def test_bad_inline_payload_fails_at_parse_time(self, corrupt, match, monkeypatch):
+        built = []
+        monkeypatch.setattr(groups_module.FiniteGroup, "__init__", lambda *a, **k: built.append(a))
+        payload = encode_state(np.linspace(0.0, 1.0, 100))
+        corrupt(payload)
+        with pytest.raises(ConfigError, match=rf"initial_state\.data: .*{match}"):
+            parse_config(
+                minimal_gossip(
+                    params={"m": 4, "n": 25}, initial_state={"source": "inline", "data": payload}
+                )
+            )
+        assert built == []
+
+    def test_good_inline_binary_payload_runs(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 100)
+        cfg = parse_config(
+            minimal_gossip(
+                params={"m": 4, "n": 25},
+                initial_state={"source": "inline", "data": encode_state(x)},
+                steps=5,
+            )
+        )
+        art = harness_module.execute(cfg, out_dir=str(tmp_path / "run"))
+        assert art.result.steps_run == 5
 
     def test_config_file_must_exist(self):
         with pytest.raises(ConfigError, match="config file does not exist"):

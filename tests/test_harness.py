@@ -12,7 +12,7 @@ import pytest
 
 import groupsym.config as config_module
 import groupsym.groups as groups_module
-from groupsym.actions import decode_state, save_state
+from groupsym.actions import decode_state, encode_state, save_state
 from groupsym.config import ConfigError, config_hash, parse_config
 from groupsym.groups import symmetric_group, transposition_index
 from groupsym.harness import (
@@ -779,3 +779,137 @@ def test_symmetric_runs_never_build_the_dense_table(application, params, tmp_pat
     assert "table" not in parts
     assert 4 * group.order * group._rows_built <= parts["rows"]
 
+
+
+# -- binary arrays in result.json and the dft check ------------------------------
+
+
+def dft_config(N=8, seed=7, **extra):
+    doc = {
+        "schema_version": 1,
+        "application": "dft",
+        "params": {"N": N},
+        "schedule": {"kind": "random-gossip", "support": list(range(1, N))},
+        "seed": seed,
+    }
+    doc.update(extra)
+    return parse_config(doc)
+
+
+def quantum_config():
+    return parse_config(
+        {
+            "schema_version": 1,
+            "application": "quantum-gossip",
+            "params": {"m": 3, "local_dim": 2},
+            "steps": 200,
+            "seed": 7,
+        }
+    )
+
+
+def load_result(directory):
+    with open(os.path.join(directory, "result.json")) as fh:
+        return json.load(fh)
+
+
+def save_result(directory, doc):
+    with open(os.path.join(directory, "result.json"), "w") as fh:
+        json.dump(doc, fh)
+
+
+def check_named(directory, name):
+    return next(c for c in verify(directory).checks if c.name == name)
+
+
+class TestBinaryArrays:
+    def test_dft_result_size_guard(self, tmp_path):
+        art = execute(dft_config(256), out_dir=run_dir(tmp_path))
+        path = os.path.join(art.directory, "result.json")
+        assert os.path.getsize(path) <= 3_000_000
+        doc = load_result(art.directory)
+        assert doc["schema_version"] == 2
+        assert doc["final_state"]["dtype"] == "<c16"
+        assert np.array_equal(decode_state(doc["final_state"]), art.result.final_state)
+        assert np.array_equal(
+            decode_state(doc["extras"]["x_hat_exact"]), art.result.extras["x_hat_exact"]
+        )
+
+    def test_conserved_series_round_trip_exactly(self, tmp_path):
+        art = execute(quantum_config(), out_dir=run_dir(tmp_path))
+        series = load_result(art.directory)["conserved_series"]
+        expected = art.result.extras["conserved_series"]
+        assert set(series) == set(expected)
+        assert series["average_spectrum"]["dtype"] == "<f8"
+        for name, payload in series.items():
+            assert np.array_equal(decode_state(payload), expected[name]), name
+
+    @pytest.mark.parametrize(
+        "make_config, key",
+        [(lambda: dft_config(16), "final_state"), (quantum_config, "average_spectrum")],
+        ids=["final_state", "conserved_series"],
+    )
+    def test_truncated_base64_is_unreadable(self, tmp_path, make_config, key):
+        art = execute(make_config(), out_dir=run_dir(tmp_path))
+        doc = load_result(art.directory)
+        payload = doc["final_state"] if key == "final_state" else doc["conserved_series"][key]
+        payload["base64"] = payload["base64"][:-7]
+        save_result(art.directory, doc)
+        report = verify(art.directory)
+        artifacts = next(c for c in report.checks if c.name == "artifacts")
+        assert artifacts.status == "fail"
+        assert "unreadable" in artifacts.detail and "base64" in artifacts.detail
+        assert all(c.status == "skip" for c in report.checks if c.name != "artifacts")
+
+
+class TestDftCheck:
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_seeds_pass(self, tmp_path, N):
+        for seed in range(1, 11):
+            art = execute(dft_config(N, seed), out_dir=run_dir(tmp_path, f"s{seed}"))
+            dft = check_named(art.directory, "dft")
+            assert dft.status == "pass" and dft.margin > 0, (seed, dft.line())
+
+    def test_perturbed_first_row_fails_at_its_column(self, tmp_path):
+        art = execute(dft_config(64), out_dir=run_dir(tmp_path))
+        assert check_named(art.directory, "dft").status == "pass"
+        doc = load_result(art.directory)
+        final = decode_state(doc["final_state"])
+        final[0, 37] += 1e-6
+        doc["final_state"] = encode_state(final)
+        save_result(art.directory, doc)
+        dft = check_named(art.directory, "dft")
+        assert dft.status == "fail" and dft.margin < 0
+        assert "column 37" in dft.detail
+
+    def test_forged_first_row_gap_does_not_change_the_verdict(self, tmp_path):
+        art = execute(dft_config(64), out_dir=run_dir(tmp_path))
+        before = check_named(art.directory, "dft").line()
+        doc = load_result(art.directory)
+        doc["extras"]["first_row_gap"] = 0.0
+        save_result(art.directory, doc)
+        assert check_named(art.directory, "dft").line() == before
+        final = decode_state(doc["final_state"])
+        final[0, 5] -= 1e-3
+        doc["final_state"] = encode_state(final)
+        save_result(art.directory, doc)
+        assert check_named(art.directory, "dft").status == "fail"
+
+    def test_gossip_run_skips(self, tmp_path):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        dft = check_named(art.directory, "dft")
+        assert (dft.status, dft.detail) == ("skip", "skipped: not a dft run")
+
+    def test_file_initial_state_that_no_longer_resolves_skips(self, tmp_path):
+        rng = np.random.default_rng(5)
+        state = tmp_path / "x0.json"
+        save_state(state, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        cfg = dft_config(8, initial_state={"source": "file", "path": str(state)})
+        art = execute(cfg, out_dir=run_dir(tmp_path))
+        assert check_named(art.directory, "dft").status == "pass"
+        state.unlink()
+        report = verify(art.directory)
+        dft = next(c for c in report.checks if c.name == "dft")
+        assert dft.status == "skip"
+        assert "initial_state.path" in dft.detail and "does not exist" in dft.detail
+        assert report.passed
