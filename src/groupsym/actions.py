@@ -687,12 +687,13 @@ def decode_state(payload: dict) -> np.ndarray:
     """Inverse of encode_state for both forms, with shape verification."""
     if not isinstance(payload, dict):
         raise ValueError("state payload must be a JSON object")
-    keys = {"shape", "dtype", "base64"} if "base64" in payload else {"shape", "complex", "data"}
+    binary = "base64" in payload
+    keys = {"shape", "dtype", "base64"} if binary else {"shape", "complex", "data"}
     missing = keys - set(payload)
     if missing:
         raise ValueError(f"state payload missing keys: {sorted(missing)}")
     shape = _payload_shape(payload)
-    if "base64" in payload:
+    if binary:
         return _decode_binary(payload, shape)
     arr = _decode_entries(payload["data"], payload["complex"], shape)
     if arr.shape != shape:
