@@ -7,10 +7,11 @@ algorithm, tool version), plus a normalized config.json copy.  All writes are
 atomic, and a rerun of the same config and seed produces a byte-identical
 trajectory CSV.
 
-verify replays nothing: every check reads the artifacts alone and reports
-pass/fail with its worst-case margin.  The dft check also rebuilds the
-initial state from config.json, a pure function of the config, to re-derive
-the transform the run had to reach.
+verify replays nothing: _read_artifacts reads and validates the artifacts
+once, and each check in the _CHECKS table judges that context alone and
+reports pass/fail with its worst-case margin.  The dft check also rebuilds
+the initial state from config.json, a pure function of the config, to
+re-derive the transform the run had to reach.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .groups import (
     transposition_index,
 )
 from .lifted import (
+    WEIGHT_ATOL,
     envelope_bounds,
     find_mixing_certificate,
     lifted_series,
@@ -115,18 +117,9 @@ MANIFEST_FILE = "manifest.json"
 CONFIG_FILE = "config.json"
 # result.json layout; 2 writes large float arrays as base64 (actions.encode_state)
 RESULT_SCHEMA_VERSION = 2
-
-VERIFY_CHECKS = (
-    "artifacts",
-    "weights",
-    "lyapunov",
-    "kl",
-    "envelope",
-    "conserved",
-    "lift",
-    "consistency",
-    "dft",
-)
+# Characters per write: writing a whole string at once would encode a copy
+# of it (45 MB for the dft N=1024 result.json).
+WRITE_CHUNK = 1 << 20
 
 # Verification slack: CSV and JSON round-trips are exact, so consistency
 # comparisons use tight float tolerances; monotonicity allows accumulated
@@ -134,6 +127,7 @@ VERIFY_CHECKS = (
 WEIGHT_SUM_ATOL = 1e-9
 WEIGHT_NEG_ATOL = 1e-12
 SERIES_MATCH_ATOL = 1e-12
+KL_MATCH_ATOL = 1e-9
 MONOTONE_ATOL = 1e-12
 ENVELOPE_ATOL = 1e-12
 KL_DISTINGUISH_ATOL = 1e-7
@@ -400,8 +394,16 @@ def _atomic_write(path: str, write: Callable[[str], object]) -> None:
         raise
 
 
-def _text(content: str) -> Callable[[str], object]:
-    return lambda tmp: Path(tmp).write_text(content)
+def _text(*parts: str) -> Callable[[str], object]:
+    """Write ``parts`` in turn, a slice at a time, so no copy of a whole part is made."""
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            for part in parts:
+                for start in range(0, len(part), WRITE_CHUNK):
+                    fh.write(part[start : start + WRITE_CHUNK])
+
+    return write
 
 
 def _artifact_dir(config: RunConfig, out_dir: Optional[str]) -> str:
@@ -438,7 +440,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
     os.makedirs(directory, exist_ok=True)
     try:
         doc = result_to_dict(result, config)
-        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc) + "\n"))
+        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc), "\n"))
         _atomic_write(
             os.path.join(directory, TRAJECTORY_FILE),
             lambda tmp: write_trajectory_csv(
@@ -456,7 +458,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
         }
         _atomic_write(
             os.path.join(directory, MANIFEST_FILE),
-            _text(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+            _text(json.dumps(manifest, indent=2, sort_keys=True), "\n"),
         )
         _atomic_write(os.path.join(directory, CONFIG_FILE), _text(serialize_config(config)))
     except OSError as exc:
@@ -504,256 +506,287 @@ class VerificationReport:
         return [c.line() for c in self.checks]
 
 
-def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationReport:
-    """Check a run's artifacts without re-simulating anything."""
-    selected = list(checks) if checks else list(VERIFY_CHECKS)
-    for name in selected:
-        if name not in VERIFY_CHECKS:
-            raise ConfigError(
-                f"unknown check {name!r}; expected one of {', '.join(VERIFY_CHECKS)}"
-            )
-    results: List[CheckResult] = []
+@dataclass
+class _Artifacts:
+    """One run directory's files, read once; every check reads only this."""
 
-    def record(name, status, margin, detail=""):
-        if name in selected:
-            results.append(CheckResult(name, status, margin, detail))
+    directory: str
+    manifest: dict
+    config_doc: dict
+    weights: np.ndarray
+    lyapunov: np.ndarray
+    kl: np.ndarray
+    lyapunov_re: np.ndarray  # both recomputed from the weights
+    kl_re: np.ndarray
+    final_state: np.ndarray
+    series: dict
+    steps_run: Optional[int]
+    residual_count: int
+    lift_gap: float
+    lift_tol: float
+    conserved_tol: float
+    certificate: Optional[Tuple[int, float]]  # (T, delta) of a satisfied certificate
+    last: int  # the certificate judges rows 0..last
+    scope: str
 
+
+class _Unreadable(Exception):
+    """The artifacts cannot be checked; ``kind`` is "missing" or "unreadable"."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind
+
+
+def _read_json(directory: str, name: str) -> dict:
+    with open(os.path.join(directory, name)) as fh:
+        return _object(json.load(fh), name)
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field}: expected a JSON object, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ValueError(f"{field}: expected a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(
+            f"{field}: expected an integer >= {minimum}, got {reprlib.repr(value)}"
+        )
+    return value
+
+
+def _decoded(payload, field: str) -> np.ndarray:
+    try:
+        return decode_state(payload)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _conserved_series(doc: dict) -> dict:
+    """Each recorded monitor series, decoded and checked finite."""
+    series = {}
+    for name, payload in _object(doc.get("conserved_series", {}), "conserved_series").items():
+        field = f"conserved_series.{name}"
+        arr = _decoded(payload, field)
+        if arr.ndim == 0:
+            raise ValueError(f"{field}: expected a series, got a scalar")
+        finite = np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{field}: non-finite value at step {np.argmin(finite)}")
+        series[name] = arr
+    return series
+
+
+def _read_artifacts(directory: str) -> _Artifacts:
+    """Open, parse, decode and validate a run's four files.
+
+    _Unreadable if a file is missing, does not parse, or holds a field a
+    check reads in the wrong form; an absent optional field takes its default.
+    """
     missing = [
         f
         for f in (RESULT_FILE, TRAJECTORY_FILE, MANIFEST_FILE, CONFIG_FILE)
         if not os.path.isfile(os.path.join(directory, f))
     ]
     if missing:
-        record("artifacts", "fail", None, f"missing: {', '.join(missing)}")
-        for name in selected:
-            if name != "artifacts":
-                results.append(CheckResult(name, "skip", None, "skipped: artifacts missing"))
-        return VerificationReport(directory, results)
-
+        raise _Unreadable("missing", ", ".join(missing))
     try:
-        with open(os.path.join(directory, RESULT_FILE)) as fh:
-            doc = json.load(fh)
-        with open(os.path.join(directory, MANIFEST_FILE)) as fh:
-            manifest = json.load(fh)
-        with open(os.path.join(directory, CONFIG_FILE)) as fh:
-            config_doc = json.load(fh)
+        doc = _read_json(directory, RESULT_FILE)
+        manifest = _read_json(directory, MANIFEST_FILE)
+        config_doc = _read_json(directory, CONFIG_FILE)
         weights, lyapunov, kl = read_trajectory_csv(os.path.join(directory, TRAJECTORY_FILE))
-        final_state = decode_state(doc.get("final_state"))
-        series = {
-            name: decode_state(payload)
-            for name, payload in doc.get("conserved_series", {}).items()
-        }
-    except (ValueError, OSError) as exc:
-        record("artifacts", "fail", None, f"unreadable: {exc}")
-        for name in selected:
-            if name != "artifacts":
-                results.append(CheckResult(name, "skip", None, "skipped: artifacts unreadable"))
-        return VerificationReport(directory, results)
+        final_state = _decoded(doc.get("final_state"), "final_state")
+        series = _conserved_series(doc)
+        steps_run = doc.get("steps_run")
+        if steps_run is not None:
+            _integer(steps_run, "steps_run", 0)
+        try:
+            residuals = np.asarray(doc.get("residuals", []), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"residuals: not a list of numbers ({exc})") from exc
+        lift_gap = _number(doc.get("lift_direct_gap", math.inf), "lift_direct_gap")
+        lift_tol = _number(doc.get("lift_tolerance", 1e-8), "lift_tolerance")
+        tolerances = _object(doc.get("tolerances", {}), "tolerances")
+        conserved_tol = _number(tolerances.get("conserved", 1e-9), "tolerances.conserved")
 
-    hash_ok = manifest.get("config_sha256") == canonical_sha256(config_doc)
-    if hash_ok:
-        record("artifacts", "pass", None, "all files present, config hash matches")
-    else:
-        record("artifacts", "fail", None, "manifest config_sha256 does not match config.json")
+        rows, order = weights.shape
+        cert = doc.get("certificate")
+        certificate, last = None, rows - 1
+        if cert is not None and _object(cert, "certificate").get("satisfied", False):
+            T = _integer(cert.get("T"), "certificate.T", 1)
+            delta = _number(cert.get("delta"), "certificate.delta")
+            if not 0.0 < delta <= 1.0 / order + WEIGHT_ATOL:
+                raise ValueError(f"certificate.delta: {delta!r} is outside (0, 1/{order}]")
+            certificate = (T, delta)
+            # A certificate covers windows inside its scanned horizon, so rows
+            # 0..horizon; one that records no horizon is judged on every row.
+            if cert.get("horizon") is not None:
+                last = min(last, _integer(cert["horizon"], "certificate.horizon", 0))
+    except (ValueError, OSError, OverflowError) as exc:
+        raise _Unreadable("unreadable", str(exc)) from exc
 
-    rows, order = weights.shape
-
-    # weights: every trajectory row is a distribution.
-    sums = weights.sum(axis=1)
-    min_entry = weights.min(axis=1)
-    sum_dev = np.abs(sums - 1.0)
-    worst_sum = int(np.argmax(sum_dev))
-    worst_neg = int(np.argmin(min_entry))
-    if sum_dev[worst_sum] > WEIGHT_SUM_ATOL:
-        record(
-            "weights",
-            "fail",
-            float(WEIGHT_SUM_ATOL - sum_dev[worst_sum]),
-            f"row sum off by {sum_dev[worst_sum]:.3e} at step {worst_sum}",
-        )
-    elif min_entry[worst_neg] < -WEIGHT_NEG_ATOL:
-        record(
-            "weights",
-            "fail",
-            float(min_entry[worst_neg] + WEIGHT_NEG_ATOL),
-            f"negative weight {min_entry[worst_neg]:.3e} at step {worst_neg}",
-        )
-    else:
-        record(
-            "weights",
-            "pass",
-            float(WEIGHT_SUM_ATOL - sum_dev[worst_sum]),
-            f"{rows} rows are valid distributions",
-        )
-
-    # lyapunov: stored column matches the weights and never increases.
-    recomputed, kl_re = lifted_series(weights)
-    col_dev = np.abs(recomputed - lyapunov)
-    worst = int(np.argmax(col_dev))
-    if col_dev[worst] > SERIES_MATCH_ATOL:
-        record(
-            "lyapunov",
-            "fail",
-            float(SERIES_MATCH_ATOL - col_dev[worst]),
-            f"stored value disagrees with weights at step {worst} (off by {col_dev[worst]:.3e})",
-        )
-    else:
-        inc = np.diff(recomputed)
-        if inc.size and inc.max() > MONOTONE_ATOL:
-            at = int(np.argmax(inc)) + 1
-            record(
-                "lyapunov",
-                "fail",
-                float(MONOTONE_ATOL - inc.max()),
-                f"increase of {inc.max():.3e} at step {at}",
-            )
-        else:
-            margin = float(MONOTONE_ATOL - inc.max()) if inc.size else None
-            record("lyapunov", "pass", margin, "column consistent and nonincreasing")
-
-    cert = doc.get("certificate")
-    certified = bool(cert and cert.get("satisfied"))
-    # A certificate covers windows inside its scanned horizon, so rows
-    # 0..horizon; one that records no horizon is judged on every row.
-    last = rows - 1
-    if certified and cert.get("horizon") is not None:
-        last = min(last, int(cert["horizon"]))
     scope = f"steps 0..{last}"
     if last < rows - 1:
         scope += f" (the certificate horizon; {rows - 1 - last} later steps not judged)"
+    lyapunov_re, kl_re = lifted_series(weights)
+    return _Artifacts(
+        directory, manifest, config_doc, weights, lyapunov, kl, lyapunov_re, kl_re,
+        final_state, series,
+        steps_run=steps_run,
+        residual_count=residuals.size,
+        lift_gap=lift_gap,
+        lift_tol=lift_tol,
+        conserved_tol=conserved_tol,
+        certificate=certificate,
+        last=last,
+        scope=scope,
+    )
 
-    # kl: stored column matches; strict decrease across certified windows.
-    kl_dev = np.abs(kl_re - kl)
-    worst = int(np.argmax(kl_dev))
-    if kl_dev[worst] > 1e-9:
-        record(
-            "kl",
-            "fail",
-            float(1e-9 - kl_dev[worst]),
-            f"stored value disagrees with weights at step {worst} (off by {kl_dev[worst]:.3e})",
+
+def _check_artifacts(a: _Artifacts) -> CheckResult:
+    if a.manifest.get("config_sha256") == canonical_sha256(a.config_doc):
+        return CheckResult("artifacts", "pass", None, "all files present, config hash matches")
+    return CheckResult(
+        "artifacts", "fail", None, "manifest config_sha256 does not match config.json"
+    )
+
+
+def _check_weights(a: _Artifacts) -> CheckResult:
+    """Every trajectory row is a distribution."""
+    sum_dev = np.abs(a.weights.sum(axis=1) - 1.0)
+    min_entry = a.weights.min(axis=1)
+    worst_sum = int(np.argmax(sum_dev))
+    worst_neg = int(np.argmin(min_entry))
+    margin = float(WEIGHT_SUM_ATOL - sum_dev[worst_sum])
+    if sum_dev[worst_sum] > WEIGHT_SUM_ATOL:
+        detail = f"row sum off by {sum_dev[worst_sum]:.3e} at step {worst_sum}"
+        return CheckResult("weights", "fail", margin, detail)
+    if min_entry[worst_neg] < -WEIGHT_NEG_ATOL:
+        detail = f"negative weight {min_entry[worst_neg]:.3e} at step {worst_neg}"
+        return CheckResult("weights", "fail", float(min_entry[worst_neg] + WEIGHT_NEG_ATOL), detail)
+    return CheckResult("weights", "pass", margin, f"{len(a.weights)} rows are valid distributions")
+
+
+def _column_mismatch(name: str, stored, recomputed, atol: float) -> Optional[CheckResult]:
+    """A FAIL if a stored CSV column is more than ``atol`` off its recomputation."""
+    dev = np.abs(recomputed - stored)
+    worst = int(np.argmax(dev))
+    if dev[worst] <= atol:
+        return None
+    detail = f"stored value disagrees with weights at step {worst} (off by {dev[worst]:.3e})"
+    return CheckResult(name, "fail", float(atol - dev[worst]), detail)
+
+
+def _check_lyapunov(a: _Artifacts) -> CheckResult:
+    """The stored column matches the weights and never increases."""
+    mismatch = _column_mismatch("lyapunov", a.lyapunov, a.lyapunov_re, SERIES_MATCH_ATOL)
+    if mismatch:
+        return mismatch
+    inc = np.diff(a.lyapunov_re)
+    if inc.size and inc.max() > MONOTONE_ATOL:
+        at = int(np.argmax(inc)) + 1
+        detail = f"increase of {inc.max():.3e} at step {at}"
+        return CheckResult("lyapunov", "fail", float(MONOTONE_ATOL - inc.max()), detail)
+    margin = float(MONOTONE_ATOL - inc.max()) if inc.size else None
+    return CheckResult("lyapunov", "pass", margin, "column consistent and nonincreasing")
+
+
+def _check_kl(a: _Artifacts) -> CheckResult:
+    """The stored column matches; strict decrease across certified windows."""
+    mismatch = _column_mismatch("kl", a.kl, a.kl_re, KL_MATCH_ATOL)
+    if mismatch:
+        return mismatch
+    if a.certificate is None:
+        return CheckResult("kl", "skip", None, "skipped: no certificate")
+    T = a.certificate[0]
+    uniform = 1.0 / a.weights.shape[1]
+    worst_gap, bad = math.inf, None
+    for t in range(a.last + 1 - T):
+        if np.abs(a.weights[t] - uniform).max() <= KL_DISTINGUISH_ATOL:
+            continue
+        gap = a.kl_re[t] - a.kl_re[t + T]
+        if gap < worst_gap:
+            worst_gap, bad = gap, t
+    if bad is None:
+        return CheckResult("kl", "pass", None, f"no distinguishable windows in {a.scope}")
+    if worst_gap <= 0:
+        detail = f"window decrease violated at step {bad} (gap {worst_gap:.3e})"
+        return CheckResult("kl", "fail", float(worst_gap), detail)
+    detail = f"strict decrease over {T}-step windows in {a.scope}"
+    return CheckResult("kl", "pass", float(worst_gap), detail)
+
+
+def _check_envelope(a: _Artifacts) -> CheckResult:
+    """Certified runs stay inside the closed-form bounds."""
+    if a.certificate is None:
+        return CheckResult("envelope", "skip", None, "skipped: no certificate")
+    T, delta = a.certificate
+    order = a.weights.shape[1]
+    rho = 1.0 - order * delta
+    worst_margin, bad = math.inf, None
+    for t in range(a.last + 1):
+        k = t // T
+        upper, lower = envelope_bounds(order, delta, k)
+        row = a.weights[t]
+        slack = min(
+            upper + ENVELOPE_ATOL - row.max(),
+            row.min() - (lower - ENVELOPE_ATOL),
+            (abs(rho) ** k + ENVELOPE_ATOL) - np.abs(row - 1.0 / order).max(),
         )
-    elif not certified:
-        record("kl", "skip", None, "skipped: no certificate")
-    else:
-        T = int(cert["T"])
-        worst_gap = math.inf
-        bad = None
-        for t in range(last + 1 - T):
-            if np.abs(weights[t] - 1.0 / order).max() <= KL_DISTINGUISH_ATOL:
-                continue
-            gap = kl_re[t] - kl_re[t + T]
-            if gap < worst_gap:
-                worst_gap = gap
-                bad = t
-        if bad is None:
-            record("kl", "pass", None, f"no distinguishable windows in {scope}")
-        elif worst_gap <= 0:
-            record(
-                "kl",
-                "fail",
-                float(worst_gap),
-                f"window decrease violated at step {bad} (gap {worst_gap:.3e})",
-            )
-        else:
-            record(
-                "kl",
-                "pass",
-                float(worst_gap),
-                f"strict decrease over {T}-step windows in {scope}",
-            )
+        if slack < worst_margin:
+            worst_margin, bad = slack, t
+    if worst_margin < 0:
+        return CheckResult("envelope", "fail", float(worst_margin), f"bound violated at step {bad}")
+    detail = f"rho={rho:.6g}, T={T}, inside over {a.scope}"
+    return CheckResult("envelope", "pass", float(worst_margin), detail)
 
-    # envelope: certified runs stay inside the closed-form bounds.
-    if not certified:
-        record("envelope", "skip", None, "skipped: no certificate")
-    else:
-        T = int(cert["T"])
-        delta = float(cert["delta"])
-        rho = 1.0 - order * delta
-        worst_margin = math.inf
-        bad = None
-        for t in range(last + 1):
-            k = t // T
-            upper, lower = envelope_bounds(order, delta, k)
-            row = weights[t]
-            slack = min(
-                upper + ENVELOPE_ATOL - row.max(),
-                row.min() - (lower - ENVELOPE_ATOL),
-                (abs(rho) ** k + ENVELOPE_ATOL) - np.abs(row - 1.0 / order).max(),
-            )
-            if slack < worst_margin:
-                worst_margin = slack
-                bad = t
-        if worst_margin < 0:
-            record(
-                "envelope",
-                "fail",
-                float(worst_margin),
-                f"bound violated at step {bad}",
-            )
-        else:
-            record(
-                "envelope",
-                "pass",
-                float(worst_margin),
-                f"rho={rho:.6g}, T={T}, inside over {scope}",
-            )
 
-    # conserved: every monitor stays at its initial value.
-    conserved_tol = float(doc.get("tolerances", {}).get("conserved", 1e-9))
-    if not series:
-        record("conserved", "skip", None, "skipped: no conserved series recorded")
-    else:
-        worst_drift = 0.0
-        worst_name = ""
-        for name, arr in series.items():
-            drift = float(np.abs(arr - arr[0]).max()) if arr.size else 0.0
-            if drift > worst_drift:
-                worst_drift = drift
-                worst_name = name
-        if worst_drift > conserved_tol:
-            record(
-                "conserved",
-                "fail",
-                float(conserved_tol - worst_drift),
-                f"{worst_name} drifted {worst_drift:.3e}",
-            )
-        else:
-            record(
-                "conserved",
-                "pass",
-                float(conserved_tol - worst_drift),
-                f"{len(series)} monitored quantities held",
-            )
+def _check_conserved(a: _Artifacts) -> CheckResult:
+    """Every monitor stays at its initial value."""
+    if not a.series:
+        return CheckResult("conserved", "skip", None, "skipped: no conserved series recorded")
+    worst_drift, worst_name = 0.0, ""
+    for name, arr in a.series.items():
+        drift = float(np.abs(arr - arr[0]).max()) if arr.size else 0.0
+        if drift > worst_drift:
+            worst_drift, worst_name = drift, name
+    margin = float(a.conserved_tol - worst_drift)
+    if worst_drift > a.conserved_tol:
+        return CheckResult("conserved", "fail", margin, f"{worst_name} drifted {worst_drift:.3e}")
+    return CheckResult("conserved", "pass", margin, f"{len(a.series)} monitored quantities held")
 
-    # lift: the recorded lift/direct reconstruction gap is within tolerance.
-    lift_gap = float(doc.get("lift_direct_gap", math.inf))
-    lift_tol = float(doc.get("lift_tolerance", 1e-8))
-    if lift_gap <= lift_tol:
-        record("lift", "pass", float(lift_tol - lift_gap), f"gap {lift_gap:.3e}")
-    else:
-        record("lift", "fail", float(lift_tol - lift_gap), f"gap {lift_gap:.3e} exceeds {lift_tol:.3e}")
 
-    # consistency: result.json series agree with the CSV and declared lengths.
+def _check_lift(a: _Artifacts) -> CheckResult:
+    """The recorded lift/direct reconstruction gap is within tolerance."""
+    margin = float(a.lift_tol - a.lift_gap)
+    if a.lift_gap <= a.lift_tol:
+        return CheckResult("lift", "pass", margin, f"gap {a.lift_gap:.3e}")
+    return CheckResult("lift", "fail", margin, f"gap {a.lift_gap:.3e} exceeds {a.lift_tol:.3e}")
+
+
+def _check_consistency(a: _Artifacts) -> CheckResult:
+    """result.json series agree with the CSV and declared lengths."""
+    rows = a.weights.shape[0]
     problems = []
-    if rows != int(doc.get("steps_run", -1)) + 1:
-        problems.append(f"CSV has {rows} rows but steps_run={doc.get('steps_run')}")
-    residuals = np.asarray(doc.get("residuals", []), dtype=np.float64)
-    if residuals.size != rows:
-        problems.append(f"residual series has {residuals.size} entries, expected {rows}")
+    if a.steps_run is None or rows != a.steps_run + 1:
+        problems.append(f"CSV has {rows} rows but steps_run={a.steps_run}")
+    if a.residual_count != rows:
+        problems.append(f"residual series has {a.residual_count} entries, expected {rows}")
     if problems:
-        record("consistency", "fail", None, "; ".join(problems))
-    else:
-        record("consistency", "pass", None, "series lengths and trajectory agree")
-
-    if "dft" in selected:
-        results.append(_check_dft(directory, config_doc, weights, final_state))
-    return VerificationReport(directory, results)
+        return CheckResult("consistency", "fail", None, "; ".join(problems))
+    return CheckResult("consistency", "pass", None, "series lengths and trajectory agree")
 
 
-def _check_dft(
-    directory: str, config_doc: dict, weights: np.ndarray, final_state: np.ndarray
-) -> CheckResult:
-    """dft: the final state's first row is DFT(x)/N, re-derived from the config.
+def _check_dft(a: _Artifacts) -> CheckResult:
+    """The final state's first row is DFT(x)/N, re-derived from the config.
 
     Entry (0, n) of a(k, x 1^T) is x[k] w^{-kn}, so the lifted state
     sum_k w_k a(k, X0) has a first row within sum_k |w_k - 1/N| |x_k| of
@@ -762,14 +795,16 @@ def _check_dft(
     allowance LIFT_ROUNDOFF * eps * (steps_run + N) * max(1, ||x||_inf).
     x comes from config.json alone; nothing in result.json is trusted.
     """
-    if config_doc.get("application") != "dft":
+    if a.config_doc.get("application") != "dft":
         return CheckResult("dft", "skip", None, "skipped: not a dft run")
     try:
-        config = parse_config(os.path.join(directory, CONFIG_FILE))
+        # relative paths resolve against the run directory, as for the file
+        config = parse_config(a.config_doc, base_dir=os.path.abspath(a.directory))
         N = config.params["N"]
         x = np.asarray(_initial_array(config, (N,), "complex"), dtype=np.complex128)
     except (ValueError, OSError) as exc:
         return CheckResult("dft", "skip", None, f"skipped: initial state not rebuilt ({exc})")
+    weights, final_state = a.weights, a.final_state
     if x.shape != (N,) or final_state.shape != (N, N) or weights.shape[1] != N:
         return CheckResult(
             "dft",
@@ -785,15 +820,48 @@ def _check_dft(
     roundoff = LIFT_ROUNDOFF * EPS * (weights.shape[0] - 1 + N) * max(1.0, scale)
     bound = float(np.abs(weights[-1] - 1.0 / N).sum()) * scale + roundoff
     if gap <= bound:
-        return CheckResult(
-            "dft", "pass", bound - gap, f"first row within {bound:.3e} of DFT(x)/N (gap {gap:.3e})"
-        )
-    return CheckResult(
-        "dft",
-        "fail",
-        bound - gap,
-        f"first row off DFT(x)/N by {gap:.3e} at column {column}, bound {bound:.3e}",
-    )
+        detail = f"first row within {bound:.3e} of DFT(x)/N (gap {gap:.3e})"
+        return CheckResult("dft", "pass", bound - gap, detail)
+    detail = f"first row off DFT(x)/N by {gap:.3e} at column {column}, bound {bound:.3e}"
+    return CheckResult("dft", "fail", bound - gap, detail)
+
+
+# The checks verify runs, in report order; a new check is one entry here.
+_CHECKS: Dict[str, Callable[[_Artifacts], CheckResult]] = {
+    "artifacts": _check_artifacts,
+    "weights": _check_weights,
+    "lyapunov": _check_lyapunov,
+    "kl": _check_kl,
+    "envelope": _check_envelope,
+    "conserved": _check_conserved,
+    "lift": _check_lift,
+    "consistency": _check_consistency,
+    "dft": _check_dft,
+}
+VERIFY_CHECKS = tuple(_CHECKS)
+
+
+def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationReport:
+    """Check a run's artifacts without re-simulating anything.
+
+    Only the ``checks`` named (default: all) run, in VERIFY_CHECKS order.
+    When the artifacts cannot be read, ``artifacts`` FAILs whatever the
+    selection and the selected others SKIP.
+    """
+    for name in checks or ():
+        if name not in _CHECKS:
+            raise ConfigError(
+                f"unknown check {name!r}; expected one of {', '.join(VERIFY_CHECKS)}"
+            )
+    selected = [name for name in VERIFY_CHECKS if not checks or name in checks]
+    try:
+        context = _read_artifacts(directory)
+    except _Unreadable as exc:
+        skipped = f"skipped: artifacts {exc.kind}"
+        results = [CheckResult("artifacts", "fail", None, str(exc))]
+        results += [CheckResult(n, "skip", None, skipped) for n in selected if n != "artifacts"]
+        return VerificationReport(directory, results)
+    return VerificationReport(directory, [_CHECKS[name](context) for name in selected])
 
 
 # -- certification and spectral comparison ------------------------------------

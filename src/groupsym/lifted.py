@@ -525,11 +525,12 @@ def write_trajectory_csv(
 def read_trajectory_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back (weights, lyapunov, kl) from a trajectory CSV.
 
-    ValueError on a bad header, no rows, a wrong field count or a step label.
+    ValueError on a bad header, no rows, a wrong field count, a step label
+    or a non-finite value.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header[0] != "step" or header[-2:] != ["lyapunov", "kl"]:
+        if len(header) < 4 or header[0] != "step" or header[-2:] != ["lyapunov", "kl"]:
             raise ValueError(f"unrecognized trajectory header: {header}")
         start = fh.tell()
         if not fh.readline():
@@ -541,4 +542,7 @@ def read_trajectory_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.flatnonzero(data[:, 0] != np.arange(len(data)))
     if bad.size:
         raise ValueError(f"row {bad[0]} is labeled step {data[bad[0], 0]:g}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {np.argmin(finite)} has a non-finite value")
     return data[:, 1:-2], data[:, -2], data[:, -1]

@@ -141,6 +141,18 @@ class TestVerifyVerb:
         assert "weights" in stdout and "lift" in stdout
         assert "envelope" not in stdout
 
+    def test_verify_subset_with_missing_artifacts_exits_four(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gossip_doc())
+        out = tmp_path / "art"
+        main(["run", cfg, "--out", str(out)])
+        (out / "result.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(out), "--checks", "weights"]) == 4
+        stdout = capsys.readouterr().out
+        assert "FAIL artifacts missing: result.json" in stdout
+        assert "SKIP weights" in stdout
+        assert "verification: FAILED" in stdout
+
     def test_verify_missing_directory_exits_four(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nowhere")]) == 4
 

@@ -12,10 +12,13 @@ import pytest
 
 import groupsym.config as config_module
 import groupsym.groups as groups_module
+import groupsym.harness as harness_module
 from groupsym.actions import decode_state, encode_state, save_state
+from groupsym.cli import main
 from groupsym.config import ConfigError, config_hash, parse_config
 from groupsym.groups import symmetric_group, transposition_index
 from groupsym.harness import (
+    EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     VERIFY_CHECKS,
@@ -289,6 +292,29 @@ class TestVerify:
         art = execute(gossip_config(), out_dir=run_dir(tmp_path))
         report = verify(art.directory, ["weights", "lift"])
         assert [c.name for c in report.checks] == ["weights", "lift"]
+
+    def test_missing_artifacts_fail_whatever_the_subset(self, tmp_path):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        os.remove(os.path.join(art.directory, "result.json"))
+        report = verify(art.directory, ["lift", "weights", "lift"])
+        assert report.lines() == [
+            "FAIL artifacts missing: result.json",
+            "SKIP weights skipped: artifacts missing",
+            "SKIP lift skipped: artifacts missing",
+        ]
+        assert not report.passed
+
+    def test_unselected_checks_do_not_run(self, tmp_path, monkeypatch):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+
+        def refuse(*args):
+            raise AssertionError("envelope_bounds called")
+
+        monkeypatch.setattr(harness_module, "envelope_bounds", refuse)
+        with pytest.raises(AssertionError, match="envelope_bounds called"):
+            verify(art.directory, ["envelope"])
+        report = verify(art.directory, ["lift"])
+        assert [(c.name, c.status) for c in report.checks] == [("lift", "pass")]
 
     def test_unknown_check_name(self, tmp_path):
         art = execute(gossip_config(), out_dir=run_dir(tmp_path))
@@ -715,16 +741,133 @@ GOLDEN_RUNS = {
 }
 
 
+# The verify report of each golden run.
+GOLDEN_REPORTS = {
+    "dd": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 9 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=6.931e-01 strict decrease over 2-step windows in steps 0..8",
+        "PASS envelope margin=1.000e-12 rho=0, T=2, inside over steps 0..8",
+        "PASS conserved margin=1.000e-09 1 monitored quantities held",
+        "PASS lift margin=1.387e-13 gap 0.000e+00",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "dft": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 29 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=2.030e-12 strict decrease over 6-step windows in steps 0..28",
+        "PASS envelope margin=1.000e-12 rho=0.76988, T=6, inside over steps 0..28",
+        "SKIP conserved skipped: no conserved series recorded",
+        "PASS lift margin=4.466e-13 gap 1.031e-14",
+        "PASS consistency series lengths and trajectory agree",
+        "PASS dft margin=5.890e-10 first row within 1.112e-09 of DFT(x)/N (gap 5.228e-10)",
+    ],
+    "dft-subgroup": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 61 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "SKIP kl skipped: no certificate",
+        "SKIP envelope skipped: no certificate",
+        "SKIP conserved skipped: no conserved series recorded",
+        "PASS lift margin=7.804e-13 gap 2.933e-14",
+        "PASS consistency series lengths and trajectory agree",
+        "PASS dft margin=9.968e-01 first row within 1.676e+00 of DFT(x)/N (gap 6.790e-01)",
+    ],
+    "gossip": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 52 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=1.313e-13 strict decrease over 10-step windows in steps 0..51",
+        "PASS envelope margin=1.000e-12 rho=0.48728, T=10, inside over steps 0..51",
+        "PASS conserved margin=1.000e-09 2 monitored quantities held",
+        "PASS lift margin=6.582e-13 gap 4.441e-16",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "gossip-cyclic": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 54 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=8.077e-14 strict decrease over 3-step windows in steps 0..53",
+        "PASS envelope margin=1.000e-12 rho=0.616, T=3, inside over steps 0..53",
+        "PASS conserved margin=1.000e-09 1 monitored quantities held",
+        "PASS lift margin=4.767e-13 gap 1.110e-16",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "gossip-subset": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 55 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=9.810e-13 strict decrease over 6-step windows in steps 0..54",
+        "PASS envelope margin=1.000e-12 rho=0.789576, T=6, inside over steps 0..54",
+        "PASS conserved margin=1.000e-09 1 monitored quantities held",
+        "PASS lift margin=6.273e-13 gap 2.220e-16",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "prob-sym": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 46 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=1.369e-12 strict decrease over 10-step windows in steps 0..45",
+        "PASS envelope margin=1.000e-12 rho=0.48728, T=10, inside over steps 0..45",
+        "PASS conserved margin=1.000e-09 1 monitored quantities held",
+        "PASS lift margin=3.623e-13 gap 8.327e-17",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "quantum-gossip": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 54 rows are valid distributions",
+        "PASS lyapunov margin=1.000e-12 column consistent and nonincreasing",
+        "PASS kl margin=1.313e-13 strict decrease over 10-step windows in steps 0..53",
+        "PASS envelope margin=1.000e-12 rho=0.48728, T=10, inside over steps 0..53",
+        "PASS conserved margin=1.000e-09 4 monitored quantities held",
+        "PASS lift margin=8.146e-13 gap 4.965e-16",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+    "random-state": [
+        "PASS artifacts all files present, config hash matches",
+        "PASS weights margin=1.000e-09 13 rows are valid distributions",
+        "PASS lyapunov margin=1.001e-12 column consistent and nonincreasing",
+        "SKIP kl skipped: no certificate",
+        "SKIP envelope skipped: no certificate",
+        "SKIP conserved skipped: no conserved series recorded",
+        "FAIL lift margin=-7.797e-03 gap 1.780e-02 exceeds 1.000e-02",
+        "PASS consistency series lengths and trajectory agree",
+        "SKIP dft skipped: not a dft run",
+    ],
+}
+
+
+def golden_config(name):
+    doc = {"schema_version": 1, "application": name}
+    doc.update(GOLDEN_RUNS[name][0])
+    return parse_config(doc)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_trajectory_bytes_and_certificate(name, tmp_path):
-    fields, sha256, certificate = GOLDEN_RUNS[name]
-    doc = {"schema_version": 1, "application": name}
-    doc.update(fields)
-    art = execute(parse_config(doc), out_dir=run_dir(tmp_path))
+    _, sha256, certificate = GOLDEN_RUNS[name]
+    art = execute(golden_config(name), out_dir=run_dir(tmp_path))
     with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == sha256
     with open(os.path.join(art.directory, "result.json")) as fh:
         assert json.load(fh)["certificate"] == certificate
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_verify_report(name, tmp_path):
+    art = execute(golden_config(name), out_dir=run_dir(tmp_path))
+    assert verify(art.directory).lines() == GOLDEN_REPORTS[name]
+    subset = ["weights", "kl", "lift"]
+    expected = [line for line in GOLDEN_REPORTS[name] if line.split()[1] in subset]
+    assert verify(art.directory, subset).lines() == expected
 
 
 @pytest.mark.parametrize(
@@ -913,3 +1056,79 @@ class TestDftCheck:
         assert dft.status == "skip"
         assert "initial_state.path" in dft.detail and "does not exist" in dft.detail
         assert report.passed
+
+
+DELETED = object()
+
+
+class TestUnreadableArtifacts:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("steps_run",), "abc"),
+            (("lift_direct_gap",), None),
+            (("lift_direct_gap",), [1]),
+            (("tolerances",), []),
+            (("certificate", "T"), DELETED),
+            (("certificate", "T"), 0),
+            (("certificate", "delta"), 0.9),
+            (("certificate", "delta"), -1),
+            (("certificate", "horizon"), "x"),
+        ],
+        ids=[
+            "steps_run-text",
+            "lift_direct_gap-null",
+            "lift_direct_gap-list",
+            "tolerances-list",
+            "T-missing",
+            "T-zero",
+            "delta-too-large",
+            "delta-negative",
+            "horizon-text",
+        ],
+    )
+    def test_forged_result_field(self, tmp_path, capsys, path, value):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        doc = load_result(art.directory)
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if value is DELETED:
+            del target[key]
+        else:
+            target[key] = value
+        save_result(art.directory, doc)
+        report = verify(art.directory)
+        assert report.lines()[0].startswith(f"FAIL artifacts unreadable: {'.'.join(path)}: ")
+        assert report.lines()[1:] == [
+            f"SKIP {name} skipped: artifacts unreadable" for name in VERIFY_CHECKS[1:]
+        ]
+        assert main(["verify", art.directory]) == EXIT_CONFIG
+        assert "runtime error" not in capsys.readouterr().err
+
+    def test_non_finite_weight(self, tmp_path):
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        csv_path = os.path.join(art.directory, "trajectory.csv")
+        lines = open(csv_path).read().splitlines(keepends=True)
+        fields = lines[6].rstrip("\n").split(",")
+        fields[1] = "nan"
+        lines[6] = ",".join(fields) + "\n"
+        open(csv_path, "w").writelines(lines)
+        report = verify(art.directory)
+        assert report.lines()[0] == "FAIL artifacts unreadable: row 5 has a non-finite value"
+        assert all(c.status == "skip" for c in report.checks[1:])
+
+    def test_non_finite_conserved_series(self, tmp_path):
+        art = execute(quantum_config(), out_dir=run_dir(tmp_path))
+        doc = load_result(art.directory)
+        series = decode_state(doc["conserved_series"]["average_spectrum"])
+        series[4] = np.nan
+        doc["conserved_series"]["average_spectrum"] = encode_state(series)
+        save_result(art.directory, doc)
+        report = verify(art.directory)
+        assert report.lines()[0] == (
+            "FAIL artifacts unreadable: conserved_series.average_spectrum: "
+            "non-finite value at step 4"
+        )
+        assert all(c.status == "skip" for c in report.checks[1:])

@@ -677,6 +677,9 @@ CSV_HEADER = "step,g0,g1,lyapunov,kl\r\n"
         (CSV_HEADER + "0,0.5,0.5,0.0,0.0\r\n1,0.5,0.5,0.0\r\n", None),  # ragged
         (CSV_HEADER + "0,0.5,half,0.0,0.0\r\n", None),  # not a number
         (CSV_HEADER + "1,0.5,0.5,0.0,0.0\r\n", "row 0 is labeled step 1"),
+        (CSV_HEADER + "0,0.5,0.5,0.0,0.0\r\n1,nan,0.5,0.0,0.0\r\n", "row 1 has a non-finite"),
+        (CSV_HEADER + "0,0.5,0.5,0.0,inf\r\n", "row 0 has a non-finite value"),
+        ("step,lyapunov,kl\r\n0,0.0,0.0\r\n", "header"),  # no weight columns
     ],
 )
 def test_trajectory_csv_reader_rejects_malformed_files(tmp_path, text, match):
