@@ -76,6 +76,10 @@ EPS = float(np.finfo(np.float64).eps)
 # Sampling runs: the largest accepted TV distance between the empirical and
 # the exact endpoint law.
 SAMPLING_TV_TOLERANCE = 0.01
+# Largest support the sampler draws from by counting cdf points, one pass per
+# point; above it a binary search is faster (2M draws on 2 cores: 32 against
+# 60 ms at 11 points, 77 against 96 ms at 32, 117 against 104 ms at 48).
+THRESHOLD_DRAW_MAX_SUPPORT = 32
 QUANTUM_DIM_CAP = 64
 OUTCOME_SIZE_CAP = 8
 OUTCOME_AXES_CAP = 4
@@ -537,6 +541,27 @@ def _orbit_collision(rows: np.ndarray, atol: float = 1e-12) -> Optional[Tuple[in
     return best
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size=size, p=p)``: the same draws from the same stream.
+
+    ``choice`` draws one uniform u per sample and returns
+    ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum() / its last
+    entry``: the number of cdf points at or below u.  Up to
+    THRESHOLD_DRAW_MAX_SUPPORT points that count is taken one comparison pass
+    per point, which beats the binary search.  cdf[-1] is 1 > u, so only the
+    interior points can count; for a single point the first pass adds nothing.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if cdf.size > THRESHOLD_DRAW_MAX_SUPPORT:
+        return cdf.searchsorted(u, side="right")
+    draws = (u >= cdf[0]).astype(np.intp)
+    for point in cdf[1:-1]:
+        draws += u >= point
+    return draws
+
+
 def run_random_state_generation(
     action: LinearAction,
     y0,
@@ -574,14 +599,18 @@ def run_random_state_generation(
     exact_law = traj[-1]
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    walk = np.full(trials, group.identity, dtype=np.int64)
+    walk = np.full(trials, group.identity, dtype=np.int32)
     for s in signal:
         # Drawing over the support alone is the same stream: the cumulative
         # weights at the support are the same sums, so each uniform draw
         # lands on the same element.
         support = np.flatnonzero(s.weights)
-        draws = rng.choice(support.size, size=trials, p=s.weights[support])
-        walk = group.rows(support)[draws, walk]
+        index = _draw(rng, s.weights[support], trials)
+        # trial i moves to entry walk[i] of translation row index[i]
+        index *= group.order
+        index += walk
+        walk = group.rows(support).ravel().take(index)
+        del index  # not held through the next step's draw
     counts = np.bincount(walk, minlength=group.order)
     empirical = counts / float(trials)
 

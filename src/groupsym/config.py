@@ -305,8 +305,9 @@ def _dense_bytes(
     (one state per group element) or, for dft, ``kernel`` (the Fourier
     kernels' N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
     (the realized signal and the lifted trajectory, one float64 per element
-    per step each) and ``trials`` (the sampled walk).  Empty when the group
-    order is only known after loading a file.
+    per step each) and ``trials`` (the sampled walk: per trial, one step's
+    float64 uniform and intp draw/index, and the int32 walk before and after
+    the step).  Empty when the group order is only known after loading a file.
     """
     order = _group_order(app, params)
     if order is None:
@@ -324,7 +325,7 @@ def _dense_bytes(
         **translations,
         **states,
         "weights": 2 * 8 * order * (steps + 1),
-        "trials": 2 * 8 * (trials or 0),
+        "trials": (8 + 8 + 4 + 4) * (trials or 0),
     }
 
 

@@ -44,6 +44,7 @@ from groupsym.schedules import (
     CyclicSchedule,
     ExplicitSchedule,
     RandomGossipSchedule,
+    RandomSubsetSchedule,
 )
 
 
@@ -769,6 +770,69 @@ def test_random_state_support_walk_matches_a_dense_table_walk():
     for s in sched.realize(steps):
         walk = s4.table[rng.choice(s4.order, size=trials, p=s.weights), walk]
     counts = np.bincount(walk, minlength=s4.order)
+    assert np.array_equal(result.final_state, counts / float(trials))
+
+
+def spread_weights(k, seed, tiny=False):
+    w = np.random.default_rng(seed).random(k) + 0.05
+    if tiny and k > 1:
+        w[k // 2] = 1e-17  # below the round-off of the cumulative sum around it
+    return w / w.sum()
+
+
+CUTOFF = applications_module.THRESHOLD_DRAW_MAX_SUPPORT
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5, 11, CUTOFF, CUTOFF + 1, 720])
+def test_draw_is_generator_choice_on_the_same_stream(k, tiny, monkeypatch):
+    p = spread_weights(k, seed=k, tiny=tiny)
+    # each support size through its own branch, then through the other one
+    for cutoff in (CUTOFF, k - 1 if k <= CUTOFF else k):
+        monkeypatch.setattr(applications_module, "THRESHOLD_DRAW_MAX_SUPPORT", cutoff)
+        ours = np.random.Generator(np.random.PCG64(k))
+        ref = np.random.Generator(np.random.PCG64(k))
+        for size in (1, 20_000):
+            draws = applications_module._draw(ours, p, size)
+            assert np.array_equal(draws, ref.choice(k, size=size, p=p))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def custom_rows(order, supports, seed=4):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in supports:
+        w = np.zeros(order)
+        w[rng.choice(order, size=k, replace=False)] = rng.random(k) + 0.05
+        rows.append(w / w.sum())
+    return rows
+
+
+@pytest.mark.parametrize(
+    "group, make_schedule",
+    [
+        # k > 2: the identity plus up to five support elements per step
+        (symmetric_group(4), lambda g: RandomSubsetSchedule(g, [1, 5, 9, 14, 20], (0.3, 0.7), 8)),
+        # rows with more support than the counting draw takes, and one below it
+        (
+            symmetric_group(5),
+            lambda g: ExplicitSchedule(g, custom_rows(g.order, [120, 3, 40]), policy="cycle"),
+        ),
+        (cyclic_group(12), lambda g: RandomGossipSchedule(g, [1, 5, 7], (0.3, 0.7), seed=6)),
+    ],
+    ids=["random-subset", "custom-sequence", "cyclic"],
+)
+def test_random_state_walk_matches_a_dense_table_walk_on_more_schedules(group, make_schedule):
+    act = regular_action(group)
+    y0 = np.random.default_rng(2).normal(size=group.order)
+    sched = make_schedule(group)
+    trials, steps = 5000, 7
+    result = run_random_state_generation(act, y0, sched, steps, trials, seed=21)
+    rng = np.random.Generator(np.random.PCG64(21))
+    walk = np.full(trials, group.identity, dtype=np.int64)
+    for s in sched.realize(steps):
+        walk = group.table[rng.choice(group.order, size=trials, p=s.weights), walk]
+    counts = np.bincount(walk, minlength=group.order)
     assert np.array_equal(result.final_state, counts / float(trials))
 
 

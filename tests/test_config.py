@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,6 +570,31 @@ class TestMemoryPreflight:
         self.with_memory(monkeypatch, 8)
         with pytest.raises(ConfigError, match=r"weights 37\.5"):
             parse_config(minimal_gossip(params={"m": 7}, steps=500_000))
+
+    def test_sampled_walk_peaks_within_its_charge(self):
+        cfg = parse_config(
+            {
+                "schema_version": 1,
+                "application": "random-state",
+                "params": {"group": {"kind": "symmetric", "m": 3}},
+                "schedule": {"kind": "random-subset", "support": [1, 2, 3]},
+                "steps": 6,
+                "trials": 1_000_000,
+                "seed": 1,
+            }
+        )
+        parts = config_module._dense_bytes(
+            cfg.application, cfg.params, cfg.schedule, cfg.steps, cfg.trials
+        )
+        assert parts["trials"] == 24 * cfg.trials
+        tracemalloc.start()
+        try:
+            harness_module.run_from_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the allowance covers the group, the signal and the interpreter's own
+        assert peak <= sum(parts.values()) + 2**20
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: None)

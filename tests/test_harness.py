@@ -740,6 +740,13 @@ GOLDEN_RUNS = {
     ),
 }
 
+# sha256 of the decoded final_state, as little-endian float64, of the sampled
+# golden runs.  That is the empirical law, which trajectory.csv (the exact
+# law) does not depend on.
+GOLDEN_SAMPLED_LAWS = {
+    "random-state": "3b140b9465df315f248dfaf78659fac14b53d728cefaac564abda706c8eb68b2",
+}
+
 
 # The verify report of each golden run.
 GOLDEN_REPORTS = {
@@ -859,6 +866,14 @@ def test_golden_trajectory_bytes_and_certificate(name, tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == sha256
     with open(os.path.join(art.directory, "result.json")) as fh:
         assert json.load(fh)["certificate"] == certificate
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLED_LAWS))
+def test_golden_sampled_law_bytes(name, tmp_path):
+    art = execute(golden_config(name), out_dir=run_dir(tmp_path))
+    law = decode_state(load_result(art.directory)["final_state"])
+    digest = hashlib.sha256(np.ascontiguousarray(law, dtype="<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_SAMPLED_LAWS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
