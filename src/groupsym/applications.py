@@ -10,6 +10,7 @@ structure.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -73,9 +74,9 @@ CERTIFICATE_HORIZON = 256
 # of the tolerance.
 LIFT_ROUNDOFF = 32.0
 EPS = float(np.finfo(np.float64).eps)
-# Sampling runs: the largest accepted TV distance between the empirical and
-# the exact endpoint law.
-SAMPLING_TV_TOLERANCE = 0.01
+# Sampling runs: the lift check's tolerance on TV(empirical, exact endpoint
+# law) is exceeded with probability at most this (see sampling_tolerance).
+SAMPLING_BETA = 1e-6
 # Largest support the sampler draws from by counting cdf points, one pass per
 # point; above it a binary search is faster (2M draws on 2 cores: 32 against
 # 60 ms at 11 points, 77 against 96 ms at 32, 117 against 104 ms at 48).
@@ -105,6 +106,16 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
     # F(x0), the orbit average of the initial state; not written to artifacts
     orbit_average: Optional[np.ndarray] = None
+
+
+def sampling_tolerance(order: int, trials: int, beta: float = SAMPLING_BETA) -> float:
+    """The TV distance that ``trials`` draws from a law on ``order`` cells exceed w.p. <= beta.
+
+    The Bretagnolle-Huber-Carol inequality bounds the empirical law of N
+    draws over k cells by P(TV > eps) <= 2^k exp(-2 N eps^2); solving for
+    beta gives eps = sqrt((k ln 2 + ln(1/beta)) / (2N)).
+    """
+    return math.sqrt((order * math.log(2.0) + math.log(1.0 / beta)) / (2.0 * trials))
 
 
 def _realize(schedule, steps: int) -> List[ConvexWeights]:
@@ -577,7 +588,8 @@ def run_random_state_generation(
     Each trial draws g(t) from the step weights independently and composes;
     the endpoint distribution over the orbit is exactly the lifted weight
     vector p(t_steps), so the empirical histogram is checked against both it
-    and the uniform law.
+    and the uniform law.  The lift tolerance is sampling_tolerance at
+    SAMPLING_BETA, which correct code exceeds with probability at most beta.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -631,7 +643,7 @@ def run_random_state_generation(
         final_state=empirical,
         conserved_drift=0.0,
         lift_direct_gap=tv_empirical_exact,
-        lift_tolerance=SAMPLING_TV_TOLERANCE,
+        lift_tolerance=sampling_tolerance(group.order, trials),
         converged=bool(tv_empirical_uniform <= threshold),
         threshold=threshold,
         steps_run=t_steps,
@@ -642,6 +654,7 @@ def run_random_state_generation(
             "seed": seed,
             "rng": "pcg64",
             "group_order": group.order,
+            "sampling_beta": SAMPLING_BETA,
         },
         extras={
             "empirical": empirical,

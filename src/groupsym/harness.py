@@ -39,6 +39,7 @@ from .applications import (
     CERTIFICATE_HORIZON,
     EPS,
     LIFT_ROUNDOFF,
+    SAMPLING_BETA,
     ExperimentResult,
     run_dft,
     run_dynamical_decoupling,
@@ -46,6 +47,7 @@ from .applications import (
     run_probability_symmetrization,
     run_quantum_gossip,
     run_random_state_generation,
+    sampling_tolerance,
     spectral_comparison,
 )
 from .config import (
@@ -524,6 +526,7 @@ class _Artifacts:
     residual_count: int
     lift_gap: float
     lift_tol: float
+    trials: Optional[int]  # a sampling run's trial count, from config.json
     conserved_tol: float
     certificate: Optional[Tuple[int, float]]  # (T, delta) of a satisfied certificate
     last: int  # the certificate judges rows 0..last
@@ -618,6 +621,14 @@ def _read_artifacts(directory: str) -> _Artifacts:
         conserved_tol = _number(tolerances.get("conserved", 1e-9), "tolerances.conserved")
 
         rows, order = weights.shape
+        trials = None
+        if config_doc.get("application") == "random-state":
+            trials = _integer(config_doc.get("trials"), "config.json trials", 1)
+            if final_state.shape != (order,):
+                raise ValueError(
+                    f"final_state: shape {final_state.shape} is not one weight per element "
+                    f"of the {order} trajectory columns"
+                )
         cert = doc.get("certificate")
         certificate, last = None, rows - 1
         if cert is not None and _object(cert, "certificate").get("satisfied", False):
@@ -644,6 +655,7 @@ def _read_artifacts(directory: str) -> _Artifacts:
         residual_count=residuals.size,
         lift_gap=lift_gap,
         lift_tol=lift_tol,
+        trials=trials,
         conserved_tol=conserved_tol,
         certificate=certificate,
         last=last,
@@ -765,7 +777,20 @@ def _check_conserved(a: _Artifacts) -> CheckResult:
 
 
 def _check_lift(a: _Artifacts) -> CheckResult:
-    """The recorded lift/direct reconstruction gap is within tolerance."""
+    """The recorded lift/direct reconstruction gap is within tolerance.
+
+    A sampling run records neither on trust: the gap is the TV distance
+    between the final state (the empirical law) and the last trajectory row
+    (the exact law), and the tolerance is sampling_tolerance at the config's
+    trials and the group order.
+    """
+    if a.trials is not None:
+        gap = 0.5 * float(np.abs(a.final_state - a.weights[-1]).sum())
+        bound = sampling_tolerance(a.weights.shape[1], a.trials)
+        detail = f"sampling bound {bound:.3e} at beta={SAMPLING_BETA:g}, {a.trials} trials"
+        if gap <= bound:
+            return CheckResult("lift", "pass", bound - gap, f"TV gap {gap:.3e} within {detail}")
+        return CheckResult("lift", "fail", bound - gap, f"TV gap {gap:.3e} exceeds {detail}")
     margin = float(a.lift_tol - a.lift_gap)
     if a.lift_gap <= a.lift_tol:
         return CheckResult("lift", "pass", margin, f"gap {a.lift_gap:.3e}")

@@ -14,6 +14,7 @@ import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
 from groupsym.actions import decode_state, encode_state, save_state
+from groupsym.applications import SAMPLING_BETA, sampling_tolerance
 from groupsym.cli import main
 from groupsym.config import ConfigError, config_hash, parse_config
 from groupsym.groups import symmetric_group, transposition_index
@@ -845,7 +846,7 @@ GOLDEN_REPORTS = {
         "SKIP kl skipped: no certificate",
         "SKIP envelope skipped: no certificate",
         "SKIP conserved skipped: no conserved series recorded",
-        "FAIL lift margin=-7.797e-03 gap 1.780e-02 exceeds 1.000e-02",
+        "PASS lift margin=2.460e-02 TV gap 1.780e-02 within sampling bound 4.240e-02 at beta=1e-06, 5000 trials",
         "PASS consistency series lengths and trajectory agree",
         "SKIP dft skipped: not a dft run",
     ],
@@ -1074,6 +1075,84 @@ class TestDftCheck:
 
 
 DELETED = object()
+
+
+class TestSamplingLift:
+    """A random-state run's lift check re-derives its gap and its bound."""
+
+    GOLDEN_LINE = GOLDEN_REPORTS["random-state"][6]
+
+    def run(self, tmp_path):
+        art = execute(golden_config("random-state"), out_dir=run_dir(tmp_path))
+        return art.directory, load_result(art.directory)
+
+    def lift(self, directory):
+        report = verify(directory, ["lift"])
+        assert len(report.checks) == 1
+        return report.checks[0]
+
+    def test_bound_values(self):
+        assert sampling_tolerance(1024, 10**6) == pytest.approx(0.0190, abs=5e-5)
+        assert sampling_tolerance(720, 2 * 10**6) == pytest.approx(0.0113, abs=5e-5)
+        assert sampling_tolerance(6, 10**6) == pytest.approx(0.0030, abs=5e-5)
+        # tighter with more trials, looser with more cells or a smaller beta
+        assert sampling_tolerance(6, 10**7) < sampling_tolerance(6, 10**6)
+        assert sampling_tolerance(7, 10**6) > sampling_tolerance(6, 10**6)
+        assert sampling_tolerance(6, 10**6, beta=1e-9) > sampling_tolerance(6, 10**6)
+
+    def test_result_records_the_bound_and_beta(self, tmp_path):
+        _, doc = self.run(tmp_path)
+        assert doc["lift_tolerance"] == sampling_tolerance(6, 5000)
+        assert doc["metadata"]["sampling_beta"] == SAMPLING_BETA
+
+    def test_recorded_gap_and_tolerance_are_not_trusted(self, tmp_path):
+        directory, doc = self.run(tmp_path)
+        doc["lift_direct_gap"], doc["lift_tolerance"] = 1.0, 0.0
+        save_result(directory, doc)
+        assert self.lift(directory).line() == self.GOLDEN_LINE
+        # all mass on one element, far from the exact law
+        doc["lift_direct_gap"], doc["lift_tolerance"] = 0.0, 1.0
+        doc["final_state"] = encode_state(np.eye(6)[0])
+        save_result(directory, doc)
+        lift = self.lift(directory)
+        assert lift.status == "fail"
+        assert lift.detail.startswith("TV gap ") and "exceeds sampling bound 4.240e-02" in lift.detail
+
+    def test_bound_follows_the_config_trials(self, tmp_path):
+        directory, _ = self.run(tmp_path)
+        path = os.path.join(directory, "config.json")
+        with open(path) as fh:
+            config_doc = json.load(fh)
+        config_doc["trials"] = 5 * 10**6
+        with open(path, "w") as fh:
+            json.dump(config_doc, fh)
+        lift = self.lift(directory)
+        assert lift.status == "fail"
+        assert "sampling bound 1.341e-03 at beta=1e-06, 5000000 trials" in lift.detail
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trials", DELETED, "config.json trials: expected an integer >= 1, got None"),
+            ("trials", 0, "config.json trials: expected an integer >= 1, got 0"),
+            ("final_state", encode_state(np.full(2, 0.5)), "final_state: shape (2,) is not one"),
+        ],
+        ids=["trials-missing", "trials-zero", "final-state-shape"],
+    )
+    def test_unreadable_sampling_fields(self, tmp_path, field, value, message):
+        directory, doc = self.run(tmp_path)
+        name = "config.json" if field == "trials" else "result.json"
+        path = os.path.join(directory, name)
+        with open(path) as fh:
+            target = json.load(fh)
+        if value is DELETED:
+            del target[field]
+        else:
+            target[field] = value
+        with open(path, "w") as fh:
+            json.dump(target, fh)
+        line = verify(directory).lines()[0]
+        assert line.startswith(f"FAIL artifacts unreadable: {message}")
 
 
 class TestUnreadableArtifacts:
