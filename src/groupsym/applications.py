@@ -79,7 +79,8 @@ EPS = float(np.finfo(np.float64).eps)
 SAMPLING_BETA = 1e-6
 # Largest support the sampler draws from by counting cdf points, one pass per
 # point; above it a binary search is faster (2M draws on 2 cores: 32 against
-# 60 ms at 11 points, 77 against 96 ms at 32, 117 against 104 ms at 48).
+# 60 ms at 11 points, 77 against 96 ms at 32, 117 against 104 ms at 48).  At
+# most 127, so that the count fits in int8.
 THRESHOLD_DRAW_MAX_SUPPORT = 32
 QUANTUM_DIM_CAP = 64
 OUTCOME_SIZE_CAP = 8
@@ -559,15 +560,16 @@ def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
     ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum() / its last
     entry``: the number of cdf points at or below u.  Up to
     THRESHOLD_DRAW_MAX_SUPPORT points that count is taken one comparison pass
-    per point, which beats the binary search.  cdf[-1] is 1 > u, so only the
-    interior points can count; for a single point the first pass adds nothing.
+    per point, which beats the binary search, and held as int8 (a view of
+    the first pass's booleans).  cdf[-1] is 1 > u, so only the interior
+    points can count; for a single point the first pass adds nothing.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     u = rng.random(size)
     if cdf.size > THRESHOLD_DRAW_MAX_SUPPORT:
         return cdf.searchsorted(u, side="right")
-    draws = (u >= cdf[0]).astype(np.intp)
+    draws = (u >= cdf[0]).view(np.int8)
     for point in cdf[1:-1]:
         draws += u >= point
     return draws
@@ -617,9 +619,8 @@ def run_random_state_generation(
         # weights at the support are the same sums, so each uniform draw
         # lands on the same element.
         support = np.flatnonzero(s.weights)
-        index = _draw(rng, s.weights[support], trials)
-        # trial i moves to entry walk[i] of translation row index[i]
-        index *= group.order
+        # trial i moves to entry walk[i] of translation row draws[i]
+        index = np.multiply(_draw(rng, s.weights[support], trials), group.order, dtype=np.intp)
         index += walk
         walk = group.rows(support).ravel().take(index)
         del index  # not held through the next step's draw

@@ -779,10 +779,10 @@ def _check_conserved(a: _Artifacts) -> CheckResult:
 def _check_lift(a: _Artifacts) -> CheckResult:
     """The recorded lift/direct reconstruction gap is within tolerance.
 
-    A sampling run records neither on trust: the gap is the TV distance
-    between the final state (the empirical law) and the last trajectory row
-    (the exact law), and the tolerance is sampling_tolerance at the config's
-    trials and the group order.
+    For a sampling run neither recorded value is trusted: the gap is the TV
+    distance between the final state (the empirical law) and the last
+    trajectory row (the exact law), and the tolerance is sampling_tolerance
+    at the config's trials and the group order.
     """
     if a.trials is not None:
         gap = 0.5 * float(np.abs(a.final_state - a.weights[-1]).sum())

@@ -788,7 +788,8 @@ CUTOFF = applications_module.THRESHOLD_DRAW_MAX_SUPPORT
 def test_draw_is_generator_choice_on_the_same_stream(k, tiny, monkeypatch):
     p = spread_weights(k, seed=k, tiny=tiny)
     # each support size through its own branch, then through the other one
-    for cutoff in (CUTOFF, k - 1 if k <= CUTOFF else k):
+    # where the int8 count can hold it (up to 127 points)
+    for cutoff in (CUTOFF, k - 1 if k <= CUTOFF else min(k, 127)):
         monkeypatch.setattr(applications_module, "THRESHOLD_DRAW_MAX_SUPPORT", cutoff)
         ours = np.random.Generator(np.random.PCG64(k))
         ref = np.random.Generator(np.random.PCG64(k))
