@@ -109,14 +109,15 @@ class ExperimentResult:
     orbit_average: Optional[np.ndarray] = None
 
 
-def sampling_tolerance(order: int, trials: int, beta: float = SAMPLING_BETA) -> float:
-    """The TV distance that ``trials`` draws from a law on ``order`` cells exceed w.p. <= beta.
+def sampling_tolerance(order: int, trials: int) -> float:
+    """The TV distance that ``trials`` draws from a law on ``order`` cells exceed
+    with probability at most SAMPLING_BETA.
 
     The Bretagnolle-Huber-Carol inequality bounds the empirical law of N
-    draws over k cells by P(TV > eps) <= 2^k exp(-2 N eps^2); solving for
+    draws over k cells by P(TV > eps) <= 2^k exp(-2 N eps^2); setting that to
     beta gives eps = sqrt((k ln 2 + ln(1/beta)) / (2N)).
     """
-    return math.sqrt((order * math.log(2.0) + math.log(1.0 / beta)) / (2.0 * trials))
+    return math.sqrt((order * math.log(2.0) - math.log(SAMPLING_BETA)) / (2.0 * trials))
 
 
 def _realize(schedule, steps: int) -> List[ConvexWeights]:
@@ -619,7 +620,7 @@ def run_random_state_generation(
         # weights at the support are the same sums, so each uniform draw
         # lands on the same element.
         support = np.flatnonzero(s.weights)
-        # trial i moves to entry walk[i] of translation row draws[i]
+        # each trial moves to entry walk[i] of the translation row it drew
         index = np.multiply(_draw(rng, s.weights[support], trials), group.order, dtype=np.intp)
         index += walk
         walk = group.rows(support).ravel().take(index)
