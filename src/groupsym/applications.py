@@ -625,7 +625,10 @@ def run_random_state_generation(
         index += walk
         walk = group.rows(support).ravel().take(index)
         del index  # not held through the next step's draw
-    counts = np.bincount(walk, minlength=group.order)
+    # bincount casts int32 to a fresh intp array: count in slices of BLOCK_BYTES
+    counts = np.zeros(group.order, dtype=np.intp)
+    for a in range(0, trials, BLOCK_BYTES // 8):
+        counts += np.bincount(walk[a : a + BLOCK_BYTES // 8], minlength=group.order)
     empirical = counts / float(trials)
 
     uniform = np.full(group.order, 1.0 / group.order)

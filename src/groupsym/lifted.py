@@ -198,30 +198,53 @@ def _compact_support(signal: Sequence[ConvexWeights], t0: int, steps: int):
     return idx, w
 
 
-def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup) -> None:
+def _workspace(rows: int, order: int):
+    """Buffers for ``_advance`` on up to ``rows`` rows of ``order`` entries.
+
+    The gather index, the term, the accumulator and the row offsets into a
+    flat chunk.  A scan allocates them once: fresh per-call temporaries of a
+    few hundred KB land on pages the allocator has just returned to the OS,
+    and faulting them back in cost more than the arithmetic.
+    """
+    return (
+        np.empty((rows, order), dtype=np.intp),
+        np.empty((rows, order)),
+        np.empty((rows, order)),
+        np.arange(0, rows * order, order)[:, None],
+    )
+
+
+def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup, work) -> None:
     """One convolution step per row, in place: q[i] <- convolve(s_i, q[i]).
 
     Row i of (idx, w) is the support of s_i.  The arithmetic is the one
     ``convolve`` and ``ConvexWeights`` perform on a single vector (terms
     added in support order, then the same clamp and renormalization, row by
-    row), so each row is bit-identical to the scalar result.
+    row), so each row is bit-identical to the scalar result.  ``work`` is a
+    ``_workspace`` of at least len(q) rows; its prefixes hold every
+    temporary of the size of q.
     """
     flat = q.reshape(-1)
-    offsets = np.arange(0, flat.size, group.order)[:, None]
-    out = None
+    index, term, out, offsets = (b[: q.shape[0]] for b in work)
+    first = True
     for k in range(idx.shape[1]):
-        wk, hk = w[:, k], idx[:, k]
+        wk, hk = w[:, k, None], idx[:, k]
         if not wk.any():
             continue  # padding only: adding zero terms would change nothing
         if (hk == group.identity).all():
             src = q  # translation by the identity
         else:
-            # src[i] = q[i][table[inv[h_i]]], gathered from the flat chunk
-            src = flat[group.rows(group.inverses[hk]) + offsets]
-        term = wk[:, None] * src
-        if out is None:
-            out = term
+            # src[i] = q[i][table[inv[h_i]]], gathered from the flat chunk.
+            # Casting the int32 rows apart from the add, and a take that
+            # cannot raise, keep numpy from buffering either into temporaries.
+            np.copyto(index, group.rows(group.inverses[hk]))
+            index += offsets
+            src = np.take(flat, index, out=term, mode="clip")
+        if first:
+            np.multiply(wk, src, out=out)
+            first = False
         else:
+            np.multiply(wk, src, out=term)
             out += term
     low = out.min(axis=1)
     if low.min() < -WEIGHT_ATOL:
@@ -261,12 +284,15 @@ def _windows(
     q[:, group.identity] = 1.0
     # per row: the state, the gathered term, the accumulator and the index row
     chunk = max(1, BLOCK_BYTES // (32 * group.order))
+    work = _workspace(min(chunk, starts), group.order)
     for T in range(1, max_T + 1):
         rows = min(starts, horizon - T + 1)
         for a in range(0, rows, chunk):
             b = min(rows, a + chunk)
             # start t0+i takes its T-th step from signal[t0+i+T-1]
-            _advance(q[a:b], idx[a + T - 1 : b + T - 1], w[a + T - 1 : b + T - 1], group)
+            _advance(
+                q[a:b], idx[a + T - 1 : b + T - 1], w[a + T - 1 : b + T - 1], group, work
+            )
         yield T, q[:rows]
 
 
@@ -394,13 +420,14 @@ def lifted_steps(
     else:
         traj[0] = p0
     yield traj[:1]
+    work = _workspace(1, group.order)
     for t, s in enumerate(signal):
         if not same_group(s.group, group):
             raise GroupMismatchError(f"signal step {t} lives on {s.group!r}, not {group!r}")
         # supports per executed step: an early stop skips the rest of the signal
         nz = np.flatnonzero(s.weights)
         traj[t + 1] = traj[t]
-        _advance(traj[t + 1 : t + 2], nz[None, :], s.weights[nz][None, :], group)
+        _advance(traj[t + 1 : t + 2], nz[None, :], s.weights[nz][None, :], group, work)
         yield traj[: t + 2]
 
 
