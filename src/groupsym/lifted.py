@@ -198,7 +198,7 @@ def _compact_support(signal: Sequence[ConvexWeights], t0: int, steps: int):
     return idx, w
 
 
-def _workspace(rows: int, order: int):
+def _workspace(rows: int, order: int) -> Tuple[np.ndarray, ...]:
     """Buffers for ``_advance`` on up to ``rows`` rows of ``order`` entries.
 
     The gather index, the term, the accumulator and the row offsets into a
@@ -214,7 +214,9 @@ def _workspace(rows: int, order: int):
     )
 
 
-def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup, work) -> None:
+def _advance(
+    q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup, work: Tuple[np.ndarray, ...]
+) -> None:
     """One convolution step per row, in place: q[i] <- convolve(s_i, q[i]).
 
     Row i of (idx, w) is the support of s_i.  The arithmetic is the one
@@ -226,7 +228,6 @@ def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup, 
     """
     flat = q.reshape(-1)
     index, term, out, offsets = (b[: q.shape[0]] for b in work)
-    first = True
     for k in range(idx.shape[1]):
         wk, hk = w[:, k, None], idx[:, k]
         if not wk.any():
@@ -240,12 +241,10 @@ def _advance(q: np.ndarray, idx: np.ndarray, w: np.ndarray, group: FiniteGroup, 
             np.copyto(index, group.rows(group.inverses[hk]))
             index += offsets
             src = np.take(flat, index, out=term, mode="clip")
-        if first:
+        if k == 0:  # never padding: every step has a support point
             np.multiply(wk, src, out=out)
-            first = False
         else:
-            np.multiply(wk, src, out=term)
-            out += term
+            out += np.multiply(wk, src, out=term)
     low = out.min(axis=1)
     if low.min() < -WEIGHT_ATOL:
         i = int(np.argmin(low))
@@ -290,9 +289,8 @@ def _windows(
         for a in range(0, rows, chunk):
             b = min(rows, a + chunk)
             # start t0+i takes its T-th step from signal[t0+i+T-1]
-            _advance(
-                q[a:b], idx[a + T - 1 : b + T - 1], w[a + T - 1 : b + T - 1], group, work
-            )
+            steps = slice(a + T - 1, b + T - 1)
+            _advance(q[a:b], idx[steps], w[steps], group, work)
         yield T, q[:rows]
 
 

@@ -12,6 +12,7 @@ import pytest
 import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
+import groupsym.lifted as lifted_module
 from groupsym.actions import encode_state, save_state
 from groupsym.config import (
     ConfigError,
@@ -571,14 +572,16 @@ class TestMemoryPreflight:
         with pytest.raises(ConfigError, match=r"weights 37\.5"):
             parse_config(minimal_gossip(params={"m": 7}, steps=500_000))
 
-    def test_sampled_walk_peaks_within_its_charge(self):
+    @staticmethod
+    def sampled_run_peak(steps):
+        """The config, its charged parts and the traced peak of an S3 walk of 10^6 trials."""
         cfg = parse_config(
             {
                 "schema_version": 1,
                 "application": "random-state",
                 "params": {"group": {"kind": "symmetric", "m": 3}},
                 "schedule": {"kind": "random-subset", "support": [1, 2, 3]},
-                "steps": 6,
+                "steps": steps,
                 "trials": 1_000_000,
                 "seed": 1,
             }
@@ -586,15 +589,25 @@ class TestMemoryPreflight:
         parts = config_module._dense_bytes(
             cfg.application, cfg.params, cfg.schedule, cfg.steps, cfg.trials
         )
-        assert parts["trials"] == 24 * cfg.trials
         tracemalloc.start()
         try:
             harness_module.run_from_config(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return cfg, parts, peak
+
+    def test_sampled_walk_peaks_within_its_charge(self):
+        cfg, parts, peak = self.sampled_run_peak(6)
+        assert parts["trials"] == 24 * cfg.trials
         # the allowance covers the group, the signal and the interpreter's own
         assert peak <= sum(parts.values()) + 2**20
+
+    def test_walk_endpoints_are_counted_in_slices(self):
+        cfg, parts, peak = self.sampled_run_peak(0)
+        allowance = sum(parts.values()) - parts["trials"] + 2**20
+        # the int32 walk plus one BLOCK_BYTES slice of it cast to intp by bincount
+        assert peak <= 4 * cfg.trials + lifted_module.BLOCK_BYTES + allowance
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from groupsym.lifted import (
     envelope_bounds,
     find_mixing_certificate,
     laplacian,
+    lifted_steps,
     lyapunov_norm,
     rate_bound,
     read_trajectory_csv,
@@ -376,9 +378,23 @@ def kernel_signals():
     }
 
 
+# Rows per window-kernel chunk: None keeps BLOCK_BYTES (one chunk for every
+# kernel signal); 2 and 3 leave a short last chunk on most window lengths.
+CHUNK_ROWS = [None, 1, 2, 3]
+
+
+def set_chunk_rows(monkeypatch, group, rows):
+    """Set lifted.BLOCK_BYTES so the window kernel advances ``rows`` starts per chunk."""
+    if rows is not None:
+        # the chunk rule charges 32 bytes per entry of a row
+        monkeypatch.setattr(lifted_module, "BLOCK_BYTES", 32 * group.order * rows)
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("name", sorted(kernel_signals()))
-def test_certificate_kernel_matches_scalar_reference(name):
+def test_certificate_kernel_matches_scalar_reference(name, chunk_rows, monkeypatch):
     signal = kernel_signals()[name]
+    set_chunk_rows(monkeypatch, signal[0].group, chunk_rows)
     n = len(signal)
     cases = [
         dict(max_T=12),
@@ -395,9 +411,11 @@ def test_certificate_kernel_matches_scalar_reference(name):
         ), kwargs
 
 
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("name", sorted(kernel_signals()))
-def test_check_mixing_and_windows_match_scalar_reference(name):
+def test_check_mixing_and_windows_match_scalar_reference(name, chunk_rows, monkeypatch):
     signal = kernel_signals()[name]
+    set_chunk_rows(monkeypatch, signal[0].group, chunk_rows)
     n = len(signal)
     for t0, horizon, T in ((0, n, 1), (0, n, 5), (2, n - 6, 4), (n - 7, 7, 7)):
         floor = reference_window(signal, t0 + horizon - T, T).weights.min()
@@ -408,6 +426,40 @@ def test_check_mixing_and_windows_match_scalar_reference(name):
         for t in (t0, t0 + horizon - T):
             got = window_weights(signal, t, T)
             assert np.array_equal(got.weights, reference_window(signal, t, T).weights)
+
+
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("name", sorted(kernel_signals()))
+def test_lifted_steps_match_iterated_convolve(name, chunk_rows, monkeypatch):
+    signal = kernel_signals()[name]
+    group = signal[0].group
+    set_chunk_rows(monkeypatch, group, chunk_rows)
+    expected = np.array([p.weights for p in reference_trajectory(signal)])
+    for t, traj in enumerate(lifted_steps(signal, group)):
+        assert np.array_equal(traj, expected[: t + 1])
+
+
+def test_window_kernel_allocates_nothing_per_call():
+    s6 = symmetric_group(6)
+    rows = max(1, lifted_module.BLOCK_BYTES // (32 * s6.order))  # one full chunk
+    signal = RandomSubsetSchedule(s6, range(1, s6.order, 7), (0.3, 0.9), 2).realize(rows)
+    idx, w = lifted_module._compact_support(signal, 0, rows)
+    q = np.zeros((rows, s6.order))
+    q[:, s6.identity] = 1.0
+    work = lifted_module._workspace(rows, s6.order)
+    tracemalloc.start()
+    try:
+        lifted_module._advance(q, idx, w, s6, work)  # ranks the translation rows
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        lifted_module._advance(q, idx, w, s6, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # only the int32 translation rows (half a float64 block) are gathered per call
+    assert peak - start < q.nbytes
+    expected = [convolve(s, convolve(s, ConvexWeights.point_mass(s6))).weights for s in signal]
+    assert np.array_equal(q, np.array(expected))
 
 
 def test_certificate_search_makes_no_convolve_calls(monkeypatch):
