@@ -378,23 +378,19 @@ def kernel_signals():
     }
 
 
-# Rows per window-kernel chunk: None keeps BLOCK_BYTES (one chunk for every
-# kernel signal); 2 and 3 leave a short last chunk on most window lengths.
-CHUNK_ROWS = [None, 1, 2, 3]
+def chunk_budgets(group):
+    """lifted.BLOCK_BYTES values: the default, then 1, 2 and 3 starts per chunk.
+
+    The default takes every kernel signal in one chunk; 2 and 3 leave a short
+    last chunk on most window lengths.  The chunk rule charges 32 bytes per
+    entry of a row.
+    """
+    return [lifted_module.BLOCK_BYTES] + [32 * group.order * rows for rows in (1, 2, 3)]
 
 
-def set_chunk_rows(monkeypatch, group, rows):
-    """Set lifted.BLOCK_BYTES so the window kernel advances ``rows`` starts per chunk."""
-    if rows is not None:
-        # the chunk rule charges 32 bytes per entry of a row
-        monkeypatch.setattr(lifted_module, "BLOCK_BYTES", 32 * group.order * rows)
-
-
-@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("name", sorted(kernel_signals()))
-def test_certificate_kernel_matches_scalar_reference(name, chunk_rows, monkeypatch):
+def test_certificate_kernel_matches_scalar_reference(name, monkeypatch):
     signal = kernel_signals()[name]
-    set_chunk_rows(monkeypatch, signal[0].group, chunk_rows)
     n = len(signal)
     cases = [
         dict(max_T=12),
@@ -405,41 +401,42 @@ def test_certificate_kernel_matches_scalar_reference(name, chunk_rows, monkeypat
         dict(max_T=3, delta_floor=0.2),  # unsatisfied: witness at max_T
         dict(max_T=1, t0=2, horizon=1),
     ]
-    for kwargs in cases:
-        assert find_mixing_certificate(signal, **kwargs) == reference_certificate(
-            signal, **kwargs
-        ), kwargs
+    expected = [reference_certificate(signal, **kwargs) for kwargs in cases]
+    for budget in chunk_budgets(signal[0].group):
+        monkeypatch.setattr(lifted_module, "BLOCK_BYTES", budget)
+        for kwargs, reference in zip(cases, expected):
+            assert find_mixing_certificate(signal, **kwargs) == reference, (budget, kwargs)
 
 
-@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("name", sorted(kernel_signals()))
-def test_check_mixing_and_windows_match_scalar_reference(name, chunk_rows, monkeypatch):
+def test_check_mixing_and_windows_match_scalar_reference(name, monkeypatch):
     signal = kernel_signals()[name]
-    set_chunk_rows(monkeypatch, signal[0].group, chunk_rows)
     n = len(signal)
-    for t0, horizon, T in ((0, n, 1), (0, n, 5), (2, n - 6, 4), (n - 7, 7, 7)):
-        floor = reference_window(signal, t0 + horizon - T, T).weights.min()
-        for delta in (0.0, floor, 0.05, 0.5):
-            assert check_mixing(signal, t0, horizon, T, delta) == reference_check_mixing(
-                signal, t0, horizon, T, delta
-            )
-        for t in (t0, t0 + horizon - T):
-            got = window_weights(signal, t, T)
-            assert np.array_equal(got.weights, reference_window(signal, t, T).weights)
+    for budget in chunk_budgets(signal[0].group):
+        monkeypatch.setattr(lifted_module, "BLOCK_BYTES", budget)
+        for t0, horizon, T in ((0, n, 1), (0, n, 5), (2, n - 6, 4), (n - 7, 7, 7)):
+            floor = reference_window(signal, t0 + horizon - T, T).weights.min()
+            for delta in (0.0, floor, 0.05, 0.5):
+                assert check_mixing(signal, t0, horizon, T, delta) == reference_check_mixing(
+                    signal, t0, horizon, T, delta
+                ), budget
+            for t in (t0, t0 + horizon - T):
+                got = window_weights(signal, t, T)
+                assert np.array_equal(got.weights, reference_window(signal, t, T).weights)
 
 
-@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 @pytest.mark.parametrize("name", sorted(kernel_signals()))
-def test_lifted_steps_match_iterated_convolve(name, chunk_rows, monkeypatch):
+def test_lifted_steps_match_iterated_convolve(name, monkeypatch):
     signal = kernel_signals()[name]
     group = signal[0].group
-    set_chunk_rows(monkeypatch, group, chunk_rows)
     expected = np.array([p.weights for p in reference_trajectory(signal)])
-    for t, traj in enumerate(lifted_steps(signal, group)):
-        assert np.array_equal(traj, expected[: t + 1])
+    for budget in chunk_budgets(group):
+        monkeypatch.setattr(lifted_module, "BLOCK_BYTES", budget)
+        for t, traj in enumerate(lifted_steps(signal, group)):
+            assert np.array_equal(traj, expected[: t + 1]), budget
 
 
-def test_window_kernel_allocates_nothing_per_call():
+def test_window_kernel_allocates_no_float_block_per_call():
     s6 = symmetric_group(6)
     rows = max(1, lifted_module.BLOCK_BYTES // (32 * s6.order))  # one full chunk
     signal = RandomSubsetSchedule(s6, range(1, s6.order, 7), (0.3, 0.9), 2).realize(rows)
