@@ -18,8 +18,8 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic_group, group_from_table, same_group, symmetric_group
-from .lifted import BLOCK_BYTES, ConvexWeights
+from .groups import FiniteGroup, cyclic_group, group_from_table, symmetric_group
+from .lifted import BLOCK_BYTES
 
 __all__ = [
     "VectorSpace",
@@ -498,14 +498,13 @@ def pauli_unitaries() -> Tuple[FiniteGroup, np.ndarray]:
 # -- mixing, averaging, and diagnostics ---------------------------------------
 
 
-def step(action: LinearAction, s: ConvexWeights, x) -> np.ndarray:
-    """One mixing step x' = sum_g s_g a(g, x), restricted to the support of s."""
-    if not same_group(action.group, s.group):
-        raise ValueError("weights and action refer to different groups")
+def step(action: LinearAction, idx: np.ndarray, w: np.ndarray, x) -> np.ndarray:
+    """One mixing step x' = sum_k w[k] a(idx[k], x) over a Signal row, skipping its padding."""
     x = action.space.validate(x)
     out = np.zeros_like(x)
-    for g in s.support():
-        out += s.weights[g] * action.apply(g, x, validate=False)
+    for g, wg in zip(idx, w):
+        if wg:
+            out += wg * action.apply(g, x, validate=False)
     return out
 
 

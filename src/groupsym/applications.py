@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,6 +36,7 @@ from .lifted import (
     BLOCK_BYTES,
     ConvexWeights,
     MixingCertificate,
+    Signal,
     find_mixing_certificate,
     lifted_series,
     lifted_steps,
@@ -120,23 +121,6 @@ def sampling_tolerance(order: int, trials: int) -> float:
     return math.sqrt((order * math.log(2.0) - math.log(SAMPLING_BETA)) / (2.0 * trials))
 
 
-def _realize(schedule, steps: int) -> List[ConvexWeights]:
-    if isinstance(schedule, Schedule):
-        return schedule.realize(steps)
-    signal = list(schedule)
-    if len(signal) < steps:
-        raise ValueError(
-            f"signal supplies {len(signal)} steps but {steps} were requested"
-        )
-    return signal[:steps]
-
-
-def _describe(schedule) -> dict:
-    if isinstance(schedule, Schedule):
-        return schedule.describe()
-    return {"kind": "inline-signal"}
-
-
 def run_symmetrization(
     action: LinearAction,
     x0,
@@ -158,13 +142,16 @@ def run_symmetrization(
     Monitors are callables of the state whose values must stay at their
     initial value; their worst drift is reported.  The reconstruction and
     the orbit average F(x0), returned as ``orbit_average``, come from the
-    action's ``mixer`` of x0.
+    action's ``mixer`` of x0.  ``schedule`` may also be a Signal or a
+    sequence of ConvexWeights.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     t_start = time.perf_counter()
     x = action.space.validate(x0)
-    signal = _realize(schedule, steps)
+    if not isinstance(schedule, Schedule):
+        schedule = Signal.from_weights(schedule, action.group)
+    signal = schedule.realize(steps)
     monitors = dict(monitors or {})
     if residual_fn is None:
         residual_fn = lambda state: fixed_point_residual(action, state)
@@ -178,8 +165,9 @@ def run_symmetrization(
     monitor_series = {name: [np.asarray(fn(x))] for name, fn in monitors.items()}
     lift_gap = 0.0
 
-    for s, traj in zip(signal, lifted):
-        x = step(action, s, x)
+    for t, traj in enumerate(lifted):
+        idx, w = signal.rows(t, t + 1)
+        x = step(action, idx[0], w[0], x)
         residuals.append(float(residual_fn(x)))
         recon = mix(traj[-1])
         lift_gap = max(lift_gap, float(np.abs(recon - x.ravel()).max()))
@@ -206,7 +194,7 @@ def run_symmetrization(
         )
 
     meta = {
-        "schedule": _describe(schedule),
+        "schedule": schedule.describe(),
         "steps_requested": steps,
         "threshold": threshold,
         "runtime_seconds": time.perf_counter() - t_start,
@@ -607,7 +595,9 @@ def run_random_state_generation(
             "the orbit must have full group size"
         )
 
-    signal = _realize(schedule, t_steps)
+    if not isinstance(schedule, Schedule):
+        schedule = Signal.from_weights(schedule, group)
+    signal = schedule.realize(t_steps)
     for traj in lifted_steps(signal, group):
         pass
     traj.setflags(write=False)
@@ -615,13 +605,13 @@ def run_random_state_generation(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     walk = np.full(trials, group.identity, dtype=np.int32)
-    for s in signal:
-        # Drawing over the support alone is the same stream: the cumulative
-        # weights at the support are the same sums, so each uniform draw
-        # lands on the same element.
-        support = np.flatnonzero(s.weights)
+    for support, weights in zip(*signal.rows(0, t_steps)):
+        # Drawing over the row alone is the same stream as drawing over all
+        # of G: the cumulative weights at the support are the same sums, and
+        # the padding's zero weights repeat the last, 1 > u, so each uniform
+        # draw lands on the same element.
         # each trial moves to entry walk[i] of the translation row it drew
-        index = np.multiply(_draw(rng, s.weights[support], trials), group.order, dtype=np.intp)
+        index = np.multiply(_draw(rng, weights, trials), group.order, dtype=np.intp)
         index += walk
         walk = group.rows(support).ravel().take(index)
         del index  # not held through the next step's draw
@@ -654,7 +644,7 @@ def run_random_state_generation(
         steps_run=t_steps,
         metadata={
             "application": "random-state",
-            "schedule": _describe(schedule),
+            "schedule": schedule.describe(),
             "trials": trials,
             "seed": seed,
             "rng": "pcg64",
@@ -693,7 +683,8 @@ def run_dynamical_decoupling(
     Hamiltonian; the residual series is the off-scalar Frobenius norm of the
     running average.  The realized frame sequence and, when dt is given, the
     gap between the exact ordered-product propagator and the first-order
-    average are attached for diagnostics.
+    average are attached for diagnostics.  ``chooser`` may be a built
+    DDBisectionSchedule, whose own alpha then applies.
     """
     action = conjugation_action(group, group_unitaries)
     H = action.space.validate(np.asarray(H_d, dtype=np.complex128))
@@ -712,7 +703,10 @@ def run_dynamical_decoupling(
             "this perturbation class cannot be decoupled by this group"
         )
 
-    schedule = DDBisectionSchedule(group, chooser, alpha)
+    if isinstance(chooser, DDBisectionSchedule):
+        schedule = chooser
+    else:
+        schedule = DDBisectionSchedule(group, chooser, alpha)
 
     def off_scalar(X: np.ndarray) -> float:
         return float(np.linalg.norm(X - (np.trace(X) / dim) * np.eye(dim)))
@@ -727,7 +721,7 @@ def run_dynamical_decoupling(
         certify=True,
         monitors={"trace_real": lambda X: float(np.trace(X).real)},
         residual_fn=off_scalar,
-        metadata={"application": "dd", "n_max": n_max, "alpha": alpha},
+        metadata={"application": "dd", "n_max": n_max, "alpha": schedule.alpha},
     )
 
     frames_n = min(n_max, frame_cap)

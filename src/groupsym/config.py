@@ -293,6 +293,15 @@ def _support_rows(schedule: dict, params: dict, order: int) -> int:
     return min(order, 2 * (2 * support + 1))
 
 
+def _signal_width(schedule: dict, params: dict, order: int) -> int:
+    """Entries K of a realized signal row: two for the kinds that mix the identity
+    with one element, the support and the identity for random-subset, and all
+    of G for a custom sequence, whose rows are only known once loaded."""
+    if schedule["kind"] == "random-subset":
+        return min(order, len(schedule.get("support", params.get("edges", ()))) + 1)
+    return order if schedule["kind"] == "custom-sequence" else 2
+
+
 def _dense_bytes(
     app: str, params: dict, schedule: dict, steps: int, trials: Optional[int] = None
 ) -> dict:
@@ -304,10 +313,12 @@ def _dense_bytes(
     quantum-gossip rank on demand), ``orbit``
     (one state per group element) or, for dft, ``kernel`` (the Fourier
     kernels' N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
-    (the realized signal and the lifted trajectory, one float64 per element
-    per step each) and ``trials`` (the sampled walk: per trial, one step's
-    float64 uniform and intp draw/index, and the int32 walk before and after
-    the step).  Empty when the group order is only known after loading a file.
+    (the lifted trajectory, one float64 per element per step), ``signal``
+    (the realized signal: per step, an intp element and a float64 weight in
+    each of its K columns, see ``_signal_width``) and ``trials`` (the sampled
+    walk: per trial, one step's float64 uniform and intp draw/index, and the
+    int32 walk before and after the step).  Empty when the group order is
+    only known after loading a file.
     """
     order = _group_order(app, params)
     if order is None:
@@ -324,7 +335,8 @@ def _dense_bytes(
     return {
         **translations,
         **states,
-        "weights": 2 * 8 * order * (steps + 1),
+        "weights": 8 * order * (steps + 1),
+        "signal": (8 + 8) * _signal_width(schedule, params, order) * steps,
         "trials": (8 + 8 + 4 + 4) * (trials or 0),
     }
 

@@ -311,18 +311,10 @@ def run_from_config(config: RunConfig) -> ExperimentResult:
             _substream(config.seed, SEED_TRIALS),
         )
 
-    # dd: the runner rebuilds its bisection schedule from the chooser cycle
     H_d = _initial_array(config, (2, 2), "traceless-hermitian-2")
     kwargs = {key: params[key] for key in ("dt", "frame_cap") if key in params}
     return run_dynamical_decoupling(
-        group,
-        H_d,
-        pauli_matrices(),
-        schedule.describe()["chooser"],
-        steps,
-        schedule.alpha,
-        threshold=tol["residual"],
-        **kwargs,
+        group, H_d, pauli_matrices(), schedule, steps, threshold=tol["residual"], **kwargs
     )
 
 
@@ -926,12 +918,10 @@ def spectral_run(config: RunConfig) -> dict:
     signal = schedule.realize(1)
     if not signal:
         raise ConfigError("steps: spectral comparison needs at least one step")
-    s = signal[0]
     action = permutation_action(m, 1, group)
-    A = np.zeros((m, m))
-    for g in s.support():
-        A = A + s.weights[g] * action.matrix(g).real
-    comp = spectral_comparison(A, s)
+    (idx,), (w,) = signal.rows(0, 1)
+    A = sum(wg * action.matrix(g).real for g, wg in zip(idx, w) if wg)
+    comp = spectral_comparison(A, signal[0])
     return {
         "sigma_consensus": comp.sigma_a,
         "sigma_lifted": comp.sigma_m,

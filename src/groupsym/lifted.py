@@ -22,8 +22,10 @@ from .groups import FiniteGroup, same_group
 __all__ = [
     "WEIGHT_ATOL",
     "RENORM_DRIFT",
+    "SIGNAL_CHUNK",
     "GroupMismatchError",
     "ConvexWeights",
+    "Signal",
     "TransitionMatrix",
     "MixingCertificate",
     "convolve",
@@ -54,6 +56,9 @@ TRAJECTORY_FLOAT_FORMAT = "%.17g"
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
 BLOCK_BYTES = 1 << 20
+# Steps a schedule's Signal draws at a time, as its rows are first read.  A run
+# that stops early has drawn at most this many steps past the last it read.
+SIGNAL_CHUNK = 64
 
 
 class GroupMismatchError(ValueError):
@@ -173,29 +178,98 @@ def transition_matrix(s: ConvexWeights) -> TransitionMatrix:
     return TransitionMatrix(s.weights[idx], group)
 
 
-def _compact_support(signal: Sequence[ConvexWeights], t0: int, steps: int):
-    """Steps t0..t0+steps-1 as (idx, w) arrays of shape (steps, K).
+def _support_row(s: ConvexWeights) -> tuple:
+    nz = np.flatnonzero(s.weights)
+    return nz, s.weights[nz]
 
-    Row i lists step t0+i's support in increasing element order (the order in
-    which ``convolve`` adds its terms), padded with zero weight on the
-    identity up to K, the largest support.
+
+class Signal:
+    """A realized switching signal: the weights of step t are row t of two arrays.
+
+    Row t of the (steps, K) intp array ``idx`` lists the support of s(t) in
+    increasing element order (the order in which ``convolve`` adds its
+    terms) and row t of the float64 array ``w`` its weights, padded with
+    zero weight on the identity up to K.  ``rows`` yields each step's
+    (elements, weights); they are drawn SIGNAL_CHUNK steps at a time as they
+    are first read, so a run that stops early has drawn at most one chunk
+    past the last step it read.  Readers get views that cannot be written.
     """
-    group = signal[t0].group
-    supports = []
-    for t in range(t0, t0 + steps):
-        s = signal[t]
-        if not same_group(s.group, group):
-            raise GroupMismatchError(
-                f"signal step {t} lives on {s.group!r}, not {group!r}"
-            )
-        supports.append((s.weights, np.flatnonzero(s.weights)))
-    width = max(len(nz) for _, nz in supports)
-    idx = np.full((steps, width), group.identity, dtype=np.intp)
-    w = np.zeros((steps, width))
-    for i, (weights, nz) in enumerate(supports):
-        idx[i, : nz.size] = nz
-        w[i, : nz.size] = weights[nz]
-    return idx, w
+
+    __slots__ = ("group", "_idx", "_w", "_ready", "_rows")
+
+    def __init__(self, group: FiniteGroup, steps: int, width: int, rows: Iterator[tuple]):
+        self.group, self._rows, self._ready = group, rows, 0
+        self._idx = np.empty((steps, width), dtype=np.intp)
+        self._w = np.empty((steps, width))
+
+    @classmethod
+    def from_weights(cls, signal, group: Optional[FiniteGroup] = None) -> "Signal":
+        """The Signal of ConvexWeights steps on ``group`` (by default the first
+        step's); a Signal passes through once its group is checked."""
+        steps = [signal] if isinstance(signal, Signal) else list(signal)
+        if group is None and not steps:
+            raise ValueError("an empty signal names no group")
+        group = steps[0].group if group is None else group
+        for t, s in enumerate(steps):
+            if not same_group(s.group, group):
+                raise GroupMismatchError(
+                    f"signal step {t} and the run live on different groups "
+                    f"({s.group!r} vs {group!r})"
+                )
+        if isinstance(signal, Signal):
+            return signal
+        rows = [_support_row(s) for s in steps]
+        return cls(group, len(rows), max((len(e) for e, _ in rows), default=1), iter(rows))
+
+    def __len__(self) -> int:
+        return len(self._idx)
+
+    def _draw(self, stop: int) -> None:
+        while self._ready < min(stop, len(self)):
+            a, b = self._ready, min(len(self), self._ready + SIGNAL_CHUNK)
+            self._idx[a:b], self._w[a:b] = self.group.identity, 0.0
+            for t in range(a, b):
+                elements, weights = next(self._rows)
+                self._idx[t, : len(elements)], self._w[t, : len(weights)] = elements, weights
+            self._ready = b
+
+    def rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only views of rows start..stop-1 of ``idx`` and ``w``."""
+        self._draw(stop)
+        idx, w = self._idx[start:stop], self._w[start:stop]
+        idx.flags.writeable = w.flags.writeable = False
+        return idx, w
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self.rows(0, len(self))[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.rows(0, len(self))[1]
+
+    def realize(self, steps: int) -> "Signal":
+        """The first ``steps`` steps: a signal given inline runs as a schedule does."""
+        if len(self) < steps:
+            raise ValueError(f"signal supplies {len(self)} steps but {steps} were requested")
+        return self[:steps]
+
+    def describe(self) -> dict:
+        return {"kind": "inline-signal"}
+
+    def __getitem__(self, t):
+        """A slice is a Signal; step t is rebuilt as ConvexWeights, for boundaries and tests."""
+        if isinstance(t, slice):
+            start, stop, stride = t.indices(len(self))
+            self._draw(stop if stride > 0 else start + 1)
+            steps = len(range(start, stop, stride))
+            return Signal(self.group, steps, self._w.shape[1], zip(self._idx[t], self._w[t]))
+        t = range(len(self))[t]
+        idx, w = self.rows(t, t + 1)
+        weights = np.zeros(self.group.order)
+        keep = w[0] != 0.0  # the identity can be both support and padding
+        weights[idx[0, keep]] = w[0, keep]
+        return ConvexWeights(weights, self.group)
 
 
 def _workspace(rows: int, order: int) -> Tuple[np.ndarray, ...]:
@@ -228,11 +302,11 @@ def _advance(
     """
     flat = q.reshape(-1)
     index, term, out, offsets = (b[: q.shape[0]] for b in work)
-    for k in range(idx.shape[1]):
+    # columns of padding only are skipped: adding zero terms would change nothing
+    moved = (idx != group.identity).any(axis=0).tolist()
+    for k in np.flatnonzero(w.any(axis=0)).tolist():
         wk, hk = w[:, k, None], idx[:, k]
-        if not wk.any():
-            continue  # padding only: adding zero terms would change nothing
-        if (hk == group.identity).all():
+        if not moved[k]:
             src = q  # translation by the identity
         else:
             # src[i] = q[i][table[inv[h_i]]], gathered from the flat chunk.
@@ -273,12 +347,13 @@ def _windows(
     first min(starts, horizon-T+1) starts, i.e. every start whose window
     still fits in [t0, t0+horizon).  All rows advance together by one
     convolution per T, so the scan costs O(starts * max_T * K * order) work
-    in O(starts * order) memory: the same order of memory as the realized
-    signal it reads.  Rows are processed in chunks of about BLOCK_BYTES so
-    the gathers stay in cache.  ``q`` is overwritten by the next step.
+    in O(starts * order) memory.  Rows are processed in chunks of about
+    BLOCK_BYTES so the gathers stay in cache.  ``q`` is overwritten by the
+    next step.
     """
-    group = signal[t0].group
-    idx, w = _compact_support(signal, t0, horizon)
+    signal = Signal.from_weights(signal)
+    group = signal.group
+    idx, w = signal.rows(t0, t0 + horizon)
     q = np.zeros((starts, group.order))
     q[:, group.identity] = 1.0
     # per row: the state, the gathered term, the accumulator and the index row
@@ -412,6 +487,7 @@ def lifted_steps(
     ``convolve`` and passes the same simplex checks; rows already yielded
     never change.  A caller that stops early keeps the last prefix it got.
     """
+    signal = Signal.from_weights(signal, group)
     traj = np.zeros((len(signal) + 1, group.order))
     if p0 is None:
         traj[0, group.identity] = 1.0
@@ -419,13 +495,10 @@ def lifted_steps(
         traj[0] = p0
     yield traj[:1]
     work = _workspace(1, group.order)
-    for t, s in enumerate(signal):
-        if not same_group(s.group, group):
-            raise GroupMismatchError(f"signal step {t} lives on {s.group!r}, not {group!r}")
-        # supports per executed step: an early stop skips the rest of the signal
-        nz = np.flatnonzero(s.weights)
+    for t in range(len(signal)):
+        idx, w = signal.rows(t, t + 1)
         traj[t + 1] = traj[t]
-        _advance(traj[t + 1 : t + 2], nz[None, :], s.weights[nz][None, :], group, work)
+        _advance(traj[t + 1 : t + 2], idx, w, group, work)
         yield traj[: t + 2]
 
 

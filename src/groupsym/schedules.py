@@ -1,21 +1,21 @@
 """Switching signals: deterministic, randomized, and bisection schedules.
 
 A schedule is an immutable recipe that realizes, for any horizon, a
-deterministic list of per-step convex weight vectors.  Randomized kinds carry
-a mandatory 64-bit seed and draw from a named generator (PCG64), so equal
-parameters give bit-identical signals of any length.
+deterministic Signal of per-step convex weights.  Randomized kinds carry a
+mandatory 64-bit seed and draw from a named generator (PCG64), step by step,
+so equal parameters give bit-identical signals of any length.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .groups import FiniteGroup, generates, same_group
-from .lifted import ConvexWeights
+from .lifted import ConvexWeights, Signal, _support_row
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -67,23 +67,40 @@ def _check_support(group: FiniteGroup, support) -> tuple:
     return tuple(elems)
 
 
-def _two_point(group: FiniteGroup, h: int, alpha: float) -> ConvexWeights:
-    w = np.zeros(group.order)
-    w[group.identity] += 1.0 - alpha
-    w[h] += alpha
-    return ConvexWeights(w, group)
+def _mix_row(group: FiniteGroup, alpha: float, picks, share: float) -> tuple:
+    """(elements, weights), in element order, of the step whose dense vector holds
+    1 - alpha on the identity plus share on each pick, added in that order."""
+    row = {group.identity: 1.0 - alpha}
+    for h in picks:
+        row[h] = row.get(h, 0.0) + share
+    return tuple(zip(*sorted(row.items())))
 
 
 class Schedule:
-    """Base class: subclasses fill in realize() and union_support()."""
+    """Base class: subclasses fill in _rows() and union_support().
+
+    Their rows are convex weights by construction (alpha inside (0, 1),
+    sums within a few ulps of 1), so they are not revalidated.
+    """
 
     kind = "base"
+    # Most entries in one row: the two-point kinds mix the identity with one element.
+    width = 2
 
     def __init__(self, group: FiniteGroup):
         self.group = group
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        """Deterministic list of weight vectors for steps 0..steps-1."""
+    def realize(self, steps: int) -> Signal:
+        """The signal of steps 0..steps-1; its rows are drawn as they are read."""
+        steps = self._steps_arg(steps)
+        return Signal(self.group, steps, self.width, self._rows(steps))
+
+    def _rows(self, steps: int) -> Iterator[tuple]:
+        """(elements, weights) of steps 0..steps-1, one step per ``next``.
+
+        Raises what ``realize(steps)`` must raise when called, before any
+        row is drawn.
+        """
         raise NotImplementedError
 
     def union_support(self) -> frozenset:
@@ -126,13 +143,10 @@ class CyclicSchedule(Schedule):
                 raise ValueError(f"element {h} out of range")
         self.alpha = _check_alpha(alpha)
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        steps = self._steps_arg(steps)
-        period = [
-            _two_point(self.group, h, self.alpha) for h in self.elements
-        ]
-        L = len(period)
-        return [period[t % L] for t in range(steps)]
+    def _rows(self, steps: int) -> Iterator[tuple]:
+        for t in range(steps):
+            h = self.elements[t % len(self.elements)]
+            yield _mix_row(self.group, self.alpha, [h], self.alpha)
 
     def union_support(self) -> frozenset:
         return frozenset(self.elements) | {self.group.identity}
@@ -177,16 +191,12 @@ class RandomGossipSchedule(_SeededSchedule):
 
     kind = "random-gossip"
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        steps = self._steps_arg(steps)
+    def _rows(self, steps: int) -> Iterator[tuple]:
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        lo, hi = self.alpha_range
-        out = []
-        for _ in range(steps):
+        for _ in range(steps):  # per step an integer, then a uniform
             h = self.support[int(rng.integers(len(self.support)))]
-            alpha = float(rng.uniform(lo, hi))
-            out.append(_two_point(self.group, h, alpha))
-        return out
+            alpha = float(rng.uniform(*self.alpha_range))
+            yield _mix_row(self.group, alpha, [h], alpha)
 
 
 class RandomSubsetSchedule(_SeededSchedule):
@@ -194,22 +204,18 @@ class RandomSubsetSchedule(_SeededSchedule):
 
     kind = "random-subset"
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        steps = self._steps_arg(steps)
+    @property
+    def width(self) -> int:
+        return len(self.union_support())
+
+    def _rows(self, steps: int) -> Iterator[tuple]:
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        lo, hi = self.alpha_range
         n = len(self.support)
-        out = []
-        for _ in range(steps):
+        for _ in range(steps):  # per step an integer, a choice, then a uniform
             k = int(rng.integers(1, n + 1))
             chosen = rng.choice(n, size=k, replace=False)
-            alpha = float(rng.uniform(lo, hi))
-            w = np.zeros(self.group.order)
-            w[self.group.identity] += 1.0 - alpha
-            for idx in chosen:
-                w[self.support[int(idx)]] += alpha / k
-            out.append(ConvexWeights(w, self.group))
-        return out
+            alpha = float(rng.uniform(*self.alpha_range))
+            yield _mix_row(self.group, alpha, [self.support[int(i)] for i in chosen], alpha / k)
 
 
 class DDBisectionSchedule(Schedule):
@@ -254,21 +260,19 @@ class DDBisectionSchedule(Schedule):
 
     def chosen(self, n: int) -> List[int]:
         """h(0), ..., h(n-1)."""
-        n = self._steps_arg(n)
-        if self._cycle is not None:
-            L = len(self._cycle)
-            elems = [self._cycle[i % L] for i in range(n)]
-        else:
-            elems = [int(self._chooser_fn(i)) for i in range(n)]
-        for h in elems:
-            if not 0 <= h < self.group.order:
-                raise ValueError(f"chooser produced out-of-range element {h}")
-        return elems
+        return [self._choice(i) for i in range(self._steps_arg(n))]
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        return [
-            _two_point(self.group, h, self.alpha) for h in self.chosen(steps)
-        ]
+    def _choice(self, n: int) -> int:
+        if self._cycle is not None:
+            return self._cycle[n % len(self._cycle)]
+        h = int(self._chooser_fn(n))
+        if not 0 <= h < self.group.order:
+            raise ValueError(f"chooser produced out-of-range element {h}")
+        return h
+
+    def _rows(self, steps: int) -> Iterator[tuple]:
+        for t in range(steps):
+            yield _mix_row(self.group, self.alpha, [self._choice(t)], self.alpha)
 
     def expand_frames(self, n: int) -> List[int]:
         """Concrete frame sequence after n bisections (length 2^n)."""
@@ -324,21 +328,18 @@ class ExplicitSchedule(Schedule):
                 except ValueError as exc:
                     raise ValueError(f"invalid weights at index {i}: {exc}") from exc
         self.sequence = tuple(entries)
+        self.width = max((np.count_nonzero(s.weights) for s in entries), default=1)
 
-    def realize(self, steps: int) -> List[ConvexWeights]:
-        steps = self._steps_arg(steps)
-        if steps == 0:
-            return []
-        if not self.sequence:
-            raise ValueError("empty sequence cannot supply any steps")
+    def _rows(self, steps: int) -> Iterator[tuple]:
         L = len(self.sequence)
-        if self.policy == "cycle":
-            return [self.sequence[t % L] for t in range(steps)]
-        if steps > L:
+        if steps and not L:
+            raise ValueError("empty sequence cannot supply any steps")
+        if self.policy == "truncate" and steps > L:
             raise ValueError(
                 f"requested {steps} steps but sequence has length {L} (policy truncate)"
             )
-        return list(self.sequence[:steps])
+        rows = [_support_row(s) for s in self.sequence]
+        return (rows[t % L] for t in range(steps))
 
     def union_support(self) -> frozenset:
         out = set()

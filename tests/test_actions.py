@@ -46,7 +46,8 @@ from groupsym.groups import (
     symmetric_group,
     transposition_index,
 )
-from groupsym.lifted import ConvexWeights, convolve, run_lifted, transition_matrix
+from groupsym.applications import run_symmetrization
+from groupsym.lifted import ConvexWeights, Signal, convolve, run_lifted, transition_matrix
 
 
 def two_point(group, other, alpha):
@@ -54,6 +55,12 @@ def two_point(group, other, alpha):
     w[group.identity] = 1.0 - alpha
     w[other] = alpha
     return ConvexWeights(w, group)
+
+
+def row(s):
+    """The Signal row (idx, w) of one ConvexWeights, the form ``step`` takes."""
+    (idx,), (w,) = Signal.from_weights([s]).rows(0, 1)
+    return idx, w
 
 
 # -- action axioms -------------------------------------------------------------
@@ -155,7 +162,7 @@ def test_gossip_pair_update_formula():
     alpha = 0.3
     x = np.array([1.0, 5.0, 9.0])
     s = two_point(g3, transposition_index(g3, 0, 1), alpha)
-    out = step(act, s, x)
+    out = step(act, *row(s), x)
     expected = np.array(
         [(1 - alpha) * 1.0 + alpha * 5.0, (1 - alpha) * 5.0 + alpha * 1.0, 9.0]
     )
@@ -277,7 +284,7 @@ def test_conserved_value_sum_under_gossip():
     total = conserved_value(act, z, x)
     assert abs(total - 15.0) < 1e-14
     s = two_point(g3, transposition_index(g3, 1, 2), 0.45)
-    moved = step(act, s, x)
+    moved = step(act, *row(s), x)
     assert abs(conserved_value(act, z, moved) - total) < 1e-12
 
 
@@ -290,7 +297,7 @@ def test_conserved_value_trace_under_conjugation():
     val = conserved_value(act, z, X)
     assert abs(val - np.trace(X)) < 1e-12
     s = two_point(group, 2, 0.25)
-    moved = step(act, s, X)
+    moved = step(act, *row(s), X)
     assert abs(conserved_value(act, z, moved) - val) < 1e-12
 
 
@@ -309,7 +316,7 @@ def test_conjugation_preserves_trace_and_spectrum():
     H = A + A.conj().T
     base = np.sort(np.linalg.eigvalsh(H))
     s = ConvexWeights(np.array([0.4, 0.2, 0.2, 0.2]), group)
-    moved = step(act, s, H)
+    moved = step(act, *row(s), H)
     assert abs(np.trace(moved) - np.trace(H)) < 1e-9
     # one unitary conjugation preserves the spectrum exactly; mixing does not,
     # but every orbit element does
@@ -354,7 +361,7 @@ def test_lifted_weights_reconstruct_direct_trajectory():
     x = x0.copy()
     orbit = act.orbit(x0)
     for s in signal:
-        x = step(act, s, x)
+        x = step(act, *row(s), x)
         p = convolve(s, p)
         recon = sum(p.weights[g] * orbit[g] for g in range(6))
         assert np.abs(recon - x).max() < 1e-9
@@ -892,8 +899,9 @@ def test_vector_space_validation():
 def test_step_rejects_mismatched_group():
     act = permutation_action(3, 1, symmetric_group(3))
     s = ConvexWeights.uniform(cyclic_group(6))
+    # the run checks the signal's group once, at its entry
     with pytest.raises(ValueError, match="different groups"):
-        step(act, s, np.zeros(3))
+        run_symmetrization(act, np.zeros(3), [s], 1)
 
 
 def test_apply_rejects_out_of_range_element():
@@ -912,7 +920,7 @@ def test_run_lifted_weights_match_repeated_steps_on_regular_action():
     v = np.zeros(5)
     v[group.identity] = 1.0
     for t, s in enumerate(signal):
-        v = step(act, s, v)
+        v = step(act, *row(s), v)
         assert np.abs(traj[t + 1].weights - v).max() < 1e-12
 
 

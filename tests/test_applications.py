@@ -104,6 +104,46 @@ def test_engine_makes_no_weight_objects_and_no_convolve_calls(monkeypatch):
     assert calls == []
 
 
+def test_engine_builds_no_weight_objects_from_a_schedule(monkeypatch):
+    built = []
+    init = ConvexWeights.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    g3 = symmetric_group(3)
+    trs = [transposition_index(g3, j, k) for j, k in complete_edges(3)]
+    schedule = RandomGossipSchedule(g3, trs, (0.3, 0.7), seed=2)
+    monkeypatch.setattr(ConvexWeights, "__init__", counting_init)
+    act = permutation_action(3, 2, g3)
+    x0 = np.random.default_rng(2).standard_normal(6)
+    result = run_symmetrization(act, x0, schedule, 40, early_stop=False, certify=True)
+    assert result.steps_run == 40
+    assert built == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, lifted_module.SIGNAL_CHUNK])
+def test_early_stop_draws_at_most_one_chunk_past_the_run(chunk, monkeypatch):
+    monkeypatch.setattr(lifted_module, "SIGNAL_CHUNK", chunk)
+    drawn = []
+    rows = RandomGossipSchedule._rows
+
+    def counting_rows(self, steps):
+        for row in rows(self, steps):
+            drawn.append(1)
+            yield row
+
+    monkeypatch.setattr(RandomGossipSchedule, "_rows", counting_rows)
+    g3 = symmetric_group(3)
+    trs = [transposition_index(g3, j, k) for j, k in complete_edges(3)]
+    schedule = RandomGossipSchedule(g3, trs, (0.3, 0.7), seed=5)
+    x0 = np.random.default_rng(5).standard_normal(3)
+    result = run_gossip_consensus(3, 1, complete_edges(3), schedule, x0, 5000, threshold=1e-8)
+    assert result.converged and 0 < result.steps_run < 5000
+    assert result.steps_run <= sum(drawn) <= result.steps_run + chunk
+
+
 def test_weights_trajectory_is_one_read_only_array():
     g3 = symmetric_group(3)
     x0 = np.random.default_rng(4).standard_normal(3)
@@ -599,8 +639,9 @@ def test_orbit_matrix_runners_keep_their_average_and_lift_gap_bit_for_bit(protoc
     x = action.space.validate(x0)
     gap = 0.0
     rows = result.weights_trajectory[1:]
-    for s, row in zip(sched.realize(result.steps_run), rows):
-        x = step(action, s, x)
+    signal = sched.realize(result.steps_run)
+    for idx, w, row in zip(signal.idx, signal.w, rows):
+        x = step(action, idx, w, x)
         gap = max(gap, float(np.abs(row @ orbit_matrix - x.ravel()).max()))
     assert np.array_equal(x, result.final_state)
     assert np.array_equal(result.orbit_average, average)

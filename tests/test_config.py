@@ -569,8 +569,18 @@ class TestMemoryPreflight:
 
     def test_long_runs_count_their_weight_series(self, monkeypatch):
         self.with_memory(monkeypatch, 8)
-        with pytest.raises(ConfigError, match=r"weights 37\.5"):
+        with pytest.raises(ConfigError, match=r"weights 18\.78"):
             parse_config(minimal_gossip(params={"m": 7}, steps=500_000))
+
+    def test_signal_is_charged_its_compact_rows(self, monkeypatch):
+        # one float64 per element per step was 4.8 GiB of signal and trajectory
+        self.with_memory(monkeypatch, 8)
+        cfg = parse_config(minimal_gossip(params={"m": 8}, steps=8000))
+        parts = config_module._dense_bytes(cfg.application, cfg.params, cfg.schedule, cfg.steps)
+        assert parts["weights"] == 8 * 40320 * 8001
+        assert parts["signal"] == 16 * 2 * 8000
+        subset = {"kind": "random-subset", "support": [1, 2, 3]}
+        assert config_module._dense_bytes("gossip", cfg.params, subset, 10)["signal"] == 16 * 4 * 10
 
     @staticmethod
     def sampled_run_peak(steps):

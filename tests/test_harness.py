@@ -525,7 +525,7 @@ class TestOneBuilder:
     def record_realized(monkeypatch):
         """Wrap every schedule kind's realize; collect each signal as an array."""
         realized = []
-        pending = list(Schedule.__subclasses__())
+        pending = [Schedule]
         while pending:
             cls = pending.pop()
             pending.extend(cls.__subclasses__())
@@ -554,6 +554,22 @@ class TestOneBuilder:
         run_signal = realized[0]
         for other in realized[1:]:
             assert np.array_equal(other, run_signal[: other.shape[0]])
+
+    def test_dd_run_builds_its_schedule_once(self):
+        # a chooser that does not generate the group warns once per construction
+        cfg = parse_config(
+            {
+                "schema_version": 1,
+                "application": "dd",
+                "schedule": {"kind": "dd-bisection", "chooser": [1]},
+                "steps": 4,
+                "seed": 7,
+            }
+        )
+        with pytest.warns(UserWarning) as caught:
+            run_from_config(cfg)
+        messages = [str(w.message) for w in caught]
+        assert sum("does not generate the group" in m for m in messages) == 1
 
 
 class TestCertificateHorizon:

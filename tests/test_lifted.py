@@ -440,7 +440,7 @@ def test_window_kernel_allocates_no_float_block_per_call():
     s6 = symmetric_group(6)
     rows = max(1, lifted_module.BLOCK_BYTES // (32 * s6.order))  # one full chunk
     signal = RandomSubsetSchedule(s6, range(1, s6.order, 7), (0.3, 0.9), 2).realize(rows)
-    idx, w = lifted_module._compact_support(signal, 0, rows)
+    idx, w = signal.idx, signal.w
     q = np.zeros((rows, s6.order))
     q[:, s6.identity] = 1.0
     work = lifted_module._workspace(rows, s6.order)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from groupsym.groups import cyclic_group, symmetric_group, transposition_index
+import groupsym.lifted as lifted_module
+from groupsym.groups import cyclic_group, group_from_table, symmetric_group, transposition_index
 from groupsym.lifted import (
     ConvexWeights,
     check_mixing,
@@ -75,7 +77,7 @@ def test_cyclic_validation():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError, match="alpha"):
             CyclicSchedule(z4, [1], bad)
-    assert CyclicSchedule(z4, [1], 0.5).realize(0) == []
+    assert len(CyclicSchedule(z4, [1], 0.5).realize(0)) == 0
 
 
 def test_cyclic_support_and_describe():
@@ -338,7 +340,7 @@ def test_explicit_cycle_policy():
 def test_explicit_empty_with_zero_steps():
     z2 = cyclic_group(2)
     sched = ExplicitSchedule(z2, [])
-    assert sched.realize(0) == []
+    assert len(sched.realize(0)) == 0
     with pytest.raises(ValueError, match="empty"):
         sched.realize(1)
     assert sched.union_support() == frozenset()
@@ -358,7 +360,7 @@ def test_explicit_accepts_convex_weights_objects():
     z2 = cyclic_group(2)
     s = ConvexWeights(np.array([0.6, 0.4]), z2)
     sched = ExplicitSchedule(z2, [s])
-    assert sched.realize(1)[0] is s
+    assert np.array_equal(sched.realize(1)[0].weights, s.weights)
     assert sched.union_support() == frozenset({0, 1})
 
 
@@ -443,3 +445,114 @@ def test_negative_steps_rejected():
     z4 = cyclic_group(4)
     with pytest.raises(ValueError, match=">= 0"):
         CyclicSchedule(z4, [1], 0.5).realize(-1)
+
+
+# -- realized streams --------------------------------------------------------------
+
+
+def relabeled_z5():
+    """Z5 with its elements permuted so that the identity is element 3."""
+    sigma = np.array([3, 0, 4, 1, 2])
+    table = np.empty((5, 5), dtype=int)
+    for a in range(5):
+        for b in range(5):
+            table[sigma[a], sigma[b]] = sigma[(a + b) % 5]
+    return group_from_table(table)
+
+
+def stream_schedules():
+    """(schedule, steps) of every kind, with the identity inside and outside the support."""
+    s3, s4, z5 = symmetric_group(3), symmetric_group(4), relabeled_z5()
+    pauli = pauli_quotient_group()
+    rng = np.random.default_rng(17)
+    rows = rng.dirichlet(np.ones(6), size=9)
+    rows[::2, 1] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return {
+        "cyclic-with-identity": (CyclicSchedule(s3, [1, 0, 4], 0.35), 150),
+        "cyclic-relabeled": (CyclicSchedule(z5, [1, 3, 2], 0.6), 150),
+        "gossip-s4": (RandomGossipSchedule(s4, range(1, 24, 5), (0.3, 0.7), 3), 150),
+        "gossip-with-identity": (RandomGossipSchedule(z5, [0, 3, 4], (0.2, 0.8), 9), 150),
+        "subset-s4": (RandomSubsetSchedule(s4, range(1, 24), (0.3, 0.9), 4), 150),
+        "subset-with-identity": (RandomSubsetSchedule(s4, range(0, 24, 3), (0.1, 0.9), 8), 150),
+        "subset-relabeled": (RandomSubsetSchedule(z5, [0, 1, 2, 3, 4], (0.2, 0.8), 5), 150),
+        "dd-list": (DDBisectionSchedule(pauli, [1, 3, 2], 0.25), 150),
+        "dd-callable": (DDBisectionSchedule(pauli, lambda n: (n * n + n // 3) % 4, 0.5), 150),
+        "explicit-truncate": (ExplicitSchedule(s3, list(rows), "truncate"), 9),
+        "explicit-cycle": (ExplicitSchedule(s3, list(rows), "cycle"), 150),
+    }
+
+
+# sha256 of the stacked float64 weight vectors of realize(steps), as the
+# per-step ConvexWeights schedules wrote them before signals became arrays.
+STREAM_SHA256 = {
+    "cyclic-with-identity": "de3e27895ec21eda8740c8a7bf6b064dd6947f4af24358ee4cf51f4a866b7af9",
+    "cyclic-relabeled": "d17181f26c297c1d92255decf8c624991100eca94c91a570b61e9f991996d73c",
+    "gossip-s4": "b2ec143e74e39579db765c7a2657ce4ad531b94f2f20bed61a7cef392e938130",
+    "gossip-with-identity": "e158e5982f0d9cba922ed5ee90859a4d23e7757a34bee3542a0f6588d15e1990",
+    "subset-s4": "f98d8066b47991831b92aaa9068d87355742bf48d355eed0a7224f7740fb50c7",
+    "subset-with-identity": "2167df156b8a0715535ff849bc05182a0858412600a4871e3b02dfeb4e4c99d7",
+    "subset-relabeled": "f6efd7dd7b6678577794673906a52757b022eb51e2e8365898c02b49cb4c11ec",
+    "dd-list": "131b31e4876b21c629813e59ad9740cf0705c00220794c967bdd3d3f3860be62",
+    "dd-callable": "eb7602732ca4a68036a4b0286946174a0803e95042911d59261a33ba34afeb4a",
+    "explicit-truncate": "ea8a36fa458e2f2c2f5fe61c680b33f989aefb4eb9430084e30f505143e9419f",
+    "explicit-cycle": "aeec2a38a2d729041a810bdec641cd48b0c8c753d4f9c993120243f621bfd775",
+}
+
+
+def stream_digest(weights):
+    return hashlib.sha256(np.ascontiguousarray(weights, dtype="<f8").tobytes()).hexdigest()
+
+
+def dense_rows(signal):
+    """The (steps, |G|) weights of a Signal, read from its arrays alone."""
+    dense = np.zeros((len(signal), signal.group.order))
+    steps = np.repeat(np.arange(len(signal)), signal.idx.shape[1])
+    np.add.at(dense, (steps, signal.idx.ravel()), signal.w.ravel())  # padding adds zeros
+    return dense
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_SHA256))
+def test_realized_stream_matches_its_pin(name):
+    schedule, steps = stream_schedules()[name]
+    signal = schedule.realize(steps)
+    assert len(signal) == steps
+    assert stream_digest([signal[t].weights for t in range(steps)]) == STREAM_SHA256[name]
+    assert stream_digest(dense_rows(schedule.realize(steps))) == STREAM_SHA256[name]
+    # each row: the support in increasing element order, then identity padding
+    e = schedule.group.identity
+    for idx, w in zip(signal.idx, signal.w):
+        n = np.count_nonzero(w)
+        assert (w[:n] > 0).all() and (np.diff(idx[:n]) > 0).all()
+        assert (idx[n:] == e).all() and (w[n:] == 0.0).all()
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_SHA256))
+def test_realized_prefixes_survive_any_chunk(name, monkeypatch):
+    schedule, steps = stream_schedules()[name]
+    full = schedule.realize(steps)
+    reference = (full.idx.copy(), full.w.copy())
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(lifted_module, "SIGNAL_CHUNK", chunk)
+        for n in (0, 1, chunk + 1, steps // 2, steps):
+            signal = schedule.realize(n)
+            # row by row, so each chunk is drawn when the read first crosses into it
+            for t in range(n):
+                idx, w = signal.rows(t, t + 1)
+                assert np.array_equal(idx[0], reference[0][t]), (chunk, n, t)
+                assert np.array_equal(w[0], reference[1][t]), (chunk, n, t)
+
+
+def test_signal_reads_are_read_only_views():
+    schedule, steps = stream_schedules()["gossip-s4"]
+    signal = schedule.realize(steps)
+    idx, w = signal.rows(3, 9)
+    for array in (idx, w, signal.idx, signal.w):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    part = signal[10:20]
+    assert len(part) == 10
+    assert np.array_equal(part.w, signal.w[10:20])
+    assert np.array_equal(signal[-1].weights, signal[steps - 1].weights)
+    with pytest.raises(IndexError):
+        signal[steps]
