@@ -1,209 +1,24 @@
-"""Symmetrization dynamics over finite groups."""
+"""Symmetrization dynamics over finite groups.
+
+The package exports the public names each module declares in its own
+``__all__``; that list is the only place a name is made public.
+"""
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .groups import (
-    FiniteGroup,
-    GroupValidationError,
-    closure,
-    cyclic_group,
-    generates,
-    group_from_json,
-    group_from_table,
-    permutation_index,
-    same_group,
-    symmetric_group,
-    transposition_index,
-)
-from .lifted import (
-    ConvexWeights,
-    GroupMismatchError,
-    MixingCertificate,
-    Signal,
-    TransitionMatrix,
-    check_mixing,
-    convolve,
-    envelope_bounds,
-    find_mixing_certificate,
-    laplacian,
-    lyapunov_norm,
-    rate_bound,
-    read_trajectory_csv,
-    relative_entropy,
-    run_lifted,
-    transition_matrix,
-    window_weights,
-    write_trajectory_csv,
-)
-from .actions import (
-    LinearAction,
-    ProjectionCheck,
-    VectorSpace,
-    axis_permutation_action,
-    conjugation_action,
-    conserved_value,
-    decode_state,
-    dft_action,
-    encode_state,
-    fixed_point_residual,
-    inner,
-    is_projection,
-    load_state,
-    pauli_matrices,
-    pauli_quotient_group,
-    pauli_unitaries,
-    permutation_action,
-    regular_action,
-    restricted_operator_bound,
-    save_state,
-    step,
-    subsystem_permutation_action,
-    subsystem_permutation_unitaries,
-    symmetrizer,
-)
-from .schedules import (
-    RNG_ALGORITHM,
-    CyclicSchedule,
-    DDBisectionSchedule,
-    ExplicitSchedule,
-    RandomGossipSchedule,
-    RandomSubsetSchedule,
-    Schedule,
-    frame_histogram,
-    schedule_from_csv,
-)
-from .applications import (
-    ExperimentResult,
-    SpectralComparison,
-    birkhoff_decomposition,
-    birkhoff_weights,
-    edge_transpositions,
-    run_dft,
-    run_dynamical_decoupling,
-    run_gossip_consensus,
-    run_probability_symmetrization,
-    run_quantum_gossip,
-    run_random_state_generation,
-    run_symmetrization,
-    spectral_comparison,
-    star_consensus_example,
-)
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_hash,
-    parse_config,
-    serialize_config,
-)
-from .harness import (
-    CheckResult,
-    HarnessError,
-    RunArtifacts,
-    VerificationReport,
-    certify_run,
-    execute,
-    spectral_run,
-    verify,
-)
+from . import actions, applications, config, groups, harness, lifted, schedules
+from .actions import *
+from .applications import *
+from .config import *
+from .groups import *
+from .harness import *
+from .lifted import *
+from .schedules import *
 
-__all__ = [
-    "__version__",
-    # groups
-    "FiniteGroup",
-    "GroupValidationError",
-    "closure",
-    "cyclic_group",
-    "generates",
-    "group_from_json",
-    "group_from_table",
-    "permutation_index",
-    "same_group",
-    "symmetric_group",
-    "transposition_index",
-    # lifted
-    "ConvexWeights",
-    "Signal",
-    "GroupMismatchError",
-    "MixingCertificate",
-    "TransitionMatrix",
-    "check_mixing",
-    "convolve",
-    "envelope_bounds",
-    "find_mixing_certificate",
-    "laplacian",
-    "lyapunov_norm",
-    "rate_bound",
-    "read_trajectory_csv",
-    "relative_entropy",
-    "run_lifted",
-    "transition_matrix",
-    "window_weights",
-    "write_trajectory_csv",
-    # actions
-    "LinearAction",
-    "ProjectionCheck",
-    "VectorSpace",
-    "axis_permutation_action",
-    "conjugation_action",
-    "conserved_value",
-    "decode_state",
-    "dft_action",
-    "encode_state",
-    "fixed_point_residual",
-    "inner",
-    "is_projection",
-    "load_state",
-    "pauli_matrices",
-    "pauli_quotient_group",
-    "pauli_unitaries",
-    "permutation_action",
-    "regular_action",
-    "restricted_operator_bound",
-    "save_state",
-    "step",
-    "subsystem_permutation_action",
-    "subsystem_permutation_unitaries",
-    "symmetrizer",
-    # schedules
-    "RNG_ALGORITHM",
-    "CyclicSchedule",
-    "DDBisectionSchedule",
-    "ExplicitSchedule",
-    "RandomGossipSchedule",
-    "RandomSubsetSchedule",
-    "Schedule",
-    "frame_histogram",
-    "schedule_from_csv",
-    # applications
-    "ExperimentResult",
-    "SpectralComparison",
-    "birkhoff_decomposition",
-    "birkhoff_weights",
-    "edge_transpositions",
-    "run_dft",
-    "run_dynamical_decoupling",
-    "run_gossip_consensus",
-    "run_probability_symmetrization",
-    "run_quantum_gossip",
-    "run_random_state_generation",
-    "run_symmetrization",
-    "spectral_comparison",
-    "star_consensus_example",
-    # config
-    "ConfigError",
-    "RunConfig",
-    "config_hash",
-    "parse_config",
-    "serialize_config",
-    # harness
-    "CheckResult",
-    "HarnessError",
-    "RunArtifacts",
-    "VerificationReport",
-    "certify_run",
-    "execute",
-    "spectral_run",
-    "verify",
+__all__ = ["__version__"] + [
+    name
+    for module in (groups, lifted, actions, schedules, applications, config, harness)
+    for name in module.__all__
 ]

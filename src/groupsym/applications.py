@@ -37,7 +37,6 @@ from .lifted import (
     ConvexWeights,
     MixingCertificate,
     Signal,
-    find_mixing_certificate,
     lifted_series,
     lifted_steps,
     transition_matrix,
@@ -62,9 +61,6 @@ __all__ = [
 ]
 
 RESIDUAL_THRESHOLD = 1e-8
-DELTA_FLOOR = 1e-6
-# Signal steps the engine's certificate search scans (and certify_run's default).
-CERTIFICATE_HORIZON = 256
 # The lift check's tolerance is LIFT_ROUNDOFF * eps * (steps_run + |G|) *
 # max(1, ||x0||_inf): float64 round-off of steps_run mixing steps on the direct
 # side and of a |G|-term weighted orbit sum on the lifted side.  The shift-phase
@@ -96,7 +92,6 @@ class ExperimentResult:
     lyapunov: np.ndarray
     kl: np.ndarray
     weights_trajectory: np.ndarray  # read-only, (steps_run + 1, |G|), row t = p(t)
-    certificate: Optional[MixingCertificate]
     final_state: np.ndarray
     conserved_drift: float
     lift_direct_gap: float
@@ -108,6 +103,16 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
     # F(x0), the orbit average of the initial state; not written to artifacts
     orbit_average: Optional[np.ndarray] = None
+    # the signal an engine run realized, drawn as far as the run read it
+    signal: Optional[Signal] = None
+    # set by the harness (harness.certify_schedule); no runner certifies
+    certificate: Optional[MixingCertificate] = None
+
+
+def lift_roundoff(steps_run: int, order: int, x0: np.ndarray) -> float:
+    """The lift check's tolerance for ``steps_run`` steps from x0 (see LIFT_ROUNDOFF)."""
+    scale = max(1.0, float(np.abs(x0).max(initial=0.0)))
+    return LIFT_ROUNDOFF * EPS * (steps_run + order) * scale
 
 
 def sampling_tolerance(order: int, trials: int) -> float:
@@ -129,8 +134,6 @@ def run_symmetrization(
     *,
     threshold: float = RESIDUAL_THRESHOLD,
     early_stop: bool = True,
-    certify: bool = False,
-    delta_floor: float = DELTA_FLOOR,
     monitors: Optional[Dict[str, Callable[[np.ndarray], object]]] = None,
     residual_fn: Optional[Callable[[np.ndarray], float]] = None,
     metadata: Optional[dict] = None,
@@ -143,12 +146,12 @@ def run_symmetrization(
     initial value; their worst drift is reported.  The reconstruction and
     the orbit average F(x0), returned as ``orbit_average``, come from the
     action's ``mixer`` of x0.  ``schedule`` may also be a Signal or a
-    sequence of ConvexWeights.
+    sequence of ConvexWeights; the realized Signal is returned as ``signal``.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     t_start = time.perf_counter()
-    x = action.space.validate(x0)
+    x = x0 = action.space.validate(x0)
     if not isinstance(schedule, Schedule):
         schedule = Signal.from_weights(schedule, action.group)
     signal = schedule.realize(steps)
@@ -157,7 +160,6 @@ def run_symmetrization(
         residual_fn = lambda state: fixed_point_residual(action, state)
 
     mix, orbit_average = action.mixer(x)
-    lift_scale = max(1.0, float(np.abs(x).max(initial=0.0)))
     lifted = lifted_steps(signal, action.group)
     traj = next(lifted)
 
@@ -185,14 +187,6 @@ def run_symmetrization(
         for v in series[1:]:
             drift = max(drift, float(np.abs(v - base).max()))
 
-    certificate = None
-    if certify and len(signal) > 0:
-        horizon = min(len(signal), CERTIFICATE_HORIZON)
-        cap = max(1, min(4 * action.group.order, horizon))
-        certificate = find_mixing_certificate(
-            signal[:horizon], max_T=cap, delta_floor=delta_floor
-        )
-
     meta = {
         "schedule": schedule.describe(),
         "steps_requested": steps,
@@ -208,17 +202,17 @@ def run_symmetrization(
         lyapunov=lyap,
         kl=kl,
         weights_trajectory=traj,
-        certificate=certificate,
         final_state=x,
         conserved_drift=drift,
         lift_direct_gap=lift_gap,
-        lift_tolerance=LIFT_ROUNDOFF * EPS * (steps_run + action.group.order) * lift_scale,
+        lift_tolerance=lift_roundoff(steps_run, action.group.order, x0),
         converged=bool(residuals[-1] <= threshold),
         threshold=threshold,
         steps_run=steps_run,
         metadata=meta,
         extras={"conserved_series": {k: np.array(v) for k, v in monitor_series.items()}},
         orbit_average=orbit_average,
+        signal=signal,
     )
 
 
@@ -634,7 +628,6 @@ def run_random_state_generation(
         lyapunov=lyap,
         kl=kl,
         weights_trajectory=traj,
-        certificate=None,
         final_state=empirical,
         conserved_drift=0.0,
         lift_direct_gap=tv_empirical_exact,
@@ -718,7 +711,6 @@ def run_dynamical_decoupling(
         n_max,
         threshold=threshold,
         early_stop=False,
-        certify=True,
         monitors={"trace_real": lambda X: float(np.trace(X).real)},
         residual_fn=off_scalar,
         metadata={"application": "dd", "n_max": n_max, "alpha": schedule.alpha},

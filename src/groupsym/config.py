@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .actions import decode_state
@@ -621,6 +621,18 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
         tolerances=tolerances,
         output=output,
         base_dir=base,
+    )
+
+
+def with_absolute_paths(config: RunConfig) -> RunConfig:
+    """The same run with each referenced file named by its absolute path, so
+    that its document reads the same files from any directory."""
+    doc = config.to_dict()
+    for spec in (doc["params"].get("group", {}), doc["schedule"], doc["initial_state"]):
+        if "path" in spec:
+            spec["path"] = os.path.abspath(config.resolve(spec["path"]))
+    return replace(
+        config, params=doc["params"], schedule=doc["schedule"], initial_state=doc["initial_state"]
     )
 
 

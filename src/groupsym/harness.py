@@ -36,11 +36,9 @@ from .actions import (
     regular_action,
 )
 from .applications import (
-    CERTIFICATE_HORIZON,
-    EPS,
-    LIFT_ROUNDOFF,
     SAMPLING_BETA,
     ExperimentResult,
+    lift_roundoff,
     run_dft,
     run_dynamical_decoupling,
     run_gossip_consensus,
@@ -58,6 +56,7 @@ from .config import (
     config_hash,
     parse_config,
     serialize_config,
+    with_absolute_paths,
 )
 from .groups import (
     FiniteGroup,
@@ -68,6 +67,7 @@ from .groups import (
 )
 from .lifted import (
     WEIGHT_ATOL,
+    MixingCertificate,
     envelope_bounds,
     find_mixing_certificate,
     lifted_series,
@@ -93,6 +93,7 @@ __all__ = [
     "execute",
     "verify",
     "certify_run",
+    "certify_schedule",
     "spectral_run",
     "result_to_dict",
     "EXIT_OK",
@@ -133,6 +134,8 @@ KL_MATCH_ATOL = 1e-9
 MONOTONE_ATOL = 1e-12
 ENVELOPE_ATOL = 1e-12
 KL_DISTINGUISH_ATOL = 1e-7
+# Signal steps a certificate scans, unless certify is given a horizon.
+CERTIFICATE_HORIZON = 256
 
 
 class HarnessError(RuntimeError):
@@ -272,33 +275,39 @@ def _build_run(config: RunConfig) -> Tuple[FiniteGroup, Schedule]:
 
 
 def run_from_config(config: RunConfig) -> ExperimentResult:
-    """Dispatch a validated config to its application runner."""
-    tol = config.tolerances
-    engine = dict(threshold=tol["residual"], certify=True, delta_floor=tol["delta_floor"])
+    """Dispatch a validated config to its runner; certify an engine run's signal."""
+    result = _run_application(config)
+    if result.signal is not None and config.steps > 0:
+        result.certificate = certify_schedule(result.signal, config.steps, config.tolerances)
+    return result
+
+
+def _run_application(config: RunConfig) -> ExperimentResult:
+    threshold = config.tolerances["residual"]
     app, params, steps = config.application, config.params, config.steps
     group, schedule = _build_run(config)
 
     if app == "gossip":
         m, n = params["m"], params["n"]
         x0 = _initial_array(config, (m * n,), "real")
-        return run_gossip_consensus(m, n, params["edges"], schedule, x0, steps, **engine)
+        return run_gossip_consensus(m, n, params["edges"], schedule, x0, steps, threshold=threshold)
 
     if app == "prob-sym":
         m, size = params["m"], params["outcome_size"]
         joint0 = _initial_array(config, (size,) * m, "prob")
         return run_probability_symmetrization(
-            m, size, params["edges"], schedule, joint0, steps, **engine
+            m, size, params["edges"], schedule, joint0, steps, threshold=threshold
         )
 
     if app == "quantum-gossip":
         m, d = params["m"], params["local_dim"]
         X0 = _initial_array(config, (d**m, d**m), "hermitian")
-        return run_quantum_gossip(m, d, params["edges"], schedule, X0, steps, **engine)
+        return run_quantum_gossip(m, d, params["edges"], schedule, X0, steps, threshold=threshold)
 
     if app == "dft":
         N = params["N"]
         x = _initial_array(config, (N,), "complex")
-        return run_dft(N, x, schedule, steps, **engine)
+        return run_dft(N, x, schedule, steps, threshold=threshold)
 
     if app == "random-state":
         y0 = _initial_array(config, (group.order,), "real")
@@ -314,7 +323,33 @@ def run_from_config(config: RunConfig) -> ExperimentResult:
     H_d = _initial_array(config, (2, 2), "traceless-hermitian-2")
     kwargs = {key: params[key] for key in ("dt", "frame_cap") if key in params}
     return run_dynamical_decoupling(
-        group, H_d, pauli_matrices(), schedule, steps, threshold=tol["residual"], **kwargs
+        group, H_d, pauli_matrices(), schedule, steps, threshold=threshold, **kwargs
+    )
+
+
+def certify_schedule(
+    schedule,
+    steps: int,
+    tolerances: dict,
+    *,
+    max_T: Optional[int] = None,
+    horizon: Optional[int] = None,
+) -> MixingCertificate:
+    """The mixing certificate of a run of ``steps`` steps: the rule both
+    ``run`` and ``certify`` apply.
+
+    Scans the first ``horizon`` steps of ``schedule`` (a Schedule, or the
+    Signal an engine run realized), by default min(steps, CERTIFICATE_HORIZON)
+    and at least 1, for the smallest window of at most ``max_T`` steps, by
+    default 4|G|, whose composite weights exceed ``tolerances["delta_floor"]``
+    on every element.
+    """
+    if horizon is None:
+        horizon = max(1, min(steps, CERTIFICATE_HORIZON))
+    if max_T is None:
+        max_T = 4 * schedule.group.order
+    return find_mixing_certificate(
+        schedule.realize(horizon), max_T=max_T, delta_floor=tolerances["delta_floor"]
     )
 
 
@@ -339,17 +374,19 @@ def _jsonify(value):
     return value
 
 
+def _certificate_doc(cert: MixingCertificate) -> dict:
+    """A certificate as result.json and certify_run record it."""
+    return {
+        "T": int(cert.T),
+        "delta": float(cert.delta),
+        "satisfied": bool(cert.satisfied),
+        "witness": _jsonify(cert.witness),
+        "horizon": int(cert.horizon),
+    }
+
+
 def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
     """JSON-safe result document; floats survive round-trips exactly."""
-    cert = None
-    if result.certificate is not None:
-        cert = {
-            "T": int(result.certificate.T),
-            "delta": float(result.certificate.delta),
-            "satisfied": bool(result.certificate.satisfied),
-            "witness": _jsonify(result.certificate.witness),
-            "horizon": int(result.certificate.horizon),
-        }
     extras = dict(result.extras)
     conserved = extras.pop("conserved_series", {})
     return {
@@ -367,7 +404,7 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
         "lift_direct_gap": float(result.lift_direct_gap),
         "lift_tolerance": float(result.lift_tolerance),
         "tolerances": dict(config.tolerances),
-        "certificate": cert,
+        "certificate": None if result.certificate is None else _certificate_doc(result.certificate),
         "final_state": encode_state(np.asarray(result.final_state)),
         "metadata": _jsonify(result.metadata),
         "extras": _jsonify(extras),
@@ -430,9 +467,12 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
     except Exception as exc:
         raise HarnessError(str(exc), module=config.application) from exc
 
-    directory = _artifact_dir(config, out_dir)
-    os.makedirs(directory, exist_ok=True)
     try:
+        directory = _artifact_dir(config, out_dir)
+        os.makedirs(directory, exist_ok=True)
+        # config.json names referenced files absolutely, so that it reads the
+        # same files from the run directory
+        run_config = with_absolute_paths(config)
         doc = result_to_dict(result, config)
         _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc), "\n"))
         _atomic_write(
@@ -446,7 +486,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
             "version": TOOL_VERSION,
             "rng": RNG_ALGORITHM,
             "seed": config.seed,
-            "config_sha256": config_hash(config),
+            "config_sha256": config_hash(run_config),
             "application": config.application,
             "artifacts": [CONFIG_FILE, RESULT_FILE, TRAJECTORY_FILE],
         }
@@ -454,7 +494,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
             os.path.join(directory, MANIFEST_FILE),
             _text(json.dumps(manifest, indent=2, sort_keys=True), "\n"),
         )
-        _atomic_write(os.path.join(directory, CONFIG_FILE), _text(serialize_config(config)))
+        _atomic_write(os.path.join(directory, CONFIG_FILE), _text(serialize_config(run_config)))
     except OSError as exc:
         raise HarnessError(f"could not write artifacts: {exc}", module="harness") from exc
 
@@ -809,13 +849,13 @@ def _check_dft(a: _Artifacts) -> CheckResult:
     sum_k w_k a(k, X0) has a first row within sum_k |w_k - 1/N| |x_k| of
     fft(x)/N.  With w_T the last trajectory row, the direct state must be
     within ||w_T - 1/N||_1 ||x||_inf of it, plus the lift round-off
-    allowance LIFT_ROUNDOFF * eps * (steps_run + N) * max(1, ||x||_inf).
+    allowance lift_roundoff(steps_run, N, x).
     x comes from config.json alone; nothing in result.json is trusted.
     """
     if a.config_doc.get("application") != "dft":
         return CheckResult("dft", "skip", None, "skipped: not a dft run")
     try:
-        # relative paths resolve against the run directory, as for the file
+        # a relative path left in config.json resolves against the run directory
         config = parse_config(a.config_doc, base_dir=os.path.abspath(a.directory))
         N = config.params["N"]
         x = np.asarray(_initial_array(config, (N,), "complex"), dtype=np.complex128)
@@ -834,7 +874,7 @@ def _check_dft(a: _Artifacts) -> CheckResult:
     column = int(np.argmax(gaps))
     gap = float(gaps[column])
     scale = float(np.abs(x).max(initial=0.0))
-    roundoff = LIFT_ROUNDOFF * EPS * (weights.shape[0] - 1 + N) * max(1.0, scale)
+    roundoff = lift_roundoff(weights.shape[0] - 1, N, x)
     bound = float(np.abs(weights[-1] - 1.0 / N).sum()) * scale + roundoff
     if gap <= bound:
         detail = f"first row within {bound:.3e} of DFT(x)/N (gap {gap:.3e})"
@@ -885,24 +925,12 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
 
 
 def certify_run(config: RunConfig, max_T: int, *, horizon: Optional[int] = None) -> dict:
-    """Scan the configured schedule for a mixing certificate."""
+    """Scan the configured schedule for a mixing certificate (certify_schedule)."""
     group, schedule = _build_run(config)
-    window = horizon if horizon is not None else max(1, min(config.steps, CERTIFICATE_HORIZON))
-    signal = schedule.realize(window)
-    cert = find_mixing_certificate(
-        signal,
-        max_T=max_T,
-        horizon=window,
-        delta_floor=config.tolerances["delta_floor"],
+    cert = certify_schedule(
+        schedule, config.steps, config.tolerances, max_T=max_T, horizon=horizon
     )
-    out = {
-        "satisfied": bool(cert.satisfied),
-        "T": int(cert.T),
-        "delta": float(cert.delta),
-        "group_order": group.order,
-        "horizon": cert.horizon,
-        "witness": _jsonify(cert.witness),
-    }
+    out = dict(_certificate_doc(cert), group_order=group.order)
     if cert.satisfied:
         out["rho"] = 1.0 - group.order * cert.delta
     return out

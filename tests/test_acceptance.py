@@ -35,9 +35,9 @@ from groupsym.applications import (
     spectral_comparison,
     star_consensus_example,
 )
-from groupsym.config import parse_config
+from groupsym.config import DEFAULT_TOLERANCES, parse_config
 from groupsym.groups import cyclic_group, symmetric_group, transposition_index
-from groupsym.harness import execute, verify
+from groupsym.harness import certify_schedule, execute, verify
 from groupsym.lifted import (
     ConvexWeights,
     convolve,
@@ -190,10 +190,9 @@ def test_criterion_04_lift_reconstruction_and_orbit_average():
     assert result.lift_direct_gap <= 1e-8
 
     schedule = CyclicSchedule(S3, TRANSPOSITIONS, 0.5)
-    certified = run_symmetrization(
-        action, x0, schedule, 400, threshold=1e-10, certify=True
-    )
-    assert certified.certificate is not None and certified.certificate.satisfied
+    certified = run_symmetrization(action, x0, schedule, 400, threshold=1e-10)
+    certificate = certify_schedule(certified.signal, 400, DEFAULT_TOLERANCES)
+    assert certificate is not None and certificate.satisfied
     brute = sum(action.apply(g, x0) for g in range(6)) / 6.0
     limit_gap = float(np.abs(certified.final_state - brute).max())
     assert limit_gap <= 1e-8
@@ -270,8 +269,9 @@ def test_criterion_06_dft_first_row():
             schedule = RandomGossipSchedule(
                 group, list(range(1, N)), (0.3, 0.7), seed=1000 * N + trial
             )
-            result = run_dft(N, x, schedule, 2000, threshold=1e-8, certify=True)
-            assert result.certificate is not None and result.certificate.satisfied
+            result = run_dft(N, x, schedule, 2000, threshold=1e-8)
+            certificate = certify_schedule(result.signal, 2000, DEFAULT_TOLERANCES)
+            assert certificate is not None and certificate.satisfied
             assert result.extras["first_row_gap"] < 1e-6
             worst_dyn = max(worst_dyn, result.extras["first_row_gap"])
 
@@ -364,10 +364,9 @@ def test_criterion_09_quantum_gossip_projection():
     A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     X0 = (A + A.conj().T) / 2.0
     schedule = CyclicSchedule(S3, TRANSPOSITIONS, 0.5)
-    result = run_quantum_gossip(
-        3, 2, ALL_EDGES, schedule, X0, 500, threshold=1e-10, certify=True
-    )
-    assert result.certificate is not None and result.certificate.satisfied
+    result = run_quantum_gossip(3, 2, ALL_EDGES, schedule, X0, 500, threshold=1e-10)
+    certificate = certify_schedule(result.signal, 500, DEFAULT_TOLERANCES)
+    assert certificate is not None and certificate.satisfied
 
     U = subsystem_permutation_unitaries(S3, 2)
     action = conjugation_action(S3, U)

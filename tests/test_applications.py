@@ -38,6 +38,8 @@ from groupsym.applications import (
     spectral_comparison,
     star_consensus_example,
 )
+from groupsym.config import DEFAULT_TOLERANCES
+from groupsym.harness import certify_schedule
 from groupsym.groups import cyclic_group, symmetric_group, transposition_index
 from groupsym.lifted import ConvexWeights
 from groupsym.schedules import (
@@ -99,7 +101,8 @@ def test_engine_makes_no_weight_objects_and_no_convolve_calls(monkeypatch):
             monkeypatch.setattr(module, "convolve", counting_convolve)
     act = permutation_action(3, 2, symmetric_group(3))
     x0 = np.random.default_rng(2).standard_normal(6)
-    result = run_symmetrization(act, x0, signal, 40, early_stop=False, certify=True)
+    result = run_symmetrization(act, x0, signal, 40, early_stop=False)
+    certify_schedule(result.signal, 40, DEFAULT_TOLERANCES)
     assert result.steps_run == 40
     assert calls == []
 
@@ -118,7 +121,8 @@ def test_engine_builds_no_weight_objects_from_a_schedule(monkeypatch):
     monkeypatch.setattr(ConvexWeights, "__init__", counting_init)
     act = permutation_action(3, 2, g3)
     x0 = np.random.default_rng(2).standard_normal(6)
-    result = run_symmetrization(act, x0, schedule, 40, early_stop=False, certify=True)
+    result = run_symmetrization(act, x0, schedule, 40, early_stop=False)
+    certify_schedule(result.signal, 40, DEFAULT_TOLERANCES)
     assert result.steps_run == 40
     assert built == []
 
@@ -213,13 +217,19 @@ def test_engine_final_state_matches_orbit_average():
 def test_engine_certificate_attached():
     g3 = symmetric_group(3)
     act = permutation_action(3, 1, g3)
-    result = run_symmetrization(
-        act, np.array([1.0, 2.0, 3.0]), s3_cycle_schedule(), 30, certify=True
-    )
-    assert result.certificate is not None
-    assert result.certificate.satisfied
-    assert result.certificate.T == 3
-    assert result.certificate.delta == pytest.approx(0.125)
+    result = run_symmetrization(act, np.array([1.0, 2.0, 3.0]), s3_cycle_schedule(), 30)
+    certificate = certify_schedule(result.signal, 30, DEFAULT_TOLERANCES)
+    assert certificate is not None
+    assert certificate.satisfied
+    assert certificate.T == 3
+    assert certificate.delta == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("keyword", [{"certify": True}, {"delta_floor": 1e-6}])
+def test_engine_does_not_certify(keyword):
+    act = permutation_action(3, 1, symmetric_group(3))
+    with pytest.raises(TypeError, match=next(iter(keyword))):
+        run_symmetrization(act, np.array([1.0, 2.0, 3.0]), s3_cycle_schedule(), 30, **keyword)
 
 
 def test_engine_rejects_short_inline_signal():
@@ -895,9 +905,10 @@ def test_dd_pauli_drift_killed_in_two_bisections():
     assert result.residuals[1] == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
     assert result.residuals[2] == 0.0
     assert np.abs(result.residuals[2:]).max() == 0.0
-    assert result.certificate is not None
-    assert result.certificate.T == 2
-    assert result.certificate.delta == pytest.approx(0.25)
+    certificate = certify_schedule(result.signal, 6, DEFAULT_TOLERANCES)
+    assert certificate is not None
+    assert certificate.T == 2
+    assert certificate.delta == pytest.approx(0.25)
 
 
 def test_dd_frames_unroll_in_block_order():
@@ -929,7 +940,7 @@ def test_dd_envelope_bounds_residual_for_uneven_alpha():
     I, X, Y, Z = pauli_matrices()
     H_d = 0.3 * X + 0.7 * Z
     result = run_dynamical_decoupling(group, H_d, U, [1, 3], 12, alpha=0.25)
-    cert = result.certificate
+    cert = certify_schedule(result.signal, 12, DEFAULT_TOLERANCES)
     assert cert.satisfied and cert.T == 2
     assert cert.delta == pytest.approx(1.0 / 16.0)
     rho = 1.0 - 4.0 * cert.delta

@@ -16,12 +16,13 @@ import groupsym.harness as harness_module
 from groupsym.actions import decode_state, encode_state, save_state
 from groupsym.applications import SAMPLING_BETA, sampling_tolerance
 from groupsym.cli import main
-from groupsym.config import ConfigError, config_hash, parse_config
+from groupsym.config import ConfigError, config_hash, parse_config, serialize_config
 from groupsym.groups import symmetric_group, transposition_index
 from groupsym.harness import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_RUNTIME,
     VERIFY_CHECKS,
     HarnessError,
     _substream,
@@ -118,6 +119,26 @@ class TestExecute:
         )
         with pytest.raises(ConfigError, match="gossip"):
             execute(cfg, out_dir=run_dir(tmp_path))
+
+    def test_unwritable_directory_is_a_harness_error(self, tmp_path):
+        cfg = gossip_config(steps=20)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(HarnessError) as caught:
+            execute(cfg, out_dir=str(blocker))
+        assert caught.value.module == "harness"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(serialize_config(cfg))
+        assert main(["run", str(config_path), "--out", str(blocker)]) == EXIT_RUNTIME
+
+    def test_runner_failure_is_a_harness_error_naming_the_application(self, monkeypatch, tmp_path):
+        def failing(*args, **kwargs):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setattr(harness_module, "run_gossip_consensus", failing)
+        with pytest.raises(HarnessError, match=r"\[gossip\] runner broke") as caught:
+            execute(gossip_config(steps=20), out_dir=run_dir(tmp_path))
+        assert caught.value.module == "gossip"
 
     def test_output_dir_from_config_and_env(self, tmp_path, monkeypatch):
         out = tmp_path / "from-config"
@@ -493,6 +514,25 @@ class TestCertifyRun:
         )
         outcome = certify_run(cfg, 6, horizon=12)
         assert outcome["horizon"] == 12
+
+    def test_run_and_certify_apply_the_same_delta_floor(self, tmp_path):
+        # no window puts more than 1/|G| = 0.25 on every element, so a floor
+        # of 0.3 admits no certificate, in the run as in certify
+        cfg = parse_config(
+            {
+                "schema_version": 1,
+                "application": "dd",
+                "schedule": {"kind": "dd-bisection", "chooser": [1, 3]},
+                "steps": 20,
+                "seed": 7,
+                "tolerances": {"delta_floor": 0.3},
+            }
+        )
+        recorded = load_result(execute(cfg, out_dir=run_dir(tmp_path)).directory)["certificate"]
+        outcome = certify_run(cfg, 16)
+        assert not recorded["satisfied"] and not outcome["satisfied"]
+        assert recorded == {key: outcome[key] for key in recorded}
+        assert not certify_run(cfg, 20)["satisfied"]
 
 
 class TestOneBuilder:
@@ -876,14 +916,37 @@ def golden_config(name):
     return parse_config(doc)
 
 
+# sha256 of each golden run's result.json without metadata.runtime_seconds,
+# the one field that differs between reruns (json.dumps of the loaded
+# document with that key removed, as execute writes it).
+GOLDEN_RESULTS = {
+    "dd": "051adb177e6a7c2fa726a27547640c44fddc1f1394ada131ba7d801aace546fc",
+    "dft": "5bd31965cdaefa7cc8c9ba276f278026a14874bba1cd1accd567e683ab8fdfce",
+    "dft-subgroup": "23b810b9a0f59074de25ef736d2e2f9b1590c05ab5f904e0ba089556959d376a",
+    "gossip": "1c65f4819749e27d7fc553f98c30e402e5b37cc5544db093c863ccb0952d0e07",
+    "gossip-cyclic": "1eb235f978d36462cd1e14140f7fa13795a90f4f39bb42d8f22258c2e677feae",
+    "gossip-subset": "de6411d3d51791567900f1bbe683ec537639b17c8e47e9ad37f6045c08d39ad5",
+    "prob-sym": "e422559086668b6c3889d3f14013b186646ac96da9390930b24d81a7a48c25f6",
+    "quantum-gossip": "e71b8ac0c1196a379aa09afbe23678fe575dae2ec276133db766f9070c172349",
+    "random-state": "64585b3432b4f535b961061b12cac103d299e1d519e8b23cd172fdd6ef223cf1",
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_trajectory_bytes_and_certificate(name, tmp_path):
     _, sha256, certificate = GOLDEN_RUNS[name]
-    art = execute(golden_config(name), out_dir=run_dir(tmp_path))
+    cfg = golden_config(name)
+    art = execute(cfg, out_dir=run_dir(tmp_path))
     with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == sha256
-    with open(os.path.join(art.directory, "result.json")) as fh:
-        assert json.load(fh)["certificate"] == certificate
+    doc = load_result(art.directory)
+    assert doc["certificate"] == certificate
+    if certificate is not None:
+        # run and certify apply one rule: certify at run's window cap agrees
+        outcome = certify_run(cfg, 4 * doc["group_order"])
+        assert certificate == {key: outcome[key] for key in certificate}
+    doc["metadata"].pop("runtime_seconds", None)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GOLDEN_RESULTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLED_LAWS))
@@ -1090,6 +1153,22 @@ class TestDftCheck:
         assert "initial_state.path" in dft.detail and "does not exist" in dft.detail
         assert report.passed
 
+    def test_relative_file_initial_state_resolves_from_the_run_directory(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(5)
+        save_state(tmp_path / "x0.json", rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        monkeypatch.chdir(tmp_path)
+        cfg = dft_config(8, initial_state={"source": "file", "path": "x0.json"})
+        art = execute(cfg, out_dir=str(tmp_path / "runs" / "a"))
+        report = verify(art.directory)
+        assert check_named(art.directory, "dft").line().startswith("PASS dft")
+        assert report.passed
+        with open(os.path.join(art.directory, "config.json")) as fh:
+            assert json.load(fh)["initial_state"]["path"] == str(tmp_path / "x0.json")
+        # the config itself, its hash and so its default directory keep the relative path
+        assert cfg.initial_state["path"] == "x0.json"
+
 
 DELETED = object()
 
@@ -1243,3 +1322,27 @@ class TestUnreadableArtifacts:
             "non-finite value at step 4"
         )
         assert all(c.status == "skip" for c in report.checks[1:])
+
+
+# -- the package namespace -------------------------------------------------------
+
+
+def test_package_exports_each_module_public_names():
+    import groupsym
+
+    modules = [
+        groupsym.groups,
+        groupsym.lifted,
+        groupsym.actions,
+        groupsym.schedules,
+        groupsym.applications,
+        groupsym.config,
+        harness_module,
+    ]
+    assert len(groupsym.__all__) == len(set(groupsym.__all__))
+    for module in modules:
+        for name in module.__all__:
+            assert name in groupsym.__all__, (module.__name__, name)
+            assert getattr(groupsym, name) is getattr(module, name)
+    # documented in the README
+    assert {"__version__", "lifted_steps", "lifted_series", "Signal"} <= set(groupsym.__all__)
