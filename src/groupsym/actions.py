@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
+from numpy.fft import fft, ifft
 
 from .groups import FiniteGroup, cyclic_group, group_from_table, symmetric_group
 from .lifted import BLOCK_BYTES
@@ -119,6 +120,9 @@ class LinearAction:
         )
         self.name = name
         self._matrices: dict = {}
+        # set by relabeling actions: block_fn that gathers into a caller's buffer
+        self._gather_into: Optional[Callable[[slice, np.ndarray, np.ndarray], np.ndarray]] = None
+        self._work: Optional[np.ndarray] = None
 
     def apply(self, g: int, x, *, validate: bool = True) -> np.ndarray:
         if not 0 <= g < self.group.order:
@@ -149,11 +153,40 @@ class LinearAction:
         or more goes one element per block, so memory never exceeds one
         image beyond what a per-element loop uses.
         """
-        x = self.space.validate(x)
-        per_block = max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
+        yield from self._blocks(self.space.validate(x))
+
+    def _blocks(
+        self, x: np.ndarray, work: Optional[np.ndarray] = None
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """``orbit_blocks`` of a validated state.
+
+        With a ``work`` buffer from ``_workspace``, a relabeling action
+        gathers each block into the leading rows of ``work``, so the block is
+        overwritten by the next one; every other action yields fresh blocks.
+        """
+        per_block = _per_block(x)
         order = self.group.order
         for start in range(0, order, per_block):
-            yield start, self._block(slice(start, min(order, start + per_block)), x)
+            gs = slice(start, min(order, start + per_block))
+            if work is None or self._gather_into is None:
+                yield start, self._block(gs, x)
+            else:
+                yield start, self._gather_into(gs, x, work[: gs.stop - gs.start])
+
+    def _workspace(self, x: np.ndarray) -> np.ndarray:
+        """A buffer of one orbit block of x, kept on the action across calls.
+
+        ``fixed_point_residual`` and ``symmetrizer`` walk the orbit once per
+        engine step.  A block they gather into this buffer, and a difference
+        written over it, allocate nothing after the first call, where a
+        fresh block per step comes back from the allocator as fresh pages.
+        So two walks of one action must not interleave, from one thread or
+        from two.
+        """
+        shape = (min(self.group.order, _per_block(x)), x.size)
+        if self._work is None or self._work.shape != shape or self._work.dtype != x.dtype:
+            self._work = np.empty(shape, dtype=x.dtype)
+        return self._work
 
     def orbit_matrix(self, x) -> np.ndarray:
         """The (|G|, dim) array whose row g is a(g, x).ravel()."""
@@ -201,6 +234,11 @@ class LinearAction:
         return f"{label}(group={self.group!r}, shape={self.space.shape})"
 
 
+def _per_block(x: np.ndarray) -> int:
+    """Orbit elements per block for a validated state (see ``LinearAction.orbit_blocks``)."""
+    return max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
+
+
 # -- concrete actions ---------------------------------------------------------
 
 
@@ -220,13 +258,15 @@ def _relabeling_action(
     maps are orthogonal, so the adjoint of a(g, .) is a(g^-1, .).
     """
 
-    def relabel(gs, x: np.ndarray) -> np.ndarray:
+    def relabel(gs, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         index = sources[gs] if rows is None else sources[rows[gs]]
         # np.take along axis 0 gathers whole blocks, where fancy indexing of
-        # the (-1, block) view runs about twice as slow
-        return np.take(x.reshape(-1, block), index, axis=0)
+        # the (-1, block) view runs about twice as slow; the indices are in
+        # range by construction, and mode "raise" would gather into a copy
+        # of ``out`` first
+        return np.take(x.reshape(-1, block), index, axis=0, out=out, mode="clip")
 
-    return LinearAction(
+    action = LinearAction(
         group,
         space,
         lambda g, x: relabel(g, x).reshape(space.shape),
@@ -234,6 +274,10 @@ def _relabeling_action(
         name=name,
         block_fn=lambda gs, x: relabel(gs, x).reshape(gs.stop - gs.start, -1),
     )
+    action._gather_into = lambda gs, x, out: relabel(
+        gs, x, out.reshape(out.shape[0], -1, block)
+    ).reshape(out.shape)
+    return action
 
 
 def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> LinearAction:
@@ -321,18 +365,18 @@ def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
         return np.roll(X, -k, axis=0) * phases[k][None, :]
 
     def residual_fn(X: np.ndarray) -> float:
-        Y = np.fft.fft(X, axis=0).view(np.float64).reshape(N * N, 2)
+        Y = fft(X, axis=0).view(np.float64).reshape(N * N, 2)
         power = np.einsum("ij,ij->i", Y, Y)
         return math.sqrt(float((gains @ power[diagonals].sum(axis=1)).max()))
 
     def mix_fn(X0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        Y0 = np.fft.fft(X0, axis=0)
+        Y0 = fft(X0, axis=0)
         shifts = (n[:, None] - n[None, :]) % N
 
         def mix(p: np.ndarray) -> np.ndarray:
-            W = (N * np.fft.ifft(p))[shifts]
+            W = (N * ifft(p))[shifts]
             W *= Y0
-            return np.fft.ifft(W, axis=0).reshape(-1)
+            return ifft(W, axis=0).reshape(-1)
 
         return mix
 
@@ -513,9 +557,14 @@ def symmetrizer(action: LinearAction, x) -> np.ndarray:
 
     Sums the orbit block by block (see ``LinearAction.orbit_blocks``).
     """
-    parts = [block.sum(axis=0) for _, block in action.orbit_blocks(x)]
-    total = sum(parts[1:], start=parts[0])
-    return (total / action.group.order).reshape(action.space.shape)
+    x = action.space.validate(x)
+    total = None
+    for _, block in action._blocks(x, action._workspace(x)):
+        # block sums, added in block order
+        part = block.sum(axis=0)
+        total = part if total is None else np.add(total, part, out=total)
+    total /= action.group.order
+    return total.reshape(action.space.shape)
 
 
 def fixed_point_residual(action: LinearAction, x) -> float:
@@ -531,9 +580,11 @@ def fixed_point_residual(action: LinearAction, x) -> float:
         return action._residual(x)
     flat = x.reshape(-1)
     worst = 0.0
-    for _, block in action.orbit_blocks(x):
-        # squared row norms over the real view, with no conjugated temporary
-        diff = (block - flat).view(np.float64)
+    work = action._workspace(x)
+    for _, block in action._blocks(x, work):
+        # squared row norms over the real view, with no conjugated temporary;
+        # the difference goes into the workspace, over a gathered block
+        diff = np.subtract(block, flat, out=work[: block.shape[0]]).view(np.float64)
         worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
     return math.sqrt(worst)
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from numpy.fft import fft
+from numpy.random import PCG64, Generator
 
 from .actions import (
     LinearAction,
@@ -482,7 +481,7 @@ def run_dft(N: int, x, schedule, steps: int, **engine) -> ExperimentResult:
         raise ValueError(f"x has shape {x.shape}, expected ({N},)")
     action = dft_action(N)
     X0 = np.outer(x, np.ones(N))
-    chi = np.fft.fft(x) / N
+    chi = fft(x) / N
 
     result = run_symmetrization(
         action, X0, schedule, steps, metadata={"application": "dft", "N": N}, **engine
@@ -536,7 +535,7 @@ def _orbit_collision(rows: np.ndarray, atol: float = 1e-12) -> Optional[Tuple[in
     return best
 
 
-def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+def _draw(rng: Generator, p: np.ndarray, size: int) -> np.ndarray:
     """``rng.choice(p.size, size=size, p=p)``: the same draws from the same stream.
 
     ``choice`` draws one uniform u per sample and returns
@@ -597,7 +596,7 @@ def run_random_state_generation(
     traj.setflags(write=False)
     exact_law = traj[-1]
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     walk = np.full(trials, group.identity, dtype=np.int32)
     for support, weights in zip(*signal.rows(0, t_steps)):
         # Drawing over the row alone is the same stream as drawing over all
@@ -724,6 +723,10 @@ def run_dynamical_decoupling(
     result.extras["drift_norm"] = float(np.linalg.norm(H))
 
     if dt is not None:
+        # scipy is imported here and in birkhoff_decomposition only, so that
+        # no other run pays for loading it
+        from scipy.linalg import expm
+
         gaps = {}
         frame_hams = {}
         for n in range(frames_n + 1):
@@ -769,6 +772,9 @@ def birkhoff_decomposition(A, *, atol: float = 1e-9, max_terms: Optional[int] = 
             f"matrix is not doubly stochastic (row defect {rows:.3e}, "
             f"column defect {cols:.3e})"
         )
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     residual = A.copy()
     weights = []
     perms = []

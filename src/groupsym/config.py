@@ -625,14 +625,19 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
 
 
 def with_absolute_paths(config: RunConfig) -> RunConfig:
-    """The same run with each referenced file named by its absolute path, so
-    that its document reads the same files from any directory."""
+    """The same run with each referenced file and its output directory named
+    by absolute path, so that its document reads the same files and writes
+    to the same directory from any directory."""
     doc = config.to_dict()
     for spec in (doc["params"].get("group", {}), doc["schedule"], doc["initial_state"]):
         if "path" in spec:
             spec["path"] = os.path.abspath(config.resolve(spec["path"]))
     return replace(
-        config, params=doc["params"], schedule=doc["schedule"], initial_state=doc["initial_state"]
+        config,
+        params=doc["params"],
+        schedule=doc["schedule"],
+        initial_state=doc["initial_state"],
+        output=config.output and os.path.abspath(config.resolve(config.output)),
     )
 
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.fft import fft
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .actions import (
     decode_state,
@@ -150,7 +152,7 @@ class HarnessError(RuntimeError):
 
 def _substream(seed: int, key: int) -> int:
     """Derive an independent 64-bit stream seed from the top-level seed."""
-    ss = np.random.SeedSequence(seed, spawn_key=(key,))
+    ss = SeedSequence(seed, spawn_key=(key,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -218,8 +220,8 @@ def build_schedule(config: RunConfig, group: FiniteGroup, *, m: Optional[int] = 
     return schedule_from_csv(config.resolve(spec["path"]), group, policy=spec["policy"])
 
 
-def _state_rng(config: RunConfig) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_substream(config.seed, SEED_STATE)))
+def _state_rng(config: RunConfig) -> Generator:
+    return Generator(PCG64(_substream(config.seed, SEED_STATE)))
 
 
 def _initial_array(config: RunConfig, shape, kind: str) -> np.ndarray:
@@ -870,7 +872,7 @@ def _check_dft(a: _Artifacts) -> CheckResult:
             f"shapes x {x.shape}, final state {final_state.shape} and "
             f"{weights.shape[1]} trajectory columns do not fit N={N}",
         )
-    gaps = np.abs(final_state[0] - np.fft.fft(x) / N)
+    gaps = np.abs(final_state[0] - fft(x) / N)
     column = int(np.argmax(gaps))
     gap = float(gaps[column])
     scale = float(np.abs(x).max(initial=0.0))

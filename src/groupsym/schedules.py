@@ -13,6 +13,7 @@ import warnings
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .groups import FiniteGroup, generates, same_group
 from .lifted import ConvexWeights, Signal, _support_row
@@ -192,7 +193,7 @@ class RandomGossipSchedule(_SeededSchedule):
     kind = "random-gossip"
 
     def _rows(self, steps: int) -> Iterator[tuple]:
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+        rng = Generator(PCG64(self.seed))
         for _ in range(steps):  # per step an integer, then a uniform
             h = self.support[int(rng.integers(len(self.support)))]
             alpha = float(rng.uniform(*self.alpha_range))
@@ -209,7 +210,7 @@ class RandomSubsetSchedule(_SeededSchedule):
         return len(self.union_support())
 
     def _rows(self, steps: int) -> Iterator[tuple]:
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+        rng = Generator(PCG64(self.seed))
         n = len(self.support)
         for _ in range(steps):  # per step an integer, a choice, then a uniform
             k = int(rng.integers(1, n + 1))

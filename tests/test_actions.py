@@ -5,6 +5,8 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -998,6 +1000,86 @@ def test_batched_residual_and_symmetrizer_match_per_element_loop(kind, budget, m
     orbit = act.orbit(x)
     loop_average = sum(orbit[1:], start=orbit[0]) / act.group.order
     assert np.allclose(symmetrizer(act, x), loop_average, rtol=1e-12, atol=1e-15)
+
+
+def unbuffered_residual(act, x):
+    """fixed_point_residual as it was before the orbit workspace: a fresh
+    block and a fresh difference per block."""
+    flat = np.ascontiguousarray(x).reshape(-1)
+    worst = 0.0
+    for _, block in act.orbit_blocks(x):
+        diff = (block - flat).view(np.float64)
+        worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
+    return math.sqrt(worst)
+
+
+def unbuffered_symmetrizer(act, x):
+    """symmetrizer as it was before the orbit workspace."""
+    parts = [block.sum(axis=0) for _, block in act.orbit_blocks(x)]
+    total = sum(parts[1:], start=parts[0])
+    return (total / act.group.order).reshape(act.space.shape)
+
+
+@pytest.mark.parametrize("budget", [actions_module.BLOCK_BYTES, 4096, 64])
+@pytest.mark.parametrize("kind", sorted(action_kinds()))
+def test_workspace_walks_equal_the_unbuffered_ones(kind, budget, monkeypatch):
+    monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
+    act, x = action_kinds()[kind]
+    # twice: the second call reuses the first call's workspace
+    for _ in range(2):
+        assert fixed_point_residual(act, x) == unbuffered_residual(act, x)
+        assert np.array_equal(symmetrizer(act, x), unbuffered_symmetrizer(act, x))
+    # the walks leave the state alone
+    assert np.array_equal(x, action_kinds()[kind][1])
+
+
+def test_workspace_follows_the_block_budget(monkeypatch):
+    act = permutation_action(5, 2)
+    x = np.arange(10.0)
+    expected = unbuffered_residual(act, x), unbuffered_symmetrizer(act, x)
+    for budget in (actions_module.BLOCK_BYTES, 4 * 50 * x.nbytes, 4 * x.nbytes):
+        monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
+        assert fixed_point_residual(act, x) == expected[0]
+        assert np.array_equal(symmetrizer(act, x), expected[1])
+        # one block of the orbit, at most the whole orbit
+        rows = min(act.group.order, budget // (4 * x.nbytes))
+        assert act._work.shape == (rows, x.size)
+
+
+def test_orbit_walks_allocate_no_block_after_the_first_call():
+    act = subsystem_permutation_action(symmetric_group(5), 2)
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    x = a + a.conj().T
+    block_bytes = next(act.orbit_blocks(x))[1].nbytes
+    assert block_bytes >= 8 * x.nbytes  # blocks of several elements
+    expected = unbuffered_residual(act, x), unbuffered_symmetrizer(act, x)
+    for walk in (fixed_point_residual, symmetrizer):
+        tracemalloc.start()
+        try:
+            walk(act, x)  # allocates the workspace
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            value = walk(act, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < block_bytes, walk.__name__
+    assert fixed_point_residual(act, x) == expected[0]
+    assert np.array_equal(symmetrizer(act, x), expected[1])
+
+
+def test_orbit_blocks_stay_independent_arrays():
+    act = subsystem_permutation_action(symmetric_group(5), 2)
+    x = np.arange(1024.0).reshape(32, 32) + 0j
+    fixed_point_residual(act, x)  # the walks' workspace exists
+    blocks = list(act.orbit_blocks(x))
+    assert len(blocks) > 1
+    assert not any(
+        np.shares_memory(a, b) for (_, a), (_, b) in itertools.combinations(blocks, 2)
+    )
+    assert not any(np.shares_memory(block, act._work) for _, block in blocks)
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), act.orbit_matrix(x))
 
 
 # -- relabeling gathers against the implementations they replaced ---------------

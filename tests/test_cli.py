@@ -37,6 +37,24 @@ class TestRunVerb:
             "trajectory.csv",
         ]
 
+    def test_rerun_of_a_saved_config_writes_to_the_same_directory(self, tmp_path, capsys):
+        # a relative output is saved absolute, so a rerun from the run
+        # directory does not nest a second run under it
+        cfg = write_config(tmp_path, gossip_doc(steps=20, output="runs/a"))
+        main(["run", cfg])
+        run_dir = tmp_path / "runs" / "a"
+        first = (run_dir / "trajectory.csv").read_bytes()
+        assert json.loads((run_dir / "config.json").read_text())["output"] == str(run_dir)
+        main(["run", str(run_dir / "config.json")])
+        assert sorted(os.listdir(run_dir)) == [
+            "config.json",
+            "manifest.json",
+            "result.json",
+            "trajectory.csv",
+        ]
+        assert (run_dir / "trajectory.csv").read_bytes() == first
+        assert main(["verify", str(run_dir)]) == 0
+
     def test_run_not_converged_exits_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, gossip_doc(params={"m": 3, "edges": [[0, 1]]}, steps=80)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -13,8 +15,14 @@ import pytest
 import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
-from groupsym.actions import decode_state, encode_state, save_state
-from groupsym.applications import SAMPLING_BETA, sampling_tolerance
+from groupsym.actions import (
+    decode_state,
+    encode_state,
+    pauli_matrices,
+    pauli_quotient_group,
+    save_state,
+)
+from groupsym.applications import SAMPLING_BETA, run_dynamical_decoupling, sampling_tolerance
 from groupsym.cli import main
 from groupsym.config import ConfigError, config_hash, parse_config, serialize_config
 from groupsym.groups import symmetric_group, transposition_index
@@ -964,6 +972,71 @@ def test_golden_verify_report(name, tmp_path):
     subset = ["weights", "kl", "lift"]
     expected = [line for line in GOLDEN_REPORTS[name] if line.split()[1] in subset]
     assert verify(art.directory, subset).lines() == expected
+
+
+# -- what a run loads ------------------------------------------------------------
+
+# Imports the package as the CLI does, then runs and verifies each config it
+# is given and prints, per config, the modules that run first imported.
+IMPORT_PROBE = """
+import json, sys, tempfile
+import groupsym, groupsym.cli
+from groupsym.config import parse_config
+from groupsym.harness import execute, verify
+loaded = set(sys.modules)
+first = {"import": sorted(name for name in loaded if name.split(".")[0] == "scipy")}
+for name, doc in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as directory:
+        verify(execute(parse_config(doc), out_dir=directory).directory)
+    first[name] = sorted(set(sys.modules) - loaded)
+    loaded.update(sys.modules)
+print(json.dumps(first))
+"""
+
+DD_DT = {
+    "schema_version": 1,
+    "application": "dd",
+    "schedule": {"kind": "dd-bisection", "chooser": [1, 3]},
+    "params": {"dt": 0.05},
+    "steps": 4,
+    "seed": 7,
+}
+
+
+def test_import_loads_everything_a_run_uses_and_no_scipy():
+    import groupsym
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(groupsym.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    runs = [(name, json.loads(serialize_config(golden_config(name)))) for name in sorted(GOLDEN_RUNS)]
+    runs.append(("dd-dt", DD_DT))
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    first = json.loads(probe.stdout)
+    assert first.pop("import") == []
+    # the dd propagator gap is the one run path that needs scipy
+    assert "scipy.linalg" in first.pop("dd-dt")
+    # each run's modules were loaded by the import, so setup time covers them
+    assert first == {name: [] for name in GOLDEN_RUNS}
+
+
+def test_dd_run_with_dt_records_the_runner_propagator_gap(tmp_path):
+    I, X, Y, Z = pauli_matrices()
+    H_d = 0.3 * X + 0.7 * Z
+    doc = dict(DD_DT, initial_state={"source": "inline", "data": encode_state(H_d)})
+    art = execute(parse_config(doc), out_dir=run_dir(tmp_path))
+    direct = run_dynamical_decoupling(
+        pauli_quotient_group(), H_d, pauli_matrices(), [1, 3], 4, dt=0.05
+    )
+    gaps = load_result(art.directory)["extras"]["propagator_gap"]
+    assert gaps == {str(n): gap for n, gap in direct.extras["propagator_gap"].items()}
+    assert gaps["0"] == 0.0 and gaps["1"] > 1e-4
+    assert verify(art.directory).passed
 
 
 @pytest.mark.parametrize(
