@@ -86,15 +86,12 @@ class LinearAction:
     ``apply_fn(g, x)`` must implement a left action with respect to the
     group table.  ``adjoint_map`` names, per element, the element whose map
     is the adjoint of a(g, .); all bundled actions are unitary, so it is the
-    inverse map.  ``block_fn(gs, x)``, when given, returns the stacked
-    images ``a(g, x).ravel()`` for the consecutive elements of the slice
-    ``gs`` in one array operation; without it orbit blocks stack
-    ``apply_fn`` calls.  ``residual_fn(x)``, when given, returns
-    ``max_g ||a(g, x) - x||_2`` for a validated state without forming the
-    orbit; ``fixed_point_residual`` uses it in place of the orbit blocks.
-    ``mix_fn(x)``, when given, returns the mixing kernel of a validated
-    state, a callable ``p -> sum_g p_g a(g, x).ravel()`` built without the
-    orbit; ``mixer`` uses it in place of the orbit matrix.
+    inverse map.  The orbit kernels are methods: ``_block`` fills a buffer
+    with the images of a run of consecutive elements, and every orbit walk,
+    ``_fixed_point_residual`` and ``mixer`` go through it.  A bundled action
+    with a faster form of one overrides that method (the relabeling gather,
+    the DFT's Fourier residual and mixer); a custom action inherits one
+    ``apply`` per element.
     """
 
     def __init__(
@@ -105,23 +102,15 @@ class LinearAction:
         *,
         adjoint_map: Optional[np.ndarray] = None,
         name: str = "",
-        block_fn: Optional[Callable[[slice, np.ndarray], np.ndarray]] = None,
-        residual_fn: Optional[Callable[[np.ndarray], float]] = None,
-        mix_fn: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
     ):
         self.group = group
         self.space = space
         self._apply = apply_fn
-        self._block = block_fn or self._stacked_apply
-        self._residual = residual_fn
-        self._mix = mix_fn
         self.adjoint_map = (
             None if adjoint_map is None else np.asarray(adjoint_map, dtype=np.int64)
         )
         self.name = name
         self._matrices: dict = {}
-        # set by relabeling actions: block_fn that gathers into a caller's buffer
-        self._gather_into: Optional[Callable[[slice, np.ndarray, np.ndarray], np.ndarray]] = None
         self._work: Optional[np.ndarray] = None
 
     def apply(self, g: int, x, *, validate: bool = True) -> np.ndarray:
@@ -136,10 +125,15 @@ class LinearAction:
         x = self.space.validate(x)
         return [self._apply(g, x) for g in range(self.group.order)]
 
-    def _stacked_apply(self, gs: slice, x: np.ndarray) -> np.ndarray:
-        if gs.stop - gs.start == 1:
-            return self._apply(gs.start, x).reshape(1, -1)
-        return np.stack([self._apply(g, x).ravel() for g in range(gs.start, gs.stop)])
+    def _block(self, gs: slice, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill row i of ``out`` with a(gs.start + i, x).ravel() and return ``out``.
+
+        ``x`` is a validated state and ``out`` a C-contiguous
+        (gs.stop - gs.start, dim) array of x's dtype.
+        """
+        for row, g in zip(out, range(gs.start, gs.stop)):
+            row[:] = self._apply(g, x).ravel()
+        return out
 
     def orbit_blocks(self, x) -> Iterator[Tuple[int, np.ndarray]]:
         """Yield (start, block) with block[i] = a(start+i, x).ravel().
@@ -148,73 +142,62 @@ class LinearAction:
         images plus up to three temporaries of the same size inside the
         kernel that builds them) stays near BLOCK_BYTES; each block is one
         relabeling gather for the permutation actions (block, axis,
-        subsystem and regular) and stacked ``apply`` calls for the DFT,
+        subsystem and regular) and one ``apply`` per element for the DFT,
         conjugation and custom actions.  A state of a quarter of BLOCK_BYTES
         or more goes one element per block, so memory never exceeds one
-        image beyond what a per-element loop uses.
+        image beyond what a per-element loop uses.  Every block is a fresh
+        array.
         """
-        yield from self._blocks(self.space.validate(x))
+        x = self.space.validate(x)
+        for gs in _slices(self.group.order, x):
+            yield gs.start, self._block(gs, x, np.empty((gs.stop - gs.start, x.size), x.dtype))
 
-    def _blocks(
-        self, x: np.ndarray, work: Optional[np.ndarray] = None
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """``orbit_blocks`` of a validated state.
-
-        With a ``work`` buffer from ``_workspace``, a relabeling action
-        gathers each block into the leading rows of ``work``, so the block is
-        overwritten by the next one; every other action yields fresh blocks.
-        """
-        per_block = _per_block(x)
-        order = self.group.order
-        for start in range(0, order, per_block):
-            gs = slice(start, min(order, start + per_block))
-            if work is None or self._gather_into is None:
-                yield start, self._block(gs, x)
-            else:
-                yield start, self._gather_into(gs, x, work[: gs.stop - gs.start])
-
-    def _workspace(self, x: np.ndarray) -> np.ndarray:
-        """A buffer of one orbit block of x, kept on the action across calls.
+    def _walk(self, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+        """``orbit_blocks`` of a validated state, each block in one buffer kept on the action.
 
         ``fixed_point_residual`` and ``symmetrizer`` walk the orbit once per
-        engine step.  A block they gather into this buffer, and a difference
+        engine step.  A block written into this buffer, and a difference
         written over it, allocate nothing after the first call, where a
         fresh block per step comes back from the allocator as fresh pages.
-        So two walks of one action must not interleave, from one thread or
-        from two.
+        Each block is overwritten by the next, so two walks of one action
+        must not interleave, from one thread or from two.
         """
-        shape = (min(self.group.order, _per_block(x)), x.size)
+        slices = _slices(self.group.order, x)
+        shape = (slices[0].stop, x.size)
         if self._work is None or self._work.shape != shape or self._work.dtype != x.dtype:
             self._work = np.empty(shape, dtype=x.dtype)
-        return self._work
+        for gs in slices:
+            yield gs.start, self._block(gs, x, self._work[: gs.stop - gs.start])
 
     def orbit_matrix(self, x) -> np.ndarray:
         """The (|G|, dim) array whose row g is a(g, x).ravel()."""
         x = self.space.validate(x)
-        out = np.empty((self.group.order, self.space.dim), dtype=x.dtype)
-        for start, block in self.orbit_blocks(x):
-            out[start : start + block.shape[0]] = block
+        out = np.empty((self.group.order, x.size), dtype=x.dtype)
+        for gs in _slices(self.group.order, x):
+            self._block(gs, x, out[gs])
         return out
+
+    def _fixed_point_residual(self, x: np.ndarray) -> float:
+        """``fixed_point_residual`` of a validated state, block by block."""
+        flat = x.reshape(-1)
+        worst = 0.0
+        for _, block in self._walk(x):
+            # squared row norms over the real view, with no conjugated
+            # temporary; the difference is written over the block
+            diff = np.subtract(block, flat, out=block).view(np.float64)
+            worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
+        return math.sqrt(worst)
 
     def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
         """(mix, average) for the orbit of x, built once.
 
         ``mix(p)`` is the flattened mixture ``sum_g p_g a(g, x).ravel()`` for
         a weight vector p over the group, and ``average`` is the orbit
-        average F(x) in the state's shape.  Through the action's own mixing
-        kernel when it has one (the DFT action's Fourier form), with the
-        average the kernel at uniform p; otherwise through the orbit matrix,
-        as ``p @ orbit_matrix`` and its row mean.
+        average F(x) in the state's shape: ``p @ orbit_matrix`` and its row
+        mean.
         """
-        x = self.space.validate(x)
-        if self._mix is not None:
-            mix = self._mix(x)
-            average = mix(np.full(self.group.order, 1.0 / self.group.order))
-        else:
-            orbit_matrix = self.orbit_matrix(x)
-            mix = lambda p: p @ orbit_matrix
-            average = orbit_matrix.mean(axis=0)
-        return mix, average.reshape(self.space.shape)
+        orbit_matrix = self.orbit_matrix(x)
+        return (lambda p: p @ orbit_matrix), orbit_matrix.mean(axis=0).reshape(self.space.shape)
 
     def matrix(self, g: int) -> np.ndarray:
         """Materialize a(g, .) on the flattened space (cached)."""
@@ -234,22 +217,19 @@ class LinearAction:
         return f"{label}(group={self.group!r}, shape={self.space.shape})"
 
 
-def _per_block(x: np.ndarray) -> int:
-    """Orbit elements per block for a validated state (see ``LinearAction.orbit_blocks``)."""
-    return max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
+def _slices(order: int, x: np.ndarray) -> list:
+    """The element runs of the orbit blocks of a validated state, in element order.
+
+    See ``LinearAction.orbit_blocks`` for the block size.
+    """
+    per_block = max(1, BLOCK_BYTES // (4 * max(1, x.nbytes)))
+    return [slice(s, min(order, s + per_block)) for s in range(0, order, per_block)]
 
 
 # -- concrete actions ---------------------------------------------------------
 
 
-def _relabeling_action(
-    group: FiniteGroup,
-    space: VectorSpace,
-    sources: np.ndarray,
-    name: str,
-    block: int = 1,
-    rows: Optional[np.ndarray] = None,
-) -> LinearAction:
+class _RelabelingAction(LinearAction):
     """An action by permutation matrices: every map and orbit block is one gather.
 
     Block j (of ``block`` consecutive flat entries) of a(g, x) is block
@@ -258,26 +238,39 @@ def _relabeling_action(
     maps are orthogonal, so the adjoint of a(g, .) is a(g^-1, .).
     """
 
-    def relabel(gs, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        index = sources[gs] if rows is None else sources[rows[gs]]
-        # np.take along axis 0 gathers whole blocks, where fancy indexing of
-        # the (-1, block) view runs about twice as slow; the indices are in
-        # range by construction, and mode "raise" would gather into a copy
-        # of ``out`` first
-        return np.take(x.reshape(-1, block), index, axis=0, out=out, mode="clip")
+    def __init__(
+        self,
+        group: FiniteGroup,
+        space: VectorSpace,
+        sources: np.ndarray,
+        name: str,
+        block: int = 1,
+        rows: Optional[np.ndarray] = None,
+    ):
+        # a closure over the tables, not a method: a map that held the
+        # action would keep it, its tables and its block buffer alive in a
+        # reference cycle until the garbage collector ran
+        def relabel(gs, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            index = sources[gs] if rows is None else sources[rows[gs]]
+            # np.take along axis 0 gathers whole blocks, where fancy indexing
+            # of the (-1, block) view runs about twice as slow; the indices
+            # are in range by construction, and mode "raise" would gather
+            # into a copy of ``out`` first
+            return np.take(x.reshape(-1, block), index, axis=0, out=out, mode="clip")
 
-    action = LinearAction(
-        group,
-        space,
-        lambda g, x: relabel(g, x).reshape(space.shape),
-        adjoint_map=group.inverses,
-        name=name,
-        block_fn=lambda gs, x: relabel(gs, x).reshape(gs.stop - gs.start, -1),
-    )
-    action._gather_into = lambda gs, x, out: relabel(
-        gs, x, out.reshape(out.shape[0], -1, block)
-    ).reshape(out.shape)
-    return action
+        super().__init__(
+            group,
+            space,
+            lambda g, x: relabel(g, x).reshape(space.shape),
+            adjoint_map=group.inverses,
+            name=name,
+        )
+        self._relabel = relabel
+        self._width = block
+
+    def _block(self, gs: slice, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self._relabel(gs, x, out.reshape(out.shape[0], -1, self._width))
+        return out
 
 
 def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> LinearAction:
@@ -293,7 +286,7 @@ def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> L
         group = symmetric_group(m)
     if group.perms is None or group.perms.shape[1] != m:
         raise ValueError(f"group does not act on {m} blocks")
-    return _relabeling_action(
+    return _RelabelingAction(
         group,
         VectorSpace((m * n,)),
         group.perms[group.inverses],
@@ -310,9 +303,46 @@ def regular_action(group: FiniteGroup) -> LinearAction:
     Dense by nature: its orbit reads every translation row, so it reads the
     group's full table.
     """
-    return _relabeling_action(
+    return _RelabelingAction(
         group, VectorSpace((group.order,)), group.table, "regular", rows=group.inverses
     )
+
+
+class _FourierAction(LinearAction):
+    """``dft_action``'s maps, with the residual and mixer of its Fourier form."""
+
+    def __init__(self, group: FiniteGroup, N: int):
+        n = np.arange(N)
+        # column phases of D^-k: exp(-2i pi k n / N)
+        phases = np.exp(-2j * np.pi * np.outer(n, n) / N)
+        super().__init__(
+            group,
+            VectorSpace((N, N), complex=True),
+            lambda k, X: np.roll(X, -k, axis=0) * phases[k][None, :],
+            adjoint_map=group.inverses,
+            name=f"dft(N={N})",
+        )
+        # gains[k, d] = 4 sin^2(pi (k d mod N) / N) / N; diagonals[d, m] is the
+        # flat index of entry (m, (m - d) mod N); shifts[m, n] = (m - n) mod N
+        self._gains = 4.0 * np.sin(np.pi * (np.outer(n, n) % N) / N) ** 2 / N
+        self._diagonals = n * N + (n[None, :] - n[:, None]) % N
+        self._shifts = (n[:, None] - n[None, :]) % N
+
+    def _fixed_point_residual(self, X: np.ndarray) -> float:
+        Y = fft(X, axis=0).view(np.float64).reshape(-1, 2)
+        power = np.einsum("ij,ij->i", Y, Y)
+        return math.sqrt(float((self._gains @ power[self._diagonals].sum(axis=1)).max()))
+
+    def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        N = self.group.order
+        Y0 = fft(self.space.validate(x), axis=0)
+
+        def mix(p: np.ndarray) -> np.ndarray:
+            W = (N * ifft(p))[self._shifts]
+            W *= Y0
+            return ifft(W, axis=0).reshape(-1)
+
+        return mix, mix(np.full(N, 1.0 / N)).reshape(self.space.shape)
 
 
 def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
@@ -353,42 +383,7 @@ def dft_action(N: int, group: Optional[FiniteGroup] = None) -> LinearAction:
         group = cyclic_group(N)
     if group.order != N:
         raise ValueError("group order must match N")
-    n = np.arange(N)
-    # column phases of D^-k: exp(-2i pi k n / N)
-    phases = np.exp(-2j * np.pi * np.outer(n, n) / N)
-    # gains[k, d] = 4 sin^2(pi (k d mod N) / N) / N; diagonals[d, m] is the
-    # flat index of entry (m, (m - d) mod N)
-    gains = 4.0 * np.sin(np.pi * (np.outer(n, n) % N) / N) ** 2 / N
-    diagonals = n * N + (n[None, :] - n[:, None]) % N
-
-    def apply_fn(k: int, X: np.ndarray) -> np.ndarray:
-        return np.roll(X, -k, axis=0) * phases[k][None, :]
-
-    def residual_fn(X: np.ndarray) -> float:
-        Y = fft(X, axis=0).view(np.float64).reshape(N * N, 2)
-        power = np.einsum("ij,ij->i", Y, Y)
-        return math.sqrt(float((gains @ power[diagonals].sum(axis=1)).max()))
-
-    def mix_fn(X0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        Y0 = fft(X0, axis=0)
-        shifts = (n[:, None] - n[None, :]) % N
-
-        def mix(p: np.ndarray) -> np.ndarray:
-            W = (N * ifft(p))[shifts]
-            W *= Y0
-            return ifft(W, axis=0).reshape(-1)
-
-        return mix
-
-    return LinearAction(
-        group,
-        VectorSpace((N, N), complex=True),
-        apply_fn,
-        adjoint_map=group.inverses,
-        name=f"dft(N={N})",
-        residual_fn=residual_fn,
-        mix_fn=mix_fn,
-    )
+    return _FourierAction(group, N)
 
 
 def conjugation_action(
@@ -427,15 +422,13 @@ def conjugation_action(
                     f"unitaries do not form a projective homomorphism at ({g},{h})"
                 )
 
-    action = LinearAction(
+    return LinearAction(
         group,
         VectorSpace((d, d), complex=True),
         lambda g, X: U[g] @ X @ U[g].conj().T,
         adjoint_map=group.inverses,
         name=f"conjugation(d={d})",
     )
-    action.unitaries = U
-    return action
 
 
 def axis_permutation_action(
@@ -455,7 +448,7 @@ def axis_permutation_action(
     # entry i of a(pi, P) reads the flat index of i's digits taken in the order pi
     digits = np.indices((size,) * m).reshape(m, -1)
     sources = size ** np.arange(m - 1, -1, -1) @ digits[group.perms]
-    return _relabeling_action(
+    return _RelabelingAction(
         group, VectorSpace((size,) * m), sources, f"axis-permutation(m={m}, size={size})"
     )
 
@@ -505,7 +498,7 @@ def subsystem_permutation_action(group: FiniteGroup, local_dim: int) -> LinearAc
     src = _subsystem_sources(group, local_dim)
     dim = src.shape[1]
     gather = (src[:, :, None] * dim + src[:, None, :]).reshape(group.order, dim * dim)
-    return _relabeling_action(
+    return _RelabelingAction(
         group, VectorSpace((dim, dim), complex=True), gather, f"conjugation(d={dim})"
     )
 
@@ -559,7 +552,7 @@ def symmetrizer(action: LinearAction, x) -> np.ndarray:
     """
     x = action.space.validate(x)
     total = None
-    for _, block in action._blocks(x, action._workspace(x)):
+    for _, block in action._walk(x):
         # block sums, added in block order
         part = block.sum(axis=0)
         total = part if total is None else np.add(total, part, out=total)
@@ -570,23 +563,12 @@ def symmetrizer(action: LinearAction, x) -> np.ndarray:
 def fixed_point_residual(action: LinearAction, x) -> float:
     """max_g ||a(g, x) - x||_2; zero exactly on common fixed points.
 
-    Uses the action's own residual kernel when it has one (the DFT action's
-    Fourier-diagonal form); otherwise evaluated block by block (see
-    ``LinearAction.orbit_blocks``): one array operation per block instead of
-    one call per element.
+    Evaluated block by block (see ``LinearAction.orbit_blocks``), one array
+    operation per block instead of one call per element, or by the action's
+    own closed form where it has one (the DFT action's Fourier-diagonal
+    form).
     """
-    x = action.space.validate(x)
-    if action._residual is not None:
-        return action._residual(x)
-    flat = x.reshape(-1)
-    worst = 0.0
-    work = action._workspace(x)
-    for _, block in action._blocks(x, work):
-        # squared row norms over the real view, with no conjugated temporary;
-        # the difference goes into the workspace, over a gathered block
-        diff = np.subtract(block, flat, out=work[: block.shape[0]]).view(np.float64)
-        worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
-    return math.sqrt(worst)
+    return action._fixed_point_residual(action.space.validate(x))
 
 
 def inner(y, x) -> complex:

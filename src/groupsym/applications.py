@@ -151,6 +151,8 @@ def run_symmetrization(
         raise ValueError(f"steps must be >= 0, got {steps}")
     t_start = time.perf_counter()
     x = x0 = action.space.validate(x0)
+    if not np.isfinite(x0).all():
+        raise ValueError("initial state has a non-finite entry")
     if not isinstance(schedule, Schedule):
         schedule = Signal.from_weights(schedule, action.group)
     signal = schedule.realize(steps)
@@ -580,6 +582,8 @@ def run_random_state_generation(
     seed = _check_seed(seed)
     group = action.group
     y0 = action.space.validate(y0)
+    if not np.isfinite(y0).all():
+        raise ValueError("initial state has a non-finite entry")
 
     collision = _orbit_collision(action.orbit_matrix(y0))
     if collision is not None:

@@ -96,7 +96,12 @@ def _load_config(path: str, args) -> RunConfig:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"--tolerance {key}: not a number: {raw!r}")
-        doc.setdefault("tolerances", {})[key.strip()] = value
+        tolerances = doc.get("tolerances")
+        if tolerances is None:
+            tolerances = doc["tolerances"] = {}
+        # anything else that is not an object fails in parse_config
+        if isinstance(tolerances, dict):
+            tolerances[key.strip()] = value
     base = os.path.dirname(os.path.abspath(path))
     return parse_config(doc, base_dir=base)
 

@@ -102,6 +102,8 @@ def _as_float(value, path: str, *, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        _fail(path, f"must be a finite number, got {value}")
     if positive and value <= 0.0:
         _fail(path, f"must be > 0, got {value}")
     return value

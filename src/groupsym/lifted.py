@@ -68,8 +68,8 @@ class GroupMismatchError(ValueError):
 class ConvexWeights:
     """Convex weight vector over the elements of a finite group.
 
-    Entries must be nonnegative (within WEIGHT_ATOL) and sum to 1 (within
-    WEIGHT_ATOL).  Small negative round-off is clamped to zero and sums
+    Entries must be finite, nonnegative (within WEIGHT_ATOL) and sum to 1
+    (within WEIGHT_ATOL).  Small negative round-off is clamped to zero and sums
     drifting by more than RENORM_DRIFT are renormalized, so repeated
     arithmetic cannot silently walk out of the simplex.
     """
@@ -82,6 +82,8 @@ class ConvexWeights:
             raise ValueError(
                 f"expected {group.order} weights, got shape {w.shape}"
             )
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         low = w.min()
         if low < -WEIGHT_ATOL:
             g = int(np.argmin(w))

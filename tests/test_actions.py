@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import itertools
 import json
 import math
@@ -1082,6 +1083,41 @@ def test_orbit_blocks_stay_independent_arrays():
     assert np.array_equal(np.concatenate([b for _, b in blocks]), act.orbit_matrix(x))
 
 
+@pytest.mark.parametrize("kind", sorted(action_kinds()))
+def test_a_dropped_action_is_freed_without_the_garbage_collector(kind):
+    # a map that referenced its own action would keep the action, its
+    # tables and its block buffer alive in a cycle until a collection
+    act, x = action_kinds()[kind]
+    fixed_point_residual(act, x)
+    act.mixer(x)
+    ref = weakref.ref(act)
+    gc.disable()
+    try:
+        del act
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_orbit_matrix_gathers_into_its_own_rows():
+    act = subsystem_permutation_action(symmetric_group(5), 2)
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    x = a + a.conj().T
+    block_bytes = next(act.orbit_blocks(x))[1].nbytes
+    assert block_bytes >= 8 * x.nbytes  # blocks of several elements
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        matrix = act.orbit_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix itself, and no block gathered beside it
+    assert peak - start < matrix.nbytes + block_bytes
+    assert np.array_equal(matrix, stacked_orbit(act, x))
+
+
 # -- relabeling gathers against the implementations they replaced ---------------
 
 
@@ -1096,8 +1132,8 @@ def relabeling_references(tmp_path):
     rng = np.random.default_rng(41)
     cases = {}
 
-    def reference(act, apply_fn, block_fn=None):
-        return LinearAction(act.group, act.space, apply_fn, block_fn=block_fn)
+    def reference(act, apply_fn):
+        return LinearAction(act.group, act.space, apply_fn)
 
     def add_regular(name, group):
         table, inv = group.table, group.inverses
@@ -1127,11 +1163,13 @@ def relabeling_references(tmp_path):
 
     group, U = pauli_unitaries()
     act = conjugation_action(group, U)
-    ref = reference(
-        act,
-        lambda g, X: U[g] @ X @ U[g].conj().T,
-        lambda gs, X: np.matmul(U[gs] @ X, U[gs].conj().transpose(0, 2, 1)).reshape(-1, 4),
-    )
+
+    class BatchedConjugation(LinearAction):
+        def _block(self, gs, X, out):
+            out[:] = np.matmul(U[gs] @ X, U[gs].conj().transpose(0, 2, 1)).reshape(-1, 4)
+            return out
+
+    ref = BatchedConjugation(act.group, act.space, lambda g, X: U[g] @ X @ U[g].conj().T)
     cases["pauli"] = (act, ref, list(random_states(2, rng).values()))
     return cases
 

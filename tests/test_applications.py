@@ -335,6 +335,19 @@ def test_gossip_consensus_start_is_fixed():
     assert np.abs(result.final_state - 2.5).max() < 1e-14
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_state_is_refused(value):
+    # a NaN would make every residual 0.0 through max(worst, nan) and
+    # report convergence after one step
+    x0 = np.array([value, 1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        run_gossip_consensus(3, 1, complete_edges(3), s3_cycle_schedule(), x0, 10)
+    z3 = cyclic_group(3)
+    schedule = CyclicSchedule(z3, [1], 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_random_state_generation(regular_action(z3), x0, schedule, 2, 10, seed=1)
+
+
 def test_gossip_edge_validation():
     sched = s3_cycle_schedule()
     with pytest.raises(ValueError, match="outside 0..2"):

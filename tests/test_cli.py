@@ -100,6 +100,40 @@ class TestRunVerb:
         assert main(["run", cfg, "--tolerance", "residual"]) == 4
         assert "KEY=VAL" in capsys.readouterr().err
 
+    def test_tolerance_override_on_null_tolerances(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gossip_doc(tolerances=None))
+        out = tmp_path / "art"
+        assert main(["run", cfg, "--tolerance", "residual=1e-2", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["threshold"] == 1e-2
+
+    def test_tolerance_override_on_non_object_tolerances_exits_four(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gossip_doc(tolerances=[1e-8]))
+        out = tmp_path / "art"
+        assert main(["run", cfg, "--tolerance", "residual=1e-2", "--out", str(out)]) == 4
+        assert "tolerances: expected an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"initial_state": {"source": "inline", "data": [float("nan"), 1.0, 2.0]}},
+            {
+                "schedule": {
+                    "kind": "custom-sequence",
+                    "rows": [[float("nan"), 0.5, 0.5, 0.0, 0.0, 0.0]],
+                }
+            },
+        ],
+        ids=["initial-state", "schedule-row"],
+    )
+    def test_non_finite_config_exits_four_and_writes_nothing(self, extra, tmp_path, capsys):
+        cfg = write_config(tmp_path, gossip_doc(**extra))
+        assert "NaN" in open(cfg).read()
+        out = tmp_path / "art"
+        assert main(["run", cfg, "--out", str(out)]) == 4
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 4
         assert "does not exist" in capsys.readouterr().err

@@ -481,6 +481,30 @@ class TestMiscValidation:
         with pytest.raises(ConfigError, match=r"tolerances\.residual"):
             parse_config(minimal_gossip(tolerances={"residual": -1e-8}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["tolerances.residual", "tolerances.delta_floor", "params.dt", "initial_state.scale"],
+    )
+    def test_non_finite_numbers_are_refused(self, field, value):
+        # json parses NaN and Infinity; none of them is a usable tolerance,
+        # step or scale
+        if field == "params.dt":
+            doc = {
+                "schema_version": 1,
+                "application": "dd",
+                "params": {"dt": value},
+                "schedule": {"kind": "dd-bisection", "chooser": [1]},
+                "seed": 1,
+            }
+        elif field == "initial_state.scale":
+            doc = minimal_gossip(initial_state={"source": "random", "scale": value})
+        else:
+            doc = minimal_gossip(tolerances={field.split(".")[1]: value})
+        message = field.replace(".", r"\.") + ": must be a finite number"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc))
+
     def test_output_must_be_string(self):
         with pytest.raises(ConfigError, match="output"):
             parse_config(minimal_gossip(output=7))

@@ -90,6 +90,10 @@ def test_weights_validation():
         ConvexWeights([0.6, 0.6], Z2)
     with pytest.raises(ValueError, match="shape|expected"):
         ConvexWeights([1.0], Z2)
+    # NaN passes every comparison above, so it is refused first
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ConvexWeights(bad, Z2)
 
 
 def test_weights_clamp_and_renormalize():
