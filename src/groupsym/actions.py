@@ -86,11 +86,12 @@ class LinearAction:
     ``apply_fn(g, x)`` must implement a left action with respect to the
     group table.  ``adjoint_map`` names, per element, the element whose map
     is the adjoint of a(g, .); all bundled actions are unitary, so it is the
-    inverse map.  The orbit kernels are methods: ``_block`` fills a buffer
-    with the images of a run of consecutive elements, and every orbit walk,
-    ``_fixed_point_residual`` and ``mixer`` go through it.  A bundled action
-    with a faster form of one overrides that method (the relabeling gather,
-    the DFT's Fourier residual and mixer); a custom action inherits one
+    inverse map.  The kernels are methods: ``_block`` fills a buffer with
+    the images of a run of consecutive elements, and every orbit walk,
+    ``_fixed_point_residual`` and ``mixer`` go through it; ``_step`` fills a
+    buffer with one mixing step.  A bundled action with a faster form of one
+    overrides that method (the relabeling gather, the DFT's shifted-slice
+    step, Fourier residual and mixer); a custom action inherits one
     ``apply`` per element.
     """
 
@@ -133,6 +134,19 @@ class LinearAction:
         """
         for row, g in zip(out, range(gs.start, gs.stop)):
             row[:] = self._apply(g, x).ravel()
+        return out
+
+    def _step(self, idx: np.ndarray, w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with sum_k w[k] a(idx[k], x), skipping zero weights, and return it.
+
+        ``x`` is a validated state and ``out`` an array of its shape and dtype
+        that does not overlap it.  The sum starts from zeros and adds the
+        terms in row order; an override must give the same bits.
+        """
+        out.fill(0)
+        for g, wg in zip(idx, w):
+            if wg:
+                out += wg * self.apply(g, x, validate=False)
         return out
 
     def orbit_blocks(self, x) -> Iterator[Tuple[int, np.ndarray]]:
@@ -185,7 +199,8 @@ class LinearAction:
             # squared row norms over the real view, with no conjugated
             # temporary; the difference is written over the block
             diff = np.subtract(block, flat, out=block).view(np.float64)
-            worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
+            # np.maximum, unlike Python's max, keeps a NaN block's maximum
+            worst = float(np.maximum(worst, np.einsum("ij,ij->i", diff, diff).max()))
         return math.sqrt(worst)
 
     def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -309,12 +324,19 @@ def regular_action(group: FiniteGroup) -> LinearAction:
 
 
 class _FourierAction(LinearAction):
-    """``dft_action``'s maps, with the residual and mixer of its Fourier form."""
+    """``dft_action``'s maps and step, with the residual and mixer of its Fourier form.
+
+    The step's terms, the residual's power and the mixture's gathered
+    phases are written into one N x N complex buffer kept on the action
+    (``_buffer``): none outlives its call, so they share it, and two calls
+    of one action must not interleave, from one thread or from two.
+    """
 
     def __init__(self, group: FiniteGroup, N: int):
         n = np.arange(N)
         # column phases of D^-k: exp(-2i pi k n / N)
-        phases = np.exp(-2j * np.pi * np.outer(n, n) / N)
+        self._phases = phases = np.exp(-2j * np.pi * np.outer(n, n) / N)
+        self._scratch: Optional[np.ndarray] = None
         super().__init__(
             group,
             VectorSpace((N, N), complex=True),
@@ -328,17 +350,49 @@ class _FourierAction(LinearAction):
         self._diagonals = n * N + (n[None, :] - n[:, None]) % N
         self._shifts = (n[:, None] - n[None, :]) % N
 
+    def _buffer(self) -> np.ndarray:
+        if self._scratch is None:
+            self._scratch = np.empty(self.space.shape, dtype=np.complex128)
+        return self._scratch
+
+    def _step(self, idx: np.ndarray, w: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The direct step, each term built in the action's buffer.
+
+        Rows [0, N-k) of a(k, X) are rows [k, N) of X and the rest rows
+        [0, k), times the column phases: the products ``np.roll(X, -k, 0) *
+        phases[k]`` forms, written into the buffer by two slice multiplies
+        instead of into a rolled copy and a product.  The Fourier kernels
+        are not used, so the engine's lift check still compares two
+        independent computations.
+        """
+        N = self.group.order
+        term = self._buffer()
+        out.fill(0)
+        for k, wk in zip(idx, w):
+            if wk:
+                np.multiply(X[k:], self._phases[k], out=term[: N - k])
+                np.multiply(X[:k], self._phases[k], out=term[N - k :])
+                term *= wk
+                out += term
+        return out
+
     def _fixed_point_residual(self, X: np.ndarray) -> float:
         Y = fft(X, axis=0).view(np.float64).reshape(-1, 2)
-        power = np.einsum("ij,ij->i", Y, Y)
-        return math.sqrt(float((self._gains @ power[self._diagonals].sum(axis=1)).max()))
+        # the float64 halves of the buffer hold the power and its diagonals
+        halves = self._buffer().reshape(-1).view(np.float64).reshape(2, -1)
+        power = np.einsum("ij,ij->i", Y, Y, out=halves[0])
+        energy = np.take(power, self._diagonals, out=halves[1].reshape(self.space.shape), mode="clip")
+        return math.sqrt(float((self._gains @ energy.sum(axis=1)).max()))
 
     def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
         N = self.group.order
         Y0 = fft(self.space.validate(x), axis=0)
 
         def mix(p: np.ndarray) -> np.ndarray:
-            W = (N * ifft(p))[self._shifts]
+            # a take into the action's buffer, where indexing would gather
+            # into a fresh array at about half the speed; the indices are in
+            # range, and mode "raise" would gather into a copy of the buffer
+            W = np.take(N * ifft(p), self._shifts, out=self._buffer(), mode="clip")
             W *= Y0
             return ifft(W, axis=0).reshape(-1)
 
@@ -535,14 +589,22 @@ def pauli_unitaries() -> Tuple[FiniteGroup, np.ndarray]:
 # -- mixing, averaging, and diagnostics ---------------------------------------
 
 
-def step(action: LinearAction, idx: np.ndarray, w: np.ndarray, x) -> np.ndarray:
-    """One mixing step x' = sum_k w[k] a(idx[k], x) over a Signal row, skipping its padding."""
+def step(
+    action: LinearAction, idx: np.ndarray, w: np.ndarray, x, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One mixing step x' = sum_k w[k] a(idx[k], x) over a Signal row, skipping its padding.
+
+    Written into ``out`` when given: an array of the validated state's shape
+    and dtype that does not overlap x (the engine alternates two).
+    """
     x = action.space.validate(x)
-    out = np.zeros_like(x)
-    for g, wg in zip(idx, w):
-        if wg:
-            out += wg * action.apply(g, x, validate=False)
-    return out
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != x.dtype:
+        raise ValueError(f"out must be a {x.dtype} array of shape {x.shape}")
+    elif np.may_share_memory(out, x):
+        raise ValueError("out must not overlap the state")
+    return action._step(idx, w, x, out)
 
 
 def symmetrizer(action: LinearAction, x) -> np.ndarray:

@@ -125,6 +125,32 @@ def sampling_tolerance(order: int, trials: int) -> float:
     return math.sqrt((order * math.log(2.0) - math.log(SAMPLING_BETA)) / (2.0 * trials))
 
 
+def _finite(value, what: str, t: int) -> float:
+    """``value`` as a float, or a ValueError naming step t if it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"step {t}: non-finite {what} ({value})")
+    return value
+
+
+def _monitor_value(fn: Callable[[np.ndarray], object], x: np.ndarray, name: str, t: int):
+    """A copy of fn(x), which may be a view of a state buffer the next steps overwrite."""
+    value = np.array(fn(x))
+    if not np.isfinite(value).all():
+        raise ValueError(f"step {t}: monitor {name!r} has a non-finite value")
+    return value
+
+
+def _lift_gap(recon: np.ndarray, x: np.ndarray) -> float:
+    """max |recon - x.ravel()|, formed in recon, a fresh array from the mixer.
+
+    A helper, so that the reconstruction is freed before the next step.
+    """
+    np.subtract(recon, x.reshape(-1), out=recon)
+    # the absolute values land in the real parts of a complex recon
+    return np.abs(recon, out=recon).real.max()
+
+
 def run_symmetrization(
     action: LinearAction,
     x0,
@@ -142,9 +168,12 @@ def run_symmetrization(
     The direct state and the lifted weights advance in lockstep; every step
     verifies that the weights reconstruct the state from the initial orbit.
     Monitors are callables of the state whose values must stay at their
-    initial value; their worst drift is reported.  The reconstruction and
-    the orbit average F(x0), returned as ``orbit_average``, come from the
-    action's ``mixer`` of x0.  ``schedule`` may also be a Signal or a
+    initial value; their worst drift is reported.  A non-finite residual,
+    lift gap or monitor value raises a ValueError naming its step.  The
+    reconstruction and the orbit average F(x0), returned as
+    ``orbit_average``, come from the action's ``mixer`` of x0.  Each step
+    writes the action's ``_step`` kernel into one of two state buffers in
+    turn, so x0 is never written.  ``schedule`` may also be a Signal or a
     sequence of ConvexWeights; the realized Signal is returned as ``signal``.
     """
     if steps < 0:
@@ -160,22 +189,27 @@ def run_symmetrization(
     if residual_fn is None:
         residual_fn = lambda state: fixed_point_residual(action, state)
 
+    # the state alternates between two buffers: x0 may be the caller's own
+    # array (validate returns it as is), so it is never written.  They are
+    # taken before the mixer's temporaries: taken after them, they raised
+    # the peak RSS of a dft N=256 run by about 1 MB, the freed temporaries
+    # left below them going unused.
+    buffers = (np.empty_like(x0), np.empty_like(x0))
     mix, orbit_average = action.mixer(x)
     lifted = lifted_steps(signal, action.group)
     traj = next(lifted)
 
-    residuals = [float(residual_fn(x))]
-    monitor_series = {name: [np.asarray(fn(x))] for name, fn in monitors.items()}
+    residuals = [_finite(residual_fn(x), "fixed-point residual", 0)]
+    monitor_series = {name: [_monitor_value(fn, x, name, 0)] for name, fn in monitors.items()}
     lift_gap = 0.0
 
     for t, traj in enumerate(lifted):
         idx, w = signal.rows(t, t + 1)
-        x = step(action, idx[0], w[0], x)
-        residuals.append(float(residual_fn(x)))
-        recon = mix(traj[-1])
-        lift_gap = max(lift_gap, float(np.abs(recon - x.ravel()).max()))
+        x = step(action, idx[0], w[0], x, out=buffers[t % 2])
+        residuals.append(_finite(residual_fn(x), "fixed-point residual", t + 1))
+        lift_gap = max(lift_gap, _finite(_lift_gap(mix(traj[-1]), x), "lift gap", t + 1))
         for name, fn in monitors.items():
-            monitor_series[name].append(np.asarray(fn(x)))
+            monitor_series[name].append(_monitor_value(fn, x, name, t + 1))
         if early_stop and residuals[-1] <= threshold:
             break
 

@@ -62,10 +62,13 @@ MAX_TRIALS = 10_000_000
 # rest covers their transient copies, the interpreter and the rest of the host.
 MEMORY_SHARE = 0.5
 # dft mixes, reconstructs and measures its state through the Fourier kernels
-# of the DFT action and never forms the orbit.  About ten N x N complex arrays
-# are live at once (the action's phase, gain and index tables, the initial
-# state, its transform and the orbit average, the state, and the step,
-# residual and reconstruction temporaries); they are charged as twelve.
+# of the DFT action and never forms the orbit.  At most nine and a half N x N
+# complex arrays are live at once: the action's phase table, its gain,
+# diagonal and shift tables (float64 and int64, half an array each) and the
+# one buffer its step, residual and mixer share; the initial state, its
+# transform and the orbit average; the engine's two state buffers; and the
+# residual's transform or the reconstruction, which never overlap.  They are
+# charged as twelve, which also covers the result document's encoded arrays.
 DFT_KERNEL_ARRAYS = 12
 
 

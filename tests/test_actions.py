@@ -531,6 +531,106 @@ def test_dft_residual_makes_no_per_element_apply_call(monkeypatch):
     assert calls == list(range(16))
 
 
+def dft_step_rows(N):
+    """Signal rows over k in {0, 1, N-1}: single maps, a mixture and zero-weight padding."""
+    rows = [([k], [1.0]) for k in (0, 1, N - 1)]
+    rows.append(([0, 1, N - 1, 0, 0], [0.25, 0.5, 0.25, 0.0, 0.0]))
+    rows.append(([N - 1, 0, 0], [0.6, 0.4, 0.0]))
+    return [(np.array(idx, dtype=np.intp), np.array(w)) for idx, w in rows]
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 17])
+@pytest.mark.parametrize("table_built", [False, True])
+def test_dft_step_kernel_is_bit_equal_to_the_apply_sum(N, table_built):
+    group = group_from_table(cyclic_group(N).table) if table_built else cyclic_group(N)
+    act = dft_action(N, group)
+    rng = np.random.default_rng(36 + N)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    # signed zeros, whose sign a different order of operations would flip
+    X.flat[: min(3, X.size)] = [0.0, complex(-0.0, 1.0), complex(-0.0, -0.0)][: X.size]
+    for idx, w in dft_step_rows(N):
+        # the base class kernel: one apply (np.roll times the phases) per term
+        expected = LinearAction._step(act, idx, w, X, np.empty_like(X))
+        out = np.full_like(X, np.nan)
+        assert act._step(idx, w, X, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert step(act, idx, w, X).tobytes() == expected.tobytes()
+
+
+def test_dft_step_allocates_less_than_a_state_after_warm_up():
+    # numpy's ufunc iterator may buffer the broadcast phase row, up to
+    # np.getbufsize() elements (128 KB of complex128), so the state is taken
+    # larger than that: at N = 128 it is 256 KB
+    N = 128
+    act = dft_action(N)
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    out = np.empty_like(X)
+    idx, w = dft_step_rows(N)[3]
+    tracemalloc.start()
+    try:
+        step(act, idx, w, X, out=out)  # allocates the action's buffer
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        step(act, idx, w, X, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < X.nbytes
+    assert out.tobytes() == LinearAction._step(act, idx, w, X, np.empty_like(X)).tobytes()
+
+
+def test_dft_kernels_sharing_one_buffer_match_their_unbuffered_forms():
+    N = 16
+    act = dft_action(N)
+    rng = np.random.default_rng(39)
+    X0 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    Y0 = np.fft.fft(X0, axis=0)
+
+    def residual(X):
+        Y = np.fft.fft(X, axis=0).view(np.float64).reshape(-1, 2)
+        power = np.einsum("ij,ij->i", Y, Y)
+        return math.sqrt(float((act._gains @ power[act._diagonals].sum(axis=1)).max()))
+
+    def mixture(p):
+        W = (N * np.fft.ifft(p))[act._shifts]
+        W *= Y0
+        return np.fft.ifft(W, axis=0).reshape(-1)
+
+    mix, _ = act.mixer(X0)
+    X = X0
+    for idx, w in dft_step_rows(N):
+        p = rng.dirichlet(np.ones(N))
+        assert mix(p).tobytes() == mixture(p).tobytes()
+        X = step(act, idx, w, X)
+        assert fixed_point_residual(act, X) == residual(X)
+    assert act._buffer() is act._buffer()
+
+
+@pytest.mark.parametrize("kind", ["block", "dft", "custom"])
+def test_step_writes_into_a_separate_out(kind):
+    act, x = action_kinds()[kind]
+    idx, w = np.array([0, 1], dtype=np.intp), np.array([0.3, 0.7])
+    expected = step(act, idx, w, x)
+    out = np.empty_like(expected)
+    assert step(act, idx, w, x, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="overlap"):
+        step(act, idx, w, out, out=out)
+    with pytest.raises(ValueError, match="shape"):
+        step(act, idx, w, x, out=np.empty(out.size + 1, out.dtype))
+    with pytest.raises(ValueError, match="shape"):
+        step(act, idx, w, x, out=np.empty(out.shape, np.float32))
+
+
+def test_residual_keeps_a_nan():
+    # Python's max(0.0, nan) is 0.0, which would report a NaN state as fixed
+    for act in (permutation_action(3, 1), regular_action(symmetric_group(3))):
+        x = np.arange(float(act.space.dim))
+        x[1] = np.nan
+        assert math.isnan(fixed_point_residual(act, x))
+
+
 # -- conjugation validation ----------------------------------------------------
 
 

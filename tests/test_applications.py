@@ -348,6 +348,80 @@ def test_non_finite_initial_state_is_refused(value):
         run_random_state_generation(regular_action(z3), x0, schedule, 2, 10, seed=1)
 
 
+class NaNOnApplyCall(LinearAction):
+    """S3 acting by permutation on R^3, whose ``apply`` returns NaN on one call."""
+
+    def __init__(self, bad_call):
+        base = permutation_action(3, 1)
+        super().__init__(base.group, base.space, base._apply, adjoint_map=base.adjoint_map)
+        self.calls = 0
+        self.bad_call = bad_call
+
+    def apply(self, g, x, *, validate=True):
+        self.calls += 1
+        image = super().apply(g, x, validate=validate)
+        return np.full_like(image, np.nan) if self.calls == self.bad_call else image
+
+
+def test_a_nan_produced_mid_run_raises_naming_its_step():
+    # every step of the cycle schedule applies two maps, so call 5 is step 3's
+    x0 = np.array([0.0, 3.0, 6.0])
+    with pytest.raises(ValueError, match="step 3: non-finite fixed-point residual"):
+        run_symmetrization(NaNOnApplyCall(5), x0, s3_cycle_schedule(), 10)
+    # without the residual, the lift gap catches it (the old fold reported 0.0)
+    with pytest.raises(ValueError, match="step 3: non-finite lift gap"):
+        run_symmetrization(
+            NaNOnApplyCall(5), x0, s3_cycle_schedule(), 10,
+            residual_fn=lambda x: 0.0, early_stop=False,
+        )
+    result = run_symmetrization(NaNOnApplyCall(0), x0, s3_cycle_schedule(), 10)
+    assert np.isfinite(result.final_state).all()
+
+
+def test_a_non_finite_monitor_value_raises_naming_its_step():
+    values = iter([1.0, 1.0, np.inf])
+    with pytest.raises(ValueError, match="step 2: monitor 'flaky' has a non-finite value"):
+        run_symmetrization(
+            permutation_action(3, 1),
+            np.array([0.0, 3.0, 6.0]),
+            s3_cycle_schedule(),
+            10,
+            monitors={"flaky": lambda x: next(values)},
+        )
+    with pytest.raises(ValueError, match="step 0: non-finite fixed-point residual"):
+        run_symmetrization(
+            permutation_action(3, 1), np.zeros(3), s3_cycle_schedule(), 10,
+            residual_fn=lambda x: np.nan,
+        )
+
+
+def test_engine_leaves_x0_unchanged():
+    act = dft_action(8)
+    rng = np.random.default_rng(38)
+    x0 = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    assert x0.flags.c_contiguous and act.space.validate(x0) is x0  # no copy on entry
+    before = x0.copy()
+    result = run_symmetrization(
+        act, x0, RandomGossipSchedule(act.group, range(1, 8), (0.3, 0.7), seed=4), 20, early_stop=False
+    )
+    assert result.steps_run == 20
+    assert x0.tobytes() == before.tobytes()
+    assert not np.shares_memory(result.final_state, x0)
+
+
+def test_a_monitor_returning_a_view_keeps_its_series():
+    act = permutation_action(3, 2)
+    x0 = np.arange(6.0)
+    monitors = {"view": lambda x: x[:2], "copy": lambda x: x[:2].copy()}
+    result = run_symmetrization(
+        act, x0, s3_cycle_schedule(), 8, early_stop=False, monitors=monitors
+    )
+    series = result.extras["conserved_series"]
+    assert np.array_equal(series["view"], series["copy"])
+    assert np.array_equal(series["view"][0], x0[:2])
+    assert len({row.tobytes() for row in series["view"]}) > 2  # the state moved
+
+
 def test_gossip_edge_validation():
     sched = s3_cycle_schedule()
     with pytest.raises(ValueError, match="outside 0..2"):

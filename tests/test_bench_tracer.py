@@ -64,3 +64,35 @@ def test_traced_run_sees_the_engine_and_its_monitors(tmp_path):
     # monitors reach the engine as the monitors= keyword, where the tracer wraps them
     assert layers["applications.monitors_s"] > 0
     assert layers["groups.builds"] >= 1
+
+
+def traced_layers(doc, out_dir):
+    tracer = load_tracer().Tracer(0)
+    tracer.install()
+    try:
+        execute(parse_config(doc), out_dir=out_dir)
+    finally:
+        tracer.uninstall()
+    return tracer.layers()
+
+
+def test_traced_gossip_run_times_the_step_and_counts_its_applies(tmp_path):
+    # the step kernel of a permutation action still goes through apply, where
+    # the tracer counts actions.apply_calls
+    layers = traced_layers(
+        {"schema_version": 1, "application": "gossip", "params": {"m": 3, "n": 2}, "seed": 3},
+        str(tmp_path / "art"),
+    )
+    assert layers["actions.step_s"] > 0
+    assert layers["actions.apply_calls"] > 0
+
+
+def test_traced_dft_run_times_the_step(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "application": "dft",
+        "params": {"N": 8},
+        "schedule": {"kind": "random-gossip", "support": list(range(1, 8))},
+        "seed": 3,
+    }
+    assert traced_layers(doc, str(tmp_path / "art"))["actions.step_s"] > 0

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1091,6 +1092,22 @@ def test_symmetric_runs_never_build_the_dense_table(application, params, tmp_pat
     assert "table" not in parts
     assert 4 * group.order * group._rows_built <= parts["rows"]
 
+
+
+
+def test_dft_run_stays_within_its_memory_preflight(tmp_path):
+    # the preflight charges DFT_KERNEL_ARRAYS N x N complex arrays for what the
+    # Fourier kernels, the engine's state buffers and the step kernel hold
+    cfg = dft_config(256)
+    parts = config_module._dense_bytes(cfg.application, cfg.params, cfg.schedule, cfg.steps)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        execute(cfg, out_dir=run_dir(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= sum(parts.values())
 
 
 # -- binary arrays in result.json and the dft check ------------------------------
