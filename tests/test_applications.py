@@ -368,7 +368,7 @@ def test_a_nan_produced_mid_run_raises_naming_its_step():
     x0 = np.array([0.0, 3.0, 6.0])
     with pytest.raises(ValueError, match="step 3: non-finite fixed-point residual"):
         run_symmetrization(NaNOnApplyCall(5), x0, s3_cycle_schedule(), 10)
-    # without the residual, the lift gap catches it (the old fold reported 0.0)
+    # without the residual, the lift gap catches it
     with pytest.raises(ValueError, match="step 3: non-finite lift gap"):
         run_symmetrization(
             NaNOnApplyCall(5), x0, s3_cycle_schedule(), 10,
@@ -401,9 +401,8 @@ def test_engine_leaves_x0_unchanged():
     x0 = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     assert x0.flags.c_contiguous and act.space.validate(x0) is x0  # no copy on entry
     before = x0.copy()
-    result = run_symmetrization(
-        act, x0, RandomGossipSchedule(act.group, range(1, 8), (0.3, 0.7), seed=4), 20, early_stop=False
-    )
+    schedule = RandomGossipSchedule(act.group, range(1, 8), (0.3, 0.7), seed=4)
+    result = run_symmetrization(act, x0, schedule, 20, early_stop=False)
     assert result.steps_run == 20
     assert x0.tobytes() == before.tobytes()
     assert not np.shares_memory(result.final_state, x0)
