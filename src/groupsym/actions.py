@@ -87,12 +87,13 @@ class LinearAction:
     group table.  ``adjoint_map`` names, per element, the element whose map
     is the adjoint of a(g, .); all bundled actions are unitary, so it is the
     inverse map.  The kernels are methods: ``_block`` fills a buffer with
-    the images of a run of consecutive elements, and every orbit walk,
-    ``_fixed_point_residual`` and ``mixer`` go through it; ``_step`` fills a
-    buffer with one mixing step.  A bundled action with a faster form of one
-    overrides that method (the relabeling gather, the DFT's shifted-slice
-    step, Fourier residual and mixer); a custom action inherits one
-    ``apply`` per element.
+    the images of a run of elements, and every orbit walk, ``mixer`` and,
+    in the base class, ``_fixed_point_residual`` and ``_average`` (the
+    symmetrizer) go through it; ``_step`` fills a buffer with one mixing
+    step.  A bundled action with a faster form of one overrides that
+    method (the relabeling gather, orbit-label average and inverse-pair
+    residual; the DFT's shifted-slice step, Fourier residual and mixer); a
+    custom action inherits one ``apply`` per element.
     """
 
     def __init__(
@@ -113,6 +114,7 @@ class LinearAction:
         self.name = name
         self._matrices: dict = {}
         self._work: Optional[np.ndarray] = None
+        self._copies: Optional[np.ndarray] = None
 
     def apply(self, g: int, x, *, validate: bool = True) -> np.ndarray:
         if not 0 <= g < self.group.order:
@@ -126,13 +128,14 @@ class LinearAction:
         x = self.space.validate(x)
         return [self._apply(g, x) for g in range(self.group.order)]
 
-    def _block(self, gs: slice, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill row i of ``out`` with a(gs.start + i, x).ravel() and return ``out``.
+    def _block(self, gs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill row i of ``out`` with a(g_i, x).ravel() and return ``out``.
 
-        ``x`` is a validated state and ``out`` a C-contiguous
-        (gs.stop - gs.start, dim) array of x's dtype.
+        ``gs`` is a slice of the elements (g_i = gs.start + i) or an index
+        array (g_i = gs[i]); ``x`` is a validated state and ``out`` a
+        C-contiguous (number of elements, dim) array of x's dtype.
         """
-        for row, g in zip(out, range(gs.start, gs.stop)):
+        for row, g in zip(out, range(self.group.order)[gs] if isinstance(gs, slice) else gs):
             row[:] = self._apply(g, x).ravel()
         return out
 
@@ -166,22 +169,24 @@ class LinearAction:
         for gs in _slices(self.group.order, x):
             yield gs.start, self._block(gs, x, np.empty((gs.stop - gs.start, x.size), x.dtype))
 
-    def _walk(self, x: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-        """``orbit_blocks`` of a validated state, each block in one buffer kept on the action.
+    def _walk(self, x: np.ndarray, elements: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+        """The orbit blocks of a validated state, each in one buffer kept on the action.
 
-        ``fixed_point_residual`` and ``symmetrizer`` walk the orbit once per
+        The blocks run over ``elements`` (an index array) in its order, or
+        over the whole group in element order, in blocks of the size
+        ``orbit_blocks`` uses.  The residual walks the orbit once per
         engine step.  A block written into this buffer, and a difference
         written over it, allocate nothing after the first call, where a
-        fresh block per step comes back from the allocator as fresh pages.
-        Each block is overwritten by the next, so two walks of one action
-        must not interleave, from one thread or from two.
+        fresh block per step comes back from the allocator as fresh pages.  Each block is overwritten by the next,
+        so two walks of one action must not interleave, from one thread or
+        from two.
         """
-        slices = _slices(self.group.order, x)
-        shape = (slices[0].stop, x.size)
-        if self._work is None or self._work.shape != shape or self._work.dtype != x.dtype:
-            self._work = np.empty(shape, dtype=x.dtype)
-        for gs in slices:
-            yield gs.start, self._block(gs, x, self._work[: gs.stop - gs.start])
+        runs = _slices(self.group.order if elements is None else len(elements), x)
+        self._work = _reuse(self._work, (runs[0].stop, x.size), x.dtype)
+        for gs in runs:
+            yield self._block(
+                gs if elements is None else elements[gs], x, self._work[: gs.stop - gs.start]
+            )
 
     def orbit_matrix(self, x) -> np.ndarray:
         """The (|G|, dim) array whose row g is a(g, x).ravel()."""
@@ -191,17 +196,36 @@ class LinearAction:
             self._block(gs, x, out[gs])
         return out
 
-    def _fixed_point_residual(self, x: np.ndarray) -> float:
-        """``fixed_point_residual`` of a validated state, block by block."""
+    def _fixed_point_residual(self, x: np.ndarray, elements: Optional[np.ndarray] = None) -> float:
+        """max ||a(g, x) - x|| of a validated state over ``elements`` (all when None).
+
+        Block by block: x is subtracted in place from each block, and the
+        squared row norms are summed over the real view, with no conjugated
+        temporary.
+        """
         flat = x.reshape(-1)
         worst = 0.0
-        for _, block in self._walk(x):
-            # squared row norms over the real view, with no conjugated
-            # temporary; the difference is written over the block
-            diff = np.subtract(block, flat, out=block).view(np.float64)
+        copies = None
+        for block in self._walk(x, elements):
+            if copies is None:
+                # x in every row of a block, kept on the action: x broadcast
+                # over the block would have numpy's ufunc iterator buffer it,
+                # 8192 elements (128 KB of complex128) per call
+                copies = self._copies = _reuse(self._copies, self._work.shape, x.dtype)
+                copies[...] = flat
+            diff = np.subtract(block, copies[: len(block)], out=block).view(np.float64)
             # np.maximum, unlike Python's max, keeps a NaN block's maximum
             worst = float(np.maximum(worst, np.einsum("ij,ij->i", diff, diff).max()))
         return math.sqrt(worst)
+
+    def _average(self, x: np.ndarray) -> np.ndarray:
+        """``symmetrizer`` of a validated state: block sums, added in block order."""
+        total = None
+        for block in self._walk(x):
+            part = block.sum(axis=0)
+            total = part if total is None else np.add(total, part, out=total)
+        total /= self.group.order
+        return total.reshape(self.space.shape)
 
     def mixer(self, x) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
         """(mix, average) for the orbit of x, built once.
@@ -230,6 +254,13 @@ class LinearAction:
     def __repr__(self) -> str:
         label = self.name or "LinearAction"
         return f"{label}(group={self.group!r}, shape={self.space.shape})"
+
+
+def _reuse(buffer: Optional[np.ndarray], shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """``buffer`` if it has this shape and dtype, else a new empty array that does."""
+    if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
+        return np.empty(shape, dtype=dtype)
+    return buffer
 
 
 def _slices(order: int, x: np.ndarray) -> list:
@@ -265,27 +296,84 @@ class _RelabelingAction(LinearAction):
         # a closure over the tables, not a method: a map that held the
         # action would keep it, its tables and its block buffer alive in a
         # reference cycle until the garbage collector ran
-        def relabel(gs, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-            index = sources[gs] if rows is None else sources[rows[gs]]
-            # np.take along axis 0 gathers whole blocks, where fancy indexing
-            # of the (-1, block) view runs about twice as slow; the indices
-            # are in range by construction, and mode "raise" would gather
-            # into a copy of ``out`` first
-            return np.take(x.reshape(-1, block), index, axis=0, out=out, mode="clip")
+        def relabel(g: int, x: np.ndarray) -> np.ndarray:
+            index = sources[g] if rows is None else sources[rows[g]]
+            return np.take(x.reshape(-1, block), index, axis=0, mode="clip").reshape(space.shape)
 
-        super().__init__(
-            group,
-            space,
-            lambda g, x: relabel(g, x).reshape(space.shape),
-            adjoint_map=group.inverses,
-            name=name,
+        super().__init__(group, space, relabel, adjoint_map=group.inverses, name=name)
+        self._sources, self._rows, self._width = sources, rows, block
+        self._index: Optional[np.ndarray] = None  # see _block
+        self._pairs: Optional[np.ndarray] = None  # see _fixed_point_residual
+        self._orbits: Optional[Tuple[np.ndarray, np.ndarray]] = None  # see _average
+
+    def _block(self, gs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if isinstance(gs, slice):
+            index = self._sources[gs] if self._rows is None else self._sources[self._rows[gs]]
+        else:
+            # an element array's index rows, taken into a buffer kept on the
+            # action, where indexing would allocate them for every block
+            if self._index is None or len(self._index) < len(gs):
+                self._index = np.empty((len(gs), self._sources.shape[1]), self._sources.dtype)
+            index = np.take(
+                self._sources,
+                gs if self._rows is None else self._rows[gs],
+                axis=0,
+                out=self._index[: len(gs)],
+                mode="clip",
+            )
+        # np.take along axis 0 gathers whole blocks, where fancy indexing of
+        # the (-1, block) view runs about twice as slow; the indices are in
+        # range by construction, and mode "raise" would gather into a copy
+        # of ``out`` first
+        np.take(
+            x.reshape(-1, self._width),
+            index,
+            axis=0,
+            out=out.reshape(len(out), -1, self._width),
+            mode="clip",
         )
-        self._relabel = relabel
-        self._width = block
-
-    def _block(self, gs: slice, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self._relabel(gs, x, out.reshape(out.shape[0], -1, self._width))
         return out
+
+    def _fixed_point_residual(self, x: np.ndarray) -> float:
+        """The residual over one element of each {g, g^-1} pair.
+
+        a(g^-1, .) is the inverse of the permutation matrix a(g, .), and a
+        permutation keeps norms, so ||a(g^-1, x) - x|| = ||x - a(g, x)||:
+        the walk takes the elements g <= g^-1 (73 of S5's 120, 2,636 of S7's
+        5,040).  A skipped g^-1 sums the same squares as g in another order,
+        so the maximum may differ from a walk over every element in its last
+        bits.
+        """
+        if self._pairs is None:
+            self._pairs = np.flatnonzero(np.arange(self.group.order) <= self.group.inverses)
+        return super()._fixed_point_residual(x, self._pairs)
+
+    def _average(self, x: np.ndarray) -> np.ndarray:
+        """F(x) at each coordinate: the mean of x over that coordinate's orbit.
+
+        j -> sources[g, j] is an action of G on the blocks.  As g runs over
+        G, sources[g, j] meets each block of j's orbit |Stab(j)| times, so
+        the |G| images sum at block j to |G| / |orbit of j| times the orbit's
+        sum.  Each orbit is labelled once by its least block,
+        ``sources.min(axis=0)`` (``rows`` only reorders the rows), and entry
+        c of a block by that label's entry c; then F(x) is one ``bincount``
+        per real and imaginary part and one gather, O(dim) against the
+        walk's O(|G| dim).  F(x) takes one value per orbit, so a(g, F(x)) ==
+        F(x) exactly; it is summed in another order than the walk, so the
+        two may differ in their last bits.
+        """
+        if self._orbits is None:
+            least = self._sources.min(axis=0).astype(np.intp)
+            labels = (least[:, None] * self._width + np.arange(self._width)).reshape(-1)
+            self._orbits = labels, np.bincount(labels)[labels].astype(np.float64)
+        labels, sizes = self._orbits
+        flat = x.reshape(-1)
+        if not self.space.complex:
+            return (np.bincount(labels, flat)[labels] / sizes).reshape(self.space.shape)
+        out = np.empty_like(flat)
+        out.real = np.bincount(labels, flat.real)[labels] / sizes
+        out.imag = np.bincount(labels, flat.imag)[labels] / sizes
+        return out.reshape(self.space.shape)
 
 
 def permutation_action(m: int, n: int, group: Optional[FiniteGroup] = None) -> LinearAction:
@@ -610,25 +698,21 @@ def step(
 def symmetrizer(action: LinearAction, x) -> np.ndarray:
     """Orbit average F(x) = (1/|G|) sum_g a(g, x); idempotent by construction.
 
-    Sums the orbit block by block (see ``LinearAction.orbit_blocks``).
+    A permutation action (block, axis, subsystem and regular) averages x
+    over each coordinate orbit, labelled once from its source table, in
+    O(dim) per call; the others sum the orbit block by block (see
+    ``LinearAction.orbit_blocks``).
     """
-    x = action.space.validate(x)
-    total = None
-    for _, block in action._walk(x):
-        # block sums, added in block order
-        part = block.sum(axis=0)
-        total = part if total is None else np.add(total, part, out=total)
-    total /= action.group.order
-    return total.reshape(action.space.shape)
+    return action._average(action.space.validate(x))
 
 
 def fixed_point_residual(action: LinearAction, x) -> float:
     """max_g ||a(g, x) - x||_2; zero exactly on common fixed points.
 
     Evaluated block by block (see ``LinearAction.orbit_blocks``), one array
-    operation per block instead of one call per element, or by the action's
-    own closed form where it has one (the DFT action's Fourier-diagonal
-    form).
+    operation per block instead of one call per element; a permutation
+    action walks one element of each {g, g^-1} pair, whose distances are
+    equal, and the DFT action uses its Fourier-diagonal closed form.
     """
     return action._fixed_point_residual(action.space.validate(x))
 

@@ -50,7 +50,9 @@ from groupsym.groups import (
     transposition_index,
 )
 from groupsym.applications import run_symmetrization
+from groupsym.schedules import CyclicSchedule
 from groupsym.lifted import ConvexWeights, Signal, convolve, run_lifted, transition_matrix
+from oracles import orbit_walk_residual, orbit_walk_symmetrizer
 
 
 def two_point(group, other, alpha):
@@ -738,8 +740,44 @@ def random_states(dim, rng):
     return {"complex": X, "hermitian": X + X.conj().T}
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def orbit_sum_round_off(act, x):
+    """Float round-off bound on |F(x) - orbit_walk_symmetrizer(act, x)|, entrywise.
+
+    Both are means of terms at most max|x| in size, each summed in its own
+    order: the walk's of |G| terms, the orbit-label mean's of |orbit| <= |G|
+    terms.  A recursive sum of n such terms is off by at most
+    (n - 1) (eps/2) n max|x|, so a mean by at most n (eps/2) max|x| with
+    its division's rounding.  Two means then differ by at most |G| eps
+    max|x| in each real part, and a complex entry by sqrt(2) times that,
+    which twice |G| eps max|x| covers.
+    """
+    return 2 * act.group.order * EPS * np.abs(x).max()
+
+
+def residual_round_off(x, residual):
+    """Float round-off bound on |fixed_point_residual - orbit_walk_residual|.
+
+    A squared distance sums n <= 2 x.size nonnegative squares, and a
+    permutation action's g and g^-1 square the same entries of
+    a(g, x) - x (up to sign) in another order.  Each sum is within
+    n eps/2 of the exact one relatively, so two orders within n eps, and
+    their square roots, and so the maxima over g, within n eps of the
+    residual.
+    """
+    return 2 * np.asarray(x).size * EPS * residual
+
+
 def assert_bit_equal_actions(act, reference, x):
-    """Every map, orbit block and orbit quantity of act is byte-equal to reference's."""
+    """Every map, orbit block and orbit matrix of act is byte-equal to reference's.
+
+    The symmetrizer and the residual are compared with the orbit walks over
+    every element within their round-off bounds: a permutation action
+    averages over coordinate orbits and walks one element of each
+    {g, g^-1} pair.
+    """
     for g in act.group.elements():
         assert act.apply(g, x).tobytes() == reference.apply(g, x).tobytes()
     blocks, ref_blocks = list(act.orbit_blocks(x)), list(reference.orbit_blocks(x))
@@ -747,8 +785,10 @@ def assert_bit_equal_actions(act, reference, x):
     for (_, block), (_, ref_block) in zip(blocks, ref_blocks):
         assert block.tobytes() == ref_block.tobytes()
     assert act.orbit_matrix(x).tobytes() == reference.orbit_matrix(x).tobytes()
-    assert symmetrizer(act, x).tobytes() == symmetrizer(reference, x).tobytes()
-    assert fixed_point_residual(act, x) == fixed_point_residual(reference, x)
+    average = orbit_walk_symmetrizer(reference, x)
+    assert np.abs(symmetrizer(act, x) - average).max() <= orbit_sum_round_off(act, x)
+    residual = orbit_walk_residual(reference, x)
+    assert abs(fixed_point_residual(act, x) - residual) <= residual_round_off(x, residual)
 
 
 @pytest.mark.parametrize("m, local_dim", subsystem_cases())
@@ -1103,33 +1143,20 @@ def test_batched_residual_and_symmetrizer_match_per_element_loop(kind, budget, m
     assert np.allclose(symmetrizer(act, x), loop_average, rtol=1e-12, atol=1e-15)
 
 
-def unbuffered_residual(act, x):
-    """fixed_point_residual as it was before the orbit workspace: a fresh
-    block and a fresh difference per block."""
-    flat = np.ascontiguousarray(x).reshape(-1)
-    worst = 0.0
-    for _, block in act.orbit_blocks(x):
-        diff = (block - flat).view(np.float64)
-        worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
-    return math.sqrt(worst)
-
-
-def unbuffered_symmetrizer(act, x):
-    """symmetrizer as it was before the orbit workspace."""
-    parts = [block.sum(axis=0) for _, block in act.orbit_blocks(x)]
-    total = sum(parts[1:], start=parts[0])
-    return (total / act.group.order).reshape(act.space.shape)
-
-
 @pytest.mark.parametrize("budget", [actions_module.BLOCK_BYTES, 4096, 64])
 @pytest.mark.parametrize("kind", sorted(action_kinds()))
 def test_workspace_walks_equal_the_unbuffered_ones(kind, budget, monkeypatch):
     monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
     act, x = action_kinds()[kind]
+    residual, average = orbit_walk_residual(act, x), orbit_walk_symmetrizer(act, x)
     # twice: the second call reuses the first call's workspace
     for _ in range(2):
-        assert fixed_point_residual(act, x) == unbuffered_residual(act, x)
-        assert np.array_equal(symmetrizer(act, x), unbuffered_symmetrizer(act, x))
+        assert abs(fixed_point_residual(act, x) - residual) <= residual_round_off(x, residual)
+        assert np.abs(symmetrizer(act, x) - average).max() <= orbit_sum_round_off(act, x)
+        if kind in ("conjugation", "custom"):
+            # the base-class walks sum in the oracles' order
+            assert fixed_point_residual(act, x) == residual
+            assert symmetrizer(act, x).tobytes() == average.tobytes()
     # the walks leave the state alone
     assert np.array_equal(x, action_kinds()[kind][1])
 
@@ -1137,13 +1164,16 @@ def test_workspace_walks_equal_the_unbuffered_ones(kind, budget, monkeypatch):
 def test_workspace_follows_the_block_budget(monkeypatch):
     act = permutation_action(5, 2)
     x = np.arange(10.0)
-    expected = unbuffered_residual(act, x), unbuffered_symmetrizer(act, x)
+    expected = orbit_walk_residual(act, x), orbit_walk_symmetrizer(act, x)
     for budget in (actions_module.BLOCK_BYTES, 4 * 50 * x.nbytes, 4 * x.nbytes):
         monkeypatch.setattr(actions_module, "BLOCK_BYTES", budget)
-        assert fixed_point_residual(act, x) == expected[0]
-        assert np.array_equal(symmetrizer(act, x), expected[1])
-        # one block of the orbit, at most the whole orbit
-        rows = min(act.group.order, budget // (4 * x.nbytes))
+        assert abs(fixed_point_residual(act, x) - expected[0]) <= residual_round_off(
+            x, expected[0]
+        )
+        assert np.abs(symmetrizer(act, x) - expected[1]).max() <= orbit_sum_round_off(act, x)
+        # one block of the residual's walk over 73 of S5's 120 elements, at
+        # most the whole walk
+        rows = min(73, budget // (4 * x.nbytes))
         assert act._work.shape == (rows, x.size)
 
 
@@ -1154,7 +1184,7 @@ def test_orbit_walks_allocate_no_block_after_the_first_call():
     x = a + a.conj().T
     block_bytes = next(act.orbit_blocks(x))[1].nbytes
     assert block_bytes >= 8 * x.nbytes  # blocks of several elements
-    expected = unbuffered_residual(act, x), unbuffered_symmetrizer(act, x)
+    expected = orbit_walk_residual(act, x), orbit_walk_symmetrizer(act, x)
     for walk in (fixed_point_residual, symmetrizer):
         tracemalloc.start()
         try:
@@ -1166,8 +1196,159 @@ def test_orbit_walks_allocate_no_block_after_the_first_call():
         finally:
             tracemalloc.stop()
         assert peak - start < block_bytes, walk.__name__
-    assert fixed_point_residual(act, x) == expected[0]
-    assert np.array_equal(symmetrizer(act, x), expected[1])
+    assert abs(fixed_point_residual(act, x) - expected[0]) <= residual_round_off(x, expected[0])
+    assert np.abs(symmetrizer(act, x) - expected[1]).max() <= orbit_sum_round_off(act, x)
+
+
+@pytest.mark.parametrize("kind", sorted(action_kinds()))
+def test_block_takes_an_index_array(kind):
+    act, x = action_kinds()[kind]
+    x = act.space.validate(x)
+    # out of order and repeated, as a walk over chosen elements may pass them
+    elements = np.array([act.group.order - 1, 0, 1, act.group.order - 1])
+    out = np.empty((len(elements), x.size), x.dtype)
+    assert act._block(elements, x, out) is out
+    orbit = act.orbit_matrix(x)
+    assert out.tobytes() == orbit[elements].tobytes()
+    # a shorter array after a longer one
+    assert act._block(elements[1:3], x, out[:2]).tobytes() == orbit[elements[1:3]].tobytes()
+
+
+def test_residual_allocates_no_iterator_buffer():
+    # subtracting the state broadcast over a block had numpy's ufunc
+    # iterator buffer it: 8192 elements, 128 KB of complex128 (8 states), per call
+    act = subsystem_permutation_action(symmetric_group(5), 2)
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    x = a + a.conj().T
+    tracemalloc.start()
+    try:
+        fixed_point_residual(act, x)  # allocates the buffers kept on the action
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fixed_point_residual(act, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < x.nbytes
+
+
+def two_transpositions_group():
+    """<(0 2), (1 3)> in S4, permutation-backed: the blocks fall into the
+    orbits {0, 2} and {1, 3}, whose least blocks are adjacent."""
+    perms = np.array([[0, 1, 2, 3], [0, 3, 2, 1], [2, 1, 0, 3], [2, 3, 0, 1]])
+    return groups_module.FiniteGroup(perms=perms, validate=False)
+
+
+def orbit_label_cases():
+    """name -> a permutation action whose coordinate orbits are not all alike."""
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    return {
+        "block-S4": permutation_action(4, 3, s4),
+        "block-two-orbits": permutation_action(4, 2, two_transpositions_group()),
+        "axis-S3": axis_permutation_action(3, 3, s3),
+        "regular-S4": regular_action(s4),
+        "regular-Z7": regular_action(cyclic_group(7)),
+        # S3's table relabelled back to front, so the identity is element 5
+        "regular-relabeled": regular_action(group_from_table(5 - s3.table[::-1, ::-1])),
+        "subsystem-S3": subsystem_permutation_action(s3, 2),
+    }
+
+
+def brute_force_orbits(act):
+    """Each flat coordinate's orbit: where the maps send its basis vector, over every g."""
+    dtype = np.complex128 if act.space.complex else np.float64
+    orbits = []
+    for i in range(act.space.dim):
+        e = np.zeros(act.space.dim, dtype)
+        e[i] = 1.0
+        images = [act.apply(g, e.reshape(act.space.shape)) for g in act.group.elements()]
+        orbits.append(frozenset(int(np.flatnonzero(image)[0]) for image in images))
+    return orbits
+
+
+@pytest.mark.parametrize("name", sorted(orbit_label_cases()))
+def test_orbit_labels_are_the_brute_force_orbit_partition(name):
+    act = orbit_label_cases()[name]
+    symmetrizer(act, np.zeros(act.space.shape))  # labels the orbits
+    labels, sizes = act._orbits
+    orbits = brute_force_orbits(act)
+    assert np.array_equal(
+        np.equal.outer(labels, labels), [[a == b for b in orbits] for a in orbits]
+    )
+    assert sizes.tolist() == [len(orbit) for orbit in orbits]
+    if name == "block-two-orbits":
+        assert len(set(orbits)) == 4  # two block orbits, two entries per block
+
+
+@pytest.mark.parametrize("name", sorted(orbit_label_cases()))
+def test_orbit_label_average_is_fixed_by_every_map(name):
+    act = orbit_label_cases()[name]
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(act.space.shape)
+    if act.space.complex:
+        x = x + 1j * rng.standard_normal(act.space.shape)
+    average = symmetrizer(act, x)
+    for g in act.group.elements():
+        assert act.apply(g, average).tobytes() == average.tobytes()
+    assert np.abs(average - orbit_walk_symmetrizer(act, x)).max() <= orbit_sum_round_off(act, x)
+
+
+@pytest.mark.parametrize(
+    "group, walked",
+    [
+        (pauli_quotient_group(), 4),  # every element is its own inverse
+        (cyclic_group(7), 4),  # 0, and one of each {k, 7 - k}
+        (group_from_table(5 - symmetric_group(3).table[::-1, ::-1]), 5),
+        (symmetric_group(5), 73),
+        (symmetric_group(7), 2636),
+    ],
+)
+def test_residual_walks_one_element_of_each_inverse_pair(group, walked):
+    if group.perms is None:
+        act = regular_action(group)
+    else:
+        act = permutation_action(group.perms.shape[1], 2, group)
+    x = np.random.default_rng(21).standard_normal(act.space.shape)
+    residual = fixed_point_residual(act, x)
+    pairs = set(act._pairs.tolist())
+    assert len(pairs) == walked
+    for g in group.elements():
+        assert len({g, int(group.inverses[g])} & pairs) == 1
+    expected = orbit_walk_residual(act, x)
+    assert abs(residual - expected) <= residual_round_off(x, expected)
+
+
+def test_a_nan_state_gives_a_non_finite_residual_and_average():
+    group = symmetric_group(3)
+    act = subsystem_permutation_action(group, 2)
+    X = np.eye(8, dtype=np.complex128)
+    X[1, 2] = np.nan
+    assert math.isnan(fixed_point_residual(act, X))
+    average = symmetrizer(act, X)
+    # the NaN's whole orbit, and nothing else
+    orbit = {(int(i), int(j)) for i, j in zip(*np.nonzero(~np.isfinite(average)))}
+    assert (1, 2) in orbit and len(orbit) == 6
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvalsh(average)  # what the average_spectrum monitor computes
+
+    # a NaN produced mid-run: the engine names its step
+    step_kernel, calls = act._step, []
+
+    def nan_on_third_step(idx, w, x, out):
+        calls.append(None)
+        step_kernel(idx, w, x, out)
+        if len(calls) == 3:
+            out[1, 2] = np.nan
+        return out
+
+    act._step = nan_on_third_step
+    schedule = CyclicSchedule(group, [transposition_index(group, 0, 1)], 0.5)
+    with pytest.raises(ValueError, match="step 3: non-finite fixed-point residual"):
+        run_symmetrization(
+            act, np.diag(np.arange(8.0)).astype(np.complex128), schedule, 10,
+            monitors={"average_spectrum": lambda X: np.linalg.eigvalsh(symmetrizer(act, X))},
+        )
 
 
 def test_orbit_blocks_stay_independent_arrays():

@@ -936,7 +936,7 @@ GOLDEN_RESULTS = {
     "gossip-cyclic": "1eb235f978d36462cd1e14140f7fa13795a90f4f39bb42d8f22258c2e677feae",
     "gossip-subset": "de6411d3d51791567900f1bbe683ec537639b17c8e47e9ad37f6045c08d39ad5",
     "prob-sym": "e422559086668b6c3889d3f14013b186646ac96da9390930b24d81a7a48c25f6",
-    "quantum-gossip": "e71b8ac0c1196a379aa09afbe23678fe575dae2ec276133db766f9070c172349",
+    "quantum-gossip": "0fdfe9a9a976ed647d5d17203353ffeb6a1cb41620c5d5526bf7c6bda43ff9cd",
     "random-state": "64585b3432b4f535b961061b12cac103d299e1d519e8b23cd172fdd6ef223cf1",
 }
 
