@@ -20,7 +20,6 @@ import json
 import math
 import os
 import reprlib
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -416,8 +415,14 @@ def result_to_dict(result: ExperimentResult, config: RunConfig) -> dict:
 def _atomic_write(path: str, write: Callable[[str], object]) -> None:
     """Let ``write`` fill a temporary file beside ``path``, then move it into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
+    while True:
+        # mkstemp would create mode 0600; 0666 lets the caller's umask decide
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            break
+        except FileExistsError:
+            continue
     try:
         write(tmp)
         os.replace(tmp, path)

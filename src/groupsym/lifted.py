@@ -12,6 +12,10 @@ point; mixing certificates quantify how fast trajectories contract onto it.
 
 from __future__ import annotations
 
+import os
+import shutil
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -52,6 +56,12 @@ WEIGHT_ATOL = 1e-12
 RENORM_DRIFT = 1e-13
 # Floats in trajectory CSVs round-trip exactly at 17 significant digits.
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
+# A trajectory CSV of at least this many fields is formatted by two processes
+# where os.fork exists: a forked child writes the back half of the rows while
+# this process writes the front half.  The fork and the append cost about
+# 2-3 ms, which rows of dense weights repay from about 20k fields and rows of
+# mostly exact zeros (fast to format) from about 150k.
+FORKED_WRITE_MIN_FIELDS = 100_000
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
@@ -598,6 +608,37 @@ def laplacian(M: TransitionMatrix) -> np.ndarray:
     return np.eye(M.group.order) - M.matrix
 
 
+def _write_rows(fh, row_format, weights, lyapunov, kl, start, stop) -> None:
+    for t in range(start, stop):
+        fh.write(row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t]))
+
+
+def _append(fh, spill) -> None:
+    """Copy all of ``spill`` to the end of ``fh``, kernel to kernel where possible."""
+    fh.flush()
+    # only Linux's sendfile writes to a regular file; BSD and macOS need a socket
+    if not (hasattr(os, "sendfile") and sys.platform.startswith("linux")):
+        spill.seek(0)
+        shutil.copyfileobj(spill, fh)
+        return
+    offset, size = 0, os.fstat(spill.fileno()).st_size
+    while offset < size:
+        sent = os.sendfile(fh.fileno(), spill.fileno(), offset, size - offset)
+        if not sent:
+            raise OSError("trajectory spill file ended early")
+        offset += sent
+
+
+def _other_cpus() -> Optional[set]:
+    """The CPUs this process may use besides the one it is on, where Linux says."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
+
+
 def write_trajectory_csv(
     path,
     weights: np.ndarray,
@@ -609,17 +650,63 @@ def write_trajectory_csv(
     Floats are written with 17 significant digits so parsing returns the
     exact doubles that were computed.  Rows end in CRLF, and no field ever
     needs quoting, so the bytes match ``csv.writer`` output.
+
+    A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is split where
+    ``os.fork`` exists: a child process, started off this process's CPU
+    where Linux allows, formats rows [steps//2, steps) into an unnamed spill
+    file beside ``path`` while this process writes the header and the front
+    rows, then appends the spill.  The bytes are the same.  A child that
+    fails raises OSError; if this process fails first, the child is killed.
+    Either way it is reaped before this returns or raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
     if len(lyapunov) != steps or len(kl) != steps:
         raise ValueError("column lengths do not match the trajectory")
-    header = ["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]
+    header = ",".join(["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]) + "\r\n"
     row_format = "%d," + ",".join([TRAJECTORY_FLOAT_FORMAT] * (order + 2)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for t in range(steps):
-            fh.write(row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t]))
+    columns = (row_format, weights, lyapunov, kl)
+    if not hasattr(os, "fork") or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
+        with open(path, "w", newline="") as fh:
+            fh.write(header)
+            _write_rows(fh, *columns, 0, steps)
+        return
+
+    half = steps // 2
+    directory = os.path.dirname(os.path.abspath(path))
+    others = _other_cpus()
+    with tempfile.TemporaryFile("w+", newline="", dir=directory) as spill:
+        pid = os.fork()
+        if pid == 0:
+            # only format and write, then leave without unwinding the caller
+            try:
+                if others:
+                    # a child starts on its parent's CPU and may stay there:
+                    # move it off, then let the scheduler place it freely
+                    allowed = os.sched_getaffinity(0)
+                    os.sched_setaffinity(0, others)
+                    os.sched_setaffinity(0, allowed)
+                _write_rows(spill, *columns, half, steps)
+                spill.flush()
+                os._exit(0)
+            except BaseException:
+                os._exit(1)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(header)
+                _write_rows(fh, *columns, 0, half)
+                status = os.waitpid(pid, 0)[1]
+                pid = 0
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise OSError(f"trajectory writer process failed (exit status {code})")
+                _append(fh, spill)
+        finally:
+            if pid:
+                from signal import SIGKILL  # loaded on this failure path only
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def read_trajectory_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

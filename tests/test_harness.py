@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
+import groupsym.lifted as lifted_module
 from groupsym.actions import (
     decode_state,
     encode_state,
@@ -941,11 +943,33 @@ GOLDEN_RESULTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_trajectory_bytes_and_certificate(name, tmp_path):
+def write_path(monkeypatch, forked):
+    """Force the serial or the forked trajectory.csv writer; return the fork calls."""
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+# each golden on the serial writer (ids as before) and on the forked one
+GOLDEN_PATHS = [pytest.param(name, False, id=name) for name in sorted(GOLDEN_RUNS)] + [
+    pytest.param(name, True, id=f"forked-{name}") for name in sorted(GOLDEN_RUNS)
+]
+
+
+@pytest.mark.parametrize("name, forked", GOLDEN_PATHS)
+def test_golden_trajectory_bytes_and_certificate(name, forked, tmp_path, monkeypatch):
     _, sha256, certificate = GOLDEN_RUNS[name]
     cfg = golden_config(name)
+    forks = write_path(monkeypatch, forked)
     art = execute(cfg, out_dir=run_dir(tmp_path))
+    assert len(forks) == int(forked)
     with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == sha256
     doc = load_result(art.directory)
@@ -973,6 +997,80 @@ def test_golden_verify_report(name, tmp_path):
     subset = ["weights", "kl", "lift"]
     expected = [line for line in GOLDEN_REPORTS[name] if line.split()[1] in subset]
     assert verify(art.directory, subset).lines() == expected
+
+
+# -- the forked trajectory writer's failures ------------------------------------
+
+
+class RaisingColumn(list):
+    """A trajectory column that raises ``exc`` on reading one of ``rows`` (< 0: from the end)."""
+
+    def __init__(self, values, rows, exc):
+        super().__init__(values)
+        self.rows, self.exc = {row % len(values) for row in rows}, exc
+
+    def __getitem__(self, t):
+        if t in self.rows:
+            raise self.exc(f"row {t} is unreadable")
+        return super().__getitem__(t)
+
+
+def raise_in_kl(monkeypatch, rows, exc):
+    real = lifted_module.write_trajectory_csv
+
+    def write(path, weights, lyapunov, kl):
+        return real(path, weights, lyapunov, RaisingColumn(kl, rows, exc))
+
+    monkeypatch.setattr(harness_module, "write_trajectory_csv", write)
+
+
+def assert_nothing_left(directory):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    names = os.listdir(directory)
+    assert "trajectory.csv" not in names
+    assert not [name for name in names if name.startswith(".tmp-")]
+
+
+def test_failed_writer_child_is_a_harness_error_and_leaves_no_csv(tmp_path, monkeypatch):
+    forks = write_path(monkeypatch, forked=True)
+    raise_in_kl(monkeypatch, [-1], RuntimeError)  # a back-half row
+    with pytest.raises(HarnessError, match="could not write artifacts") as caught:
+        execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
+    assert caught.value.module == "harness"
+    assert len(forks) == 1
+    assert_nothing_left(run_dir(tmp_path))
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_parent_failure_propagates_and_reaps_the_writer_child(exc, tmp_path, monkeypatch):
+    forks = write_path(monkeypatch, forked=True)
+    raise_in_kl(monkeypatch, [1], exc)  # a front-half row
+    with pytest.raises(exc, match="row 1 is unreadable"):
+        execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
+    assert len(forks) == 1
+    assert_nothing_left(run_dir(tmp_path))
+
+
+@pytest.mark.parametrize("missing", ["fork", "sendfile"])
+def test_writer_without_fork_or_sendfile_writes_the_same_bytes(missing, tmp_path, monkeypatch):
+    write_path(monkeypatch, forked=True)
+    monkeypatch.delattr(os, missing)
+    art = execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
+    with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RUNS["gossip"][1]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifact_modes_follow_the_umask(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        art = execute(gossip_config(steps=20), out_dir=run_dir(tmp_path))
+    finally:
+        os.umask(old)
+    assert sorted(art.files) == ["config.json", "manifest.json", "result.json", "trajectory.csv"]
+    for name in art.files:
+        assert stat.S_IMODE(os.stat(os.path.join(art.directory, name)).st_mode) == mode
 
 
 # -- what a run loads ------------------------------------------------------------
@@ -1024,6 +1122,25 @@ def test_import_loads_everything_a_run_uses_and_no_scipy():
     assert "scipy.linalg" in first.pop("dd-dt")
     # each run's modules were loaded by the import, so setup time covers them
     assert first == {name: [] for name in GOLDEN_RUNS}
+
+
+def test_python_m_groupsym_runs_a_golden(tmp_path):
+    import groupsym
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(groupsym.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    config_path = tmp_path / "gossip.json"
+    config_path.write_text(serialize_config(golden_config("gossip")))
+    out = tmp_path / "art"
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupsym", "run", str(config_path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "trajectory.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RUNS["gossip"][1]
 
 
 def test_dd_run_with_dt_records_the_runner_propagator_gap(tmp_path):

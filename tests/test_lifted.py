@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -670,23 +672,40 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(k2, np.array(kl))
 
 
-def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
-    rng = np.random.default_rng(9)
-    weights = rng.dirichlet(np.ones(7), size=15)
-    weights[3] = np.eye(7)[2]  # exact zeros and ones
-    lyap = rng.uniform(0, 1, size=15).tolist()
-    kl = list(rng.uniform(0, 1, size=15))  # numpy scalars
-    path = tmp_path / "fast.csv"
-    write_trajectory_csv(path, weights, lyap, kl)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
+def csv_writer_bytes(path, weights, lyap, kl):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"g{i}" for i in range(7)] + ["lyapunov", "kl"])
-        for t in range(15):
+        writer.writerow(["step"] + [f"g{i}" for i in range(weights.shape[1])] + ["lyapunov", "kl"])
+        for t in range(len(weights)):
             writer.writerow(
                 [str(t)] + ["%.17g" % v for v in (*weights[t], lyap[t], kl[t])]
             )
-    assert path.read_bytes() == reference.read_bytes()
+    return path.read_bytes()
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    weights = rng.dirichlet(np.ones(7), size=15)
+    weights[3] = np.eye(7)[2]  # exact zeros and ones
+    lyap = rng.uniform(0, 1, size=15)
+    kl = rng.uniform(0, 1, size=15)
+    columns = {
+        "floats, numpy scalars": (lyap.tolist(), list(kl)),
+        "numpy scalars, floats": (list(lyap), kl.tolist()),
+        "arrays": (lyap, kl),
+    }
+    # serial, then forked (the child writes rows steps//2 on; at 1 step the parent writes none)
+    for threshold in (sys.maxsize, 0):
+        monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", threshold)
+        for steps in (1, 2, 3, 15):
+            for name, (lyap_col, kl_col) in columns.items():
+                rows = weights[:steps]
+                path = tmp_path / "fast.csv"
+                write_trajectory_csv(path, rows, lyap_col[:steps], kl_col[:steps])
+                reference = csv_writer_bytes(tmp_path / "ref.csv", rows, lyap_col, kl_col)
+                assert path.read_bytes() == reference, (threshold, steps, name)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_trajectory_csv_detects_bad_rows(tmp_path):
