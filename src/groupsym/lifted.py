@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import shutil
-import sys
+import signal
 import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -613,32 +613,6 @@ def _write_rows(fh, row_format, weights, lyapunov, kl, start, stop) -> None:
         fh.write(row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t]))
 
 
-def _append(fh, spill) -> None:
-    """Copy all of ``spill`` to the end of ``fh``, kernel to kernel where possible."""
-    fh.flush()
-    # only Linux's sendfile writes to a regular file; BSD and macOS need a socket
-    if not (hasattr(os, "sendfile") and sys.platform.startswith("linux")):
-        spill.seek(0)
-        shutil.copyfileobj(spill, fh)
-        return
-    offset, size = 0, os.fstat(spill.fileno()).st_size
-    while offset < size:
-        sent = os.sendfile(fh.fileno(), spill.fileno(), offset, size - offset)
-        if not sent:
-            raise OSError("trajectory spill file ended early")
-        offset += sent
-
-
-def _other_cpus() -> Optional[set]:
-    """The CPUs this process may use besides the one it is on, where Linux says."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
-        return os.sched_getaffinity(0) - {cpu}
-    except (AttributeError, OSError, ValueError, IndexError):
-        return None
-
-
 def write_trajectory_csv(
     path,
     weights: np.ndarray,
@@ -652,12 +626,12 @@ def write_trajectory_csv(
     needs quoting, so the bytes match ``csv.writer`` output.
 
     A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is split where
-    ``os.fork`` exists: a child process, started off this process's CPU
-    where Linux allows, formats rows [steps//2, steps) into an unnamed spill
-    file beside ``path`` while this process writes the header and the front
-    rows, then appends the spill.  The bytes are the same.  A child that
-    fails raises OSError; if this process fails first, the child is killed.
-    Either way it is reaped before this returns or raises.
+    ``os.fork`` exists: a child process formats rows [steps//2, steps) into
+    an unnamed spill file beside ``path`` while this process writes the
+    header and the front rows, then appends the spill.  The bytes are the
+    same.  A child that fails raises OSError; if this process fails first,
+    the child is killed.  Either way it is reaped before this returns or
+    raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
@@ -674,18 +648,11 @@ def write_trajectory_csv(
 
     half = steps // 2
     directory = os.path.dirname(os.path.abspath(path))
-    others = _other_cpus()
     with tempfile.TemporaryFile("w+", newline="", dir=directory) as spill:
         pid = os.fork()
         if pid == 0:
             # only format and write, then leave without unwinding the caller
             try:
-                if others:
-                    # a child starts on its parent's CPU and may stay there:
-                    # move it off, then let the scheduler place it freely
-                    allowed = os.sched_getaffinity(0)
-                    os.sched_setaffinity(0, others)
-                    os.sched_setaffinity(0, allowed)
                 _write_rows(spill, *columns, half, steps)
                 spill.flush()
                 os._exit(0)
@@ -700,12 +667,11 @@ def write_trajectory_csv(
                 if status:
                     code = os.waitstatus_to_exitcode(status)
                     raise OSError(f"trajectory writer process failed (exit status {code})")
-                _append(fh, spill)
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh)
         finally:
             if pid:
-                from signal import SIGKILL  # loaded on this failure path only
-
-                os.kill(pid, SIGKILL)
+                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
