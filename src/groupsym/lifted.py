@@ -58,10 +58,11 @@ RENORM_DRIFT = 1e-13
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
 # A trajectory CSV of at least this many fields is formatted by two processes
 # where os.fork exists: a forked child writes the back half of the rows while
-# this process writes the front half.  The fork and the append cost about
-# 2-3 ms, which rows of dense weights repay from about 20k fields and rows of
-# mostly exact zeros (fast to format) from about 150k.
-FORKED_WRITE_MIN_FIELDS = 100_000
+# this process writes the front half.  Measured in fresh processes on two
+# CPUs, the split lost to the serial write at 100k fields of dense weights
+# (55 against 48 ms) and won at 200k, both for dense weights and for rows of
+# mostly exact zeros.
+FORKED_WRITE_MIN_FIELDS = 200_000
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
