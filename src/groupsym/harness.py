@@ -20,8 +20,9 @@ import json
 import math
 import os
 import reprlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.fft import fft
@@ -276,14 +277,11 @@ def _build_run(config: RunConfig) -> Tuple[FiniteGroup, Schedule]:
 
 
 def run_from_config(config: RunConfig) -> ExperimentResult:
-    """Dispatch a validated config to its runner; certify an engine run's signal."""
-    result = _run_application(config)
-    if result.signal is not None and config.steps > 0:
-        result.certificate = certify_schedule(result.signal, config.steps, config.tolerances)
-    return result
+    """Dispatch a validated config to its runner.
 
-
-def _run_application(config: RunConfig) -> ExperimentResult:
+    An engine run's ``certificate`` is left unset: ``execute`` searches it
+    (``certify_schedule``) while the trajectory.csv writer formats rows.
+    """
     threshold = config.tolerances["residual"]
     app, params, steps = config.application, config.params, config.steps
     group, schedule = _build_run(config)
@@ -463,10 +461,11 @@ class RunArtifacts:
     files: List[str] = field(default_factory=list)
 
 
-def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts:
-    """Run the configured application and write the artifact set."""
+@contextmanager
+def _application_errors(config: RunConfig) -> Iterator[None]:
+    """Re-raise a failure of the application's work as a ConfigError or a HarnessError."""
     try:
-        result = run_from_config(config)
+        yield
     except ConfigError:
         raise
     except ValueError as exc:
@@ -474,18 +473,53 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
     except Exception as exc:
         raise HarnessError(str(exc), module=config.application) from exc
 
+
+def _make_dirs(directory: str) -> List[str]:
+    """Create ``directory`` and its missing parents; return the ones created, innermost first."""
+    made = []
+    path = os.path.abspath(directory)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    return made
+
+
+def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts:
+    """Run the configured application and write the artifact set.
+
+    The certificate search and the result.json write run while the
+    trajectory.csv writer formats rows (``write_trajectory_csv``'s
+    ``overlap``).  A run that fails before writing anything leaves no
+    directory that it created.
+    """
+    with _application_errors(config):
+        result = run_from_config(config)
+
+    def certify_and_save() -> None:
+        if result.signal is not None and config.steps > 0:
+            with _application_errors(config):
+                result.certificate = certify_schedule(
+                    result.signal, config.steps, config.tolerances
+                )
+        doc = result_to_dict(result, config)
+        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc), "\n"))
+
+    made: List[str] = []
     try:
         directory = _artifact_dir(config, out_dir)
-        os.makedirs(directory, exist_ok=True)
+        made = _make_dirs(directory)
         # config.json names referenced files absolutely, so that it reads the
         # same files from the run directory
         run_config = with_absolute_paths(config)
-        doc = result_to_dict(result, config)
-        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc), "\n"))
         _atomic_write(
             os.path.join(directory, TRAJECTORY_FILE),
             lambda tmp: write_trajectory_csv(
-                tmp, result.weights_trajectory, result.lyapunov, result.kl
+                tmp,
+                result.weights_trajectory,
+                result.lyapunov,
+                result.kl,
+                overlap=certify_and_save,
             ),
         )
         manifest = {
@@ -502,8 +536,13 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
             _text(json.dumps(manifest, indent=2, sort_keys=True), "\n"),
         )
         _atomic_write(os.path.join(directory, CONFIG_FILE), _text(serialize_config(run_config)))
-    except OSError as exc:
-        raise HarnessError(f"could not write artifacts: {exc}", module="harness") from exc
+    except BaseException as exc:
+        for path in made:
+            with suppress(OSError):
+                os.rmdir(path)
+        if isinstance(exc, OSError):
+            raise HarnessError(f"could not write artifacts: {exc}", module="harness") from exc
+        raise
 
     exit_code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     return RunArtifacts(

@@ -12,12 +12,17 @@ point; mixing certificates quantify how fast trajectories contract onto it.
 
 from __future__ import annotations
 
+import mmap
 import os
-import shutil
 import signal
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+try:
+    import fcntl
+except ImportError:  # no os.fork there either, so every write is serial
+    fcntl = None
 
 import numpy as np
 
@@ -57,12 +62,16 @@ RENORM_DRIFT = 1e-13
 # Floats in trajectory CSVs round-trip exactly at 17 significant digits.
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
 # A trajectory CSV of at least this many fields is formatted by two processes
-# where os.fork exists: a forked child writes the back half of the rows while
-# this process writes the front half.  Measured in fresh processes on two
-# CPUs, the split lost to the serial write at 100k fields of dense weights
-# (55 against 48 ms) and won at 200k, both for dense weights and for rows of
-# mostly exact zeros.
+# where os.fork exists: a forked child claims rows from the back while this
+# process does the caller's overlapped work and then claims rows from the
+# front.  Measured in fresh processes on two CPUs, a forked write lost to the
+# serial write at 100k fields of dense weights (55 against 48 ms) and won at
+# 200k, both for dense weights and for rows of mostly exact zeros.
 FORKED_WRITE_MIN_FIELDS = 200_000
+# Fields per claim of a forked write (at least one row): small enough that the
+# two processes finish within one claim of each other, large enough that the
+# claim lock is rarely taken.  It also bounds the text each process holds.
+WRITE_CLAIM_FIELDS = 1 << 13
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
@@ -609,9 +618,30 @@ def laplacian(M: TransitionMatrix) -> np.ndarray:
     return np.eye(M.group.order) - M.matrix
 
 
-def _write_rows(fh, row_format, weights, lyapunov, kl, start, stop) -> None:
+def _rows(row_format, weights, lyapunov, kl, start, stop) -> Iterator[str]:
     for t in range(start, stop):
-        fh.write(row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t]))
+        yield row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t])
+
+
+def _claim(spill, slots, rows: int) -> Tuple[int, int]:
+    """Take up to ``rows`` rows from the front (rows > 0) or the back (rows < 0)
+    of the unclaimed range [slots[0], slots[1]); an empty range once none are left.
+
+    The record lock on the spill serializes the two writers' claims; the kernel
+    drops it if its holder dies.
+    """
+    fcntl.lockf(spill, fcntl.LOCK_EX)
+    try:
+        lo, hi = slots[0], slots[1]
+        if lo >= hi:
+            return hi, hi
+        if rows > 0:
+            slots[0] = min(hi, lo + rows)
+            return lo, slots[0]
+        slots[1] = max(lo, hi + rows)
+        return slots[1], hi
+    finally:
+        fcntl.lockf(spill, fcntl.LOCK_UN)
 
 
 def write_trajectory_csv(
@@ -619,6 +649,8 @@ def write_trajectory_csv(
     weights: np.ndarray,
     lyapunov: Sequence[float],
     kl: Sequence[float],
+    *,
+    overlap: Optional[Callable[[], object]] = None,
 ) -> None:
     """Write a lifted trajectory as CSV: step,g0,...,g_{n-1},lyapunov,kl.
 
@@ -626,13 +658,17 @@ def write_trajectory_csv(
     exact doubles that were computed.  Rows end in CRLF, and no field ever
     needs quoting, so the bytes match ``csv.writer`` output.
 
-    A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is split where
-    ``os.fork`` exists: a child process formats rows [steps//2, steps) into
-    an unnamed spill file beside ``path`` while this process writes the
-    header and the front rows, then appends the spill.  The bytes are the
-    same.  A child that fails raises OSError; if this process fails first,
-    the child is killed.  Either way it is reaped before this returns or
-    raises.
+    ``overlap``, if given, is called once in this process before any row is
+    written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is
+    formatted by two processes where ``os.fork`` exists: a child forked
+    first formats blocks of about ``WRITE_CLAIM_FIELDS`` fields, claimed from
+    the back of the rows, into an unnamed spill file beside ``path``, while
+    this process runs ``overlap`` and then claims blocks from the front and
+    writes them to ``path``.  When no rows are left it reaps the child and
+    appends the child's blocks in reverse order.  The bytes are the same
+    however the rows fall.  A child that fails raises OSError; if this
+    process fails first, ``overlap`` included, the child is killed.  Either
+    way it is reaped before this returns or raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
@@ -642,34 +678,58 @@ def write_trajectory_csv(
     row_format = "%d," + ",".join([TRAJECTORY_FLOAT_FORMAT] * (order + 2)) + "\r\n"
     columns = (row_format, weights, lyapunov, kl)
     if not hasattr(os, "fork") or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
+        if overlap is not None:
+            overlap()
         with open(path, "w", newline="") as fh:
             fh.write(header)
-            _write_rows(fh, *columns, 0, steps)
+            fh.writelines(_rows(*columns, 0, steps))
         return
 
-    half = steps // 2
+    block = max(1, WRITE_CLAIM_FIELDS // (order + 3))
     directory = os.path.dirname(os.path.abspath(path))
-    with tempfile.TemporaryFile("w+", newline="", dir=directory) as spill:
+    # shared slots: the unclaimed rows [lo, hi), the child's block count, then
+    # the byte length of each block it spilled
+    size = 8 * (3 + -(-steps // block))
+    with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, size) as shared, \
+            memoryview(shared).cast("q") as slots:
+        slots[1] = max(0, steps - block)  # the child's first block, claimed before it starts
         pid = os.fork()
         if pid == 0:
             # only format and write, then leave without unwinding the caller
             try:
-                _write_rows(spill, *columns, half, steps)
+                start, stop = slots[1], steps
+                while start < stop:
+                    text = "".join(_rows(*columns, start, stop)).encode()
+                    spill.write(text)
+                    slots[3 + slots[2]] = len(text)
+                    slots[2] += 1
+                    start, stop = _claim(spill, slots, -block)
                 spill.flush()
                 os._exit(0)
             except BaseException:
                 os._exit(1)
         try:
-            with open(path, "w", newline="") as fh:
-                fh.write(header)
-                _write_rows(fh, *columns, 0, half)
+            if overlap is not None:
+                overlap()
+            with open(path, "wb") as fh:
+                fh.write(header.encode())
+                start, stop = _claim(spill, slots, block)
+                while start < stop:
+                    fh.write("".join(_rows(*columns, start, stop)).encode())
+                    start, stop = _claim(spill, slots, block)
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
                 if status:
                     code = os.waitstatus_to_exitcode(status)
                     raise OSError(f"trajectory writer process failed (exit status {code})")
-                spill.seek(0)
-                shutil.copyfileobj(spill, fh)
+                lengths = slots[3 : 3 + slots[2]].tolist()
+                end = sum(lengths)
+                for length in reversed(lengths):
+                    end -= length
+                    text = os.pread(spill.fileno(), length, end)
+                    if len(text) != length:
+                        raise OSError("trajectory spill file ended early")
+                    fh.write(text)
         finally:
             if pid:
                 os.kill(pid, signal.SIGKILL)

@@ -1018,10 +1018,22 @@ class RaisingColumn(list):
 def raise_in_kl(monkeypatch, rows, exc):
     real = lifted_module.write_trajectory_csv
 
-    def write(path, weights, lyapunov, kl):
-        return real(path, weights, lyapunov, RaisingColumn(kl, rows, exc))
+    def write(path, weights, lyapunov, kl, **kwargs):
+        return real(path, weights, lyapunov, RaisingColumn(kl, rows, exc), **kwargs)
 
     monkeypatch.setattr(harness_module, "write_trajectory_csv", write)
+
+
+def raise_in_certificate(monkeypatch, exc, forks=()):
+    """Make the certificate search raise ``exc``; return the fork count at each search."""
+    seen = []
+
+    def certify(*args, **kwargs):
+        seen.append(len(forks))
+        raise exc("no certificate today")
+
+    monkeypatch.setattr(harness_module, "certify_schedule", certify)
+    return seen
 
 
 def assert_nothing_left(directory):
@@ -1034,7 +1046,7 @@ def assert_nothing_left(directory):
 
 def test_failed_writer_child_is_a_harness_error_and_leaves_no_csv(tmp_path, monkeypatch):
     forks = write_path(monkeypatch, forked=True)
-    raise_in_kl(monkeypatch, [-1], RuntimeError)  # a back-half row
+    raise_in_kl(monkeypatch, [-1], RuntimeError)  # the last row is the child's first claim
     with pytest.raises(HarnessError, match="could not write artifacts") as caught:
         execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
     assert caught.value.module == "harness"
@@ -1045,11 +1057,39 @@ def test_failed_writer_child_is_a_harness_error_and_leaves_no_csv(tmp_path, monk
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
 def test_parent_failure_propagates_and_reaps_the_writer_child(exc, tmp_path, monkeypatch):
     forks = write_path(monkeypatch, forked=True)
-    raise_in_kl(monkeypatch, [1], exc)  # a front-half row
-    with pytest.raises(exc, match="row 1 is unreadable"):
+    searches = raise_in_certificate(monkeypatch, exc, forks)
+    os.makedirs(run_dir(tmp_path))
+    with pytest.raises(exc, match="no certificate today"):
         execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
-    assert len(forks) == 1
+    assert searches == [1]  # the search ran while the child was formatting
     assert_nothing_left(run_dir(tmp_path))
+    assert os.listdir(run_dir(tmp_path)) == []  # no result.json either
+
+
+@pytest.mark.parametrize("forked", [False, True])
+@pytest.mark.parametrize(
+    "exc, error, module", [(ValueError, ConfigError, None), (ArithmeticError, HarnessError, "gossip")]
+)
+def test_a_failed_certificate_search_is_mapped_and_writes_nothing(
+    forked, exc, error, module, tmp_path, monkeypatch
+):
+    write_path(monkeypatch, forked)
+    raise_in_certificate(monkeypatch, exc)
+    cfg = golden_config("gossip")
+    with pytest.raises(error, match="no certificate today") as caught:
+        execute(cfg, out_dir=run_dir(tmp_path, "new/art"))
+    if module is not None:
+        assert caught.value.module == module
+    # as before the search moved out of run_from_config: no directory is made
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    path = tmp_path / "config.json"
+    path.write_text(serialize_config(cfg))
+    assert main(["run", str(path), "--out", run_dir(tmp_path)]) == (
+        EXIT_CONFIG if error is ConfigError else EXIT_RUNTIME
+    )
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_writer_without_fork_writes_the_same_bytes(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import csv
 import math
 import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -694,7 +695,7 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
         "numpy scalars, floats": (list(lyap), kl.tolist()),
         "arrays": (lyap, kl),
     }
-    # serial, then forked (the child writes rows steps//2 on; at 1 step the parent writes none)
+    # serial, then forked (at the default claim size the child's first claim is every row)
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", threshold)
         for steps in (1, 2, 3, 15):
@@ -706,6 +707,90 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
                 assert path.read_bytes() == reference, (threshold, steps, name)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class RowLog(list):
+    """A trajectory column that logs "pid row" to ``log`` on each read; reads
+    outside the creating process first sleep ``delay`` seconds."""
+
+    def __init__(self, values, log, delay):
+        super().__init__(values)
+        self.log, self.delay, self.parent = log, delay, os.getpid()
+
+    def __getitem__(self, t):
+        if os.getpid() != self.parent:
+            time.sleep(self.delay)
+        os.write(self.log, f"{os.getpid()} {t}\n".encode())
+        return super().__getitem__(t)
+
+
+TIMINGS = ["at once", "partway", "after the child"]
+
+
+def wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize(
+    "steps, timing",
+    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
+    + [(2000, "at once")],  # both processes race for 2000 one-row claims
+)
+def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
+    """One-row claims: however the parent's overlapped work is timed against
+    the child, each row is written once, the parent's rows are a prefix, the
+    child's a suffix taken from the back, and the bytes are the serial ones.
+    Partway, the child is slowed so that the parent takes some rows."""
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
+    monkeypatch.setattr(lifted_module, "WRITE_CLAIM_FIELDS", 1)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    rng = np.random.default_rng(steps)
+    weights = rng.dirichlet(np.ones(5), size=steps)
+    lyap, kl = rng.uniform(0, 1, size=steps), rng.uniform(0, 1, size=steps)
+    log_path = tmp_path / "rows.log"
+    log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def reads():
+        lines = log_path.read_text().splitlines()
+        return [tuple(int(v) for v in line.split()) for line in lines]
+
+    def overlap():
+        child = pids[0]
+        if timing == "partway":  # the child has formatted its first row
+            wait_for(lambda: any(pid == child for pid, _ in reads()))
+        elif timing == "after the child":  # it has claimed every row and left
+            wait_for(lambda: os.waitid(os.P_PID, child, os.WEXITED | os.WNOHANG | os.WNOWAIT))
+
+    try:
+        path = tmp_path / "forked.csv"
+        delay = 0.01 if timing == "partway" else 0.0
+        write_trajectory_csv(path, weights, lyap, RowLog(kl, log, delay), overlap=overlap)
+    finally:
+        os.close(log)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", weights, lyap, kl)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    owners = reads()
+    assert sorted(t for _, t in owners) == list(range(steps))
+    front = [t for pid, t in owners if pid == os.getpid()]
+    back = [t for pid, t in owners if pid == pids[0]]
+    assert front == list(range(len(front)))
+    assert back == list(range(steps - 1, len(front) - 1, -1))
+    if timing == "after the child":
+        assert front == []
+    if timing == "partway" and steps == 15:
+        assert 0 < len(front) < steps
 
 
 def test_trajectory_csv_detects_bad_rows(tmp_path):
