@@ -68,10 +68,6 @@ TRAJECTORY_FLOAT_FORMAT = "%.17g"
 # serial write at 100k fields of dense weights (55 against 48 ms) and won at
 # 200k, both for dense weights and for rows of mostly exact zeros.
 FORKED_WRITE_MIN_FIELDS = 200_000
-# Fields per claim of a forked write (at least one row): small enough that the
-# two processes finish within one claim of each other, large enough that the
-# claim lock is rarely taken.  It also bounds the text each process holds.
-WRITE_CLAIM_FIELDS = 1 << 13
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
@@ -618,14 +614,13 @@ def laplacian(M: TransitionMatrix) -> np.ndarray:
     return np.eye(M.group.order) - M.matrix
 
 
-def _rows(row_format, weights, lyapunov, kl, start, stop) -> Iterator[str]:
-    for t in range(start, stop):
-        yield row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t])
+def _row(row_format, weights, lyapunov, kl, t: int) -> str:
+    return row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t])
 
 
-def _claim(spill, slots, rows: int) -> Tuple[int, int]:
-    """Take up to ``rows`` rows from the front (rows > 0) or the back (rows < 0)
-    of the unclaimed range [slots[0], slots[1]); an empty range once none are left.
+def _claim(spill, slots, front: bool) -> Optional[int]:
+    """Take one row from the front or the back of the unclaimed range
+    [slots[0], slots[1]); None once none are left.
 
     The record lock on the spill serializes the two writers' claims; the kernel
     drops it if its holder dies.
@@ -634,12 +629,12 @@ def _claim(spill, slots, rows: int) -> Tuple[int, int]:
     try:
         lo, hi = slots[0], slots[1]
         if lo >= hi:
-            return hi, hi
-        if rows > 0:
-            slots[0] = min(hi, lo + rows)
-            return lo, slots[0]
-        slots[1] = max(lo, hi + rows)
-        return slots[1], hi
+            return None
+        if front:
+            slots[0] = lo + 1
+            return lo
+        slots[1] = hi - 1
+        return hi - 1
     finally:
         fcntl.lockf(spill, fcntl.LOCK_UN)
 
@@ -661,12 +656,11 @@ def write_trajectory_csv(
     ``overlap``, if given, is called once in this process before any row is
     written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is
     formatted by two processes where ``os.fork`` exists: a child forked
-    first formats blocks of about ``WRITE_CLAIM_FIELDS`` fields, claimed from
-    the back of the rows, into an unnamed spill file beside ``path``, while
-    this process runs ``overlap`` and then claims blocks from the front and
-    writes them to ``path``.  When no rows are left it reaps the child and
-    appends the child's blocks in reverse order.  The bytes are the same
-    however the rows fall.  A child that fails raises OSError; if this
+    first formats rows, claimed one at a time from the back, into an unnamed
+    spill file beside ``path``, while this process runs ``overlap`` and then
+    claims rows from the front and writes them to ``path``.  When no rows are
+    left it reaps the child and appends the child's rows in reverse order.
+    The bytes are the same however the rows fall.  A child that fails raises OSError; if this
     process fails first, ``overlap`` included, the child is killed.  Either
     way it is reaped before this returns or raises.
     """
@@ -677,33 +671,31 @@ def write_trajectory_csv(
     header = ",".join(["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]) + "\r\n"
     row_format = "%d," + ",".join([TRAJECTORY_FLOAT_FORMAT] * (order + 2)) + "\r\n"
     columns = (row_format, weights, lyapunov, kl)
-    if not hasattr(os, "fork") or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
+    if not hasattr(os, "fork") or not steps or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
         if overlap is not None:
             overlap()
         with open(path, "w", newline="") as fh:
             fh.write(header)
-            fh.writelines(_rows(*columns, 0, steps))
+            fh.writelines(_row(*columns, t) for t in range(steps))
         return
 
-    block = max(1, WRITE_CLAIM_FIELDS // (order + 3))
     directory = os.path.dirname(os.path.abspath(path))
-    # shared slots: the unclaimed rows [lo, hi), the child's block count, then
-    # the byte length of each block it spilled
-    size = 8 * (3 + -(-steps // block))
-    with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, size) as shared, \
+    # shared slots: the unclaimed rows [lo, hi), the child's row count, then
+    # the byte length of each row it spilled
+    with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, 8 * (3 + steps)) as shared, \
             memoryview(shared).cast("q") as slots:
-        slots[1] = max(0, steps - block)  # the child's first block, claimed before it starts
+        slots[1] = steps - 1  # the child's first row, claimed before it starts
         pid = os.fork()
         if pid == 0:
             # only format and write, then leave without unwinding the caller
             try:
-                start, stop = slots[1], steps
-                while start < stop:
-                    text = "".join(_rows(*columns, start, stop)).encode()
+                t = steps - 1
+                while t is not None:
+                    text = _row(*columns, t).encode()
                     spill.write(text)
                     slots[3 + slots[2]] = len(text)
                     slots[2] += 1
-                    start, stop = _claim(spill, slots, -block)
+                    t = _claim(spill, slots, front=False)
                 spill.flush()
                 os._exit(0)
             except BaseException:
@@ -713,10 +705,10 @@ def write_trajectory_csv(
                 overlap()
             with open(path, "wb") as fh:
                 fh.write(header.encode())
-                start, stop = _claim(spill, slots, block)
-                while start < stop:
-                    fh.write("".join(_rows(*columns, start, stop)).encode())
-                    start, stop = _claim(spill, slots, block)
+                t = _claim(spill, slots, front=True)
+                while t is not None:
+                    fh.write(_row(*columns, t).encode())
+                    t = _claim(spill, slots, front=True)
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
                 if status:

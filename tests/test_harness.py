@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -1024,6 +1025,28 @@ def raise_in_kl(monkeypatch, rows, exc):
     monkeypatch.setattr(harness_module, "write_trajectory_csv", write)
 
 
+class ParentRaisingColumn(list):
+    """A trajectory column whose row 0 raises ``exc`` in the creating process,
+    after it makes the file ``flag``.  Reads in another process first wait for
+    ``flag``: the writer child holds its first row, so the parent claims row 0."""
+
+    def __init__(self, values, flag, exc):
+        super().__init__(values)
+        self.flag, self.exc, self.parent = flag, exc, os.getpid()
+
+    def __getitem__(self, t):
+        if os.getpid() == self.parent:
+            if t == 0:
+                open(self.flag, "w").close()
+                raise self.exc("row 0 is unreadable in the parent")
+        else:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(self.flag):
+                assert time.monotonic() < deadline, "timed out"
+                time.sleep(0.001)
+        return super().__getitem__(t)
+
+
 def raise_in_certificate(monkeypatch, exc, forks=()):
     """Make the certificate search raise ``exc``; return the fork count at each search."""
     seen = []
@@ -1064,6 +1087,23 @@ def test_parent_failure_propagates_and_reaps_the_writer_child(exc, tmp_path, mon
     assert searches == [1]  # the search ran while the child was formatting
     assert_nothing_left(run_dir(tmp_path))
     assert os.listdir(run_dir(tmp_path)) == []  # no result.json either
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_parent_failure_in_its_claim_loop_reaps_the_writer_child(exc, tmp_path, monkeypatch):
+    forks = write_path(monkeypatch, forked=True)
+    flag = tmp_path / "parent-read-row-0"
+    real = lifted_module.write_trajectory_csv
+
+    def write(path, weights, lyapunov, kl, **kwargs):
+        return real(path, weights, lyapunov, ParentRaisingColumn(kl, flag, exc), **kwargs)
+
+    monkeypatch.setattr(harness_module, "write_trajectory_csv", write)
+    with pytest.raises(exc, match="row 0 is unreadable in the parent"):
+        execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
+    assert len(forks) == 1
+    assert flag.exists()
+    assert_nothing_left(run_dir(tmp_path))
 
 
 @pytest.mark.parametrize("forked", [False, True])

@@ -695,7 +695,7 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
         "numpy scalars, floats": (list(lyap), kl.tolist()),
         "arrays": (lyap, kl),
     }
-    # serial, then forked (at the default claim size the child's first claim is every row)
+    # serial, then forked
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", threshold)
         for steps in (1, 2, 3, 15):
@@ -709,18 +709,25 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-class RowLog(list):
-    """A trajectory column that logs "pid row" to ``log`` on each read; reads
-    outside the creating process first sleep ``delay`` seconds."""
+def logged_reads(log_path):
+    lines = log_path.read_text().splitlines()
+    return [tuple(int(v) for v in line.split()) for line in lines]
 
-    def __init__(self, values, log, delay):
+
+class RowLog(list):
+    """A trajectory column that logs "pid row" to ``log_path`` on each read.
+    With ``handoff``, a read outside the creating process then waits until
+    the creating process has read a row, so that both processes own rows."""
+
+    def __init__(self, values, log_path, handoff):
         super().__init__(values)
-        self.log, self.delay, self.parent = log, delay, os.getpid()
+        self.log_path, self.handoff, self.parent = log_path, handoff, os.getpid()
 
     def __getitem__(self, t):
-        if os.getpid() != self.parent:
-            time.sleep(self.delay)
-        os.write(self.log, f"{os.getpid()} {t}\n".encode())
+        with open(self.log_path, "a") as log:
+            log.write(f"{os.getpid()} {t}\n")
+        if self.handoff and os.getpid() != self.parent:
+            wait_for(lambda: any(pid == self.parent for pid, _ in logged_reads(self.log_path)))
         return super().__getitem__(t)
 
 
@@ -743,9 +750,8 @@ def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monke
     """One-row claims: however the parent's overlapped work is timed against
     the child, each row is written once, the parent's rows are a prefix, the
     child's a suffix taken from the back, and the bytes are the serial ones.
-    Partway, the child is slowed so that the parent takes some rows."""
+    Partway, the child holds its first row until the parent has read one."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
-    monkeypatch.setattr(lifted_module, "WRITE_CLAIM_FIELDS", 1)
     pids = []
     real_fork = os.fork
 
@@ -759,29 +765,23 @@ def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monke
     weights = rng.dirichlet(np.ones(5), size=steps)
     lyap, kl = rng.uniform(0, 1, size=steps), rng.uniform(0, 1, size=steps)
     log_path = tmp_path / "rows.log"
-    log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-    def reads():
-        lines = log_path.read_text().splitlines()
-        return [tuple(int(v) for v in line.split()) for line in lines]
+    log_path.touch()
 
     def overlap():
         child = pids[0]
         if timing == "partway":  # the child has formatted its first row
-            wait_for(lambda: any(pid == child for pid, _ in reads()))
+            wait_for(lambda: any(pid == child for pid, _ in logged_reads(log_path)))
         elif timing == "after the child":  # it has claimed every row and left
             wait_for(lambda: os.waitid(os.P_PID, child, os.WEXITED | os.WNOHANG | os.WNOWAIT))
 
-    try:
-        path = tmp_path / "forked.csv"
-        delay = 0.01 if timing == "partway" else 0.0
-        write_trajectory_csv(path, weights, lyap, RowLog(kl, log, delay), overlap=overlap)
-    finally:
-        os.close(log)
+    path = tmp_path / "forked.csv"
+    # partway, the child holds its first row until the parent reads row 0
+    handoff = timing == "partway" and steps > 1
+    write_trajectory_csv(path, weights, lyap, RowLog(kl, log_path, handoff), overlap=overlap)
     assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", weights, lyap, kl)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    owners = reads()
+    owners = logged_reads(log_path)
     assert sorted(t for _, t in owners) == list(range(steps))
     front = [t for pid, t in owners if pid == os.getpid()]
     back = [t for pid, t in owners if pid == pids[0]]
@@ -789,7 +789,7 @@ def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monke
     assert back == list(range(steps - 1, len(front) - 1, -1))
     if timing == "after the child":
         assert front == []
-    if timing == "partway" and steps == 15:
+    if handoff:
         assert 0 < len(front) < steps
 
 
