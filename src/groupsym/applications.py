@@ -11,6 +11,7 @@ structure.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -74,10 +75,16 @@ EPS = float(np.finfo(np.float64).eps)
 # law) is exceeded with probability at most this (see sampling_tolerance).
 SAMPLING_BETA = 1e-6
 # Largest support the sampler draws from by counting cdf points, one pass per
-# point; above it a binary search is faster (2M draws on 2 cores: 32 against
-# 60 ms at 11 points, 77 against 96 ms at 32, 117 against 104 ms at 48).  At
-# most 127, so that the count fits in int8.
-THRESHOLD_DRAW_MAX_SUPPORT = 32
+# point; the count is int8, so at most 127.  On a block of WALK_BLOCK_TRIALS
+# uniforms the passes stay in cache and beat a binary search at every size up
+# to that (one 65,536-draw call, its uniforms included: 0.58 against 2.6 ms at
+# 32 points, 1.08 against 3.5 ms at 64, 1.77 against 3.8 ms at 127; an S5
+# walk of 10^6 trials over 120-, 64- and 40-point rows, 0.80 against 0.96 s).
+THRESHOLD_DRAW_MAX_SUPPORT = 127
+# Trials per block of the sampled walk: a block's float64 uniforms and intp
+# indices (16 bytes a trial) fill BLOCK_BYTES, and stay in cache through
+# every step.
+WALK_BLOCK_TRIALS = BLOCK_BYTES // 16
 QUANTUM_DIM_CAP = 64
 OUTCOME_SIZE_CAP = 8
 OUTCOME_AXES_CAP = 4
@@ -571,26 +578,116 @@ def _orbit_collision(rows: np.ndarray, atol: float = 1e-12) -> Optional[Tuple[in
     return best
 
 
-def _draw(rng: Generator, p: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(p.size, size=size, p=p)``: the same draws from the same stream.
-
-    ``choice`` draws one uniform u per sample and returns
-    ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum() / its last
-    entry``: the number of cdf points at or below u.  Up to
-    THRESHOLD_DRAW_MAX_SUPPORT points that count is taken one comparison pass
-    per point, which beats the binary search, and held as int8 (a view of
-    the first pass's booleans).  cdf[-1] is 1 > u, so only the interior
-    points can count; for a single point the first pass adds nothing.
-    """
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """``choice``'s cdf of the weights ``p``: their cumulative sums over the last one."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
+    return cdf
+
+
+def _draw(rng: Generator, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rng.choice(p.size, size=u.size, p=p)`` for ``cdf = _cdf(p)``: the same
+    draws from the same stream, with their uniforms written into ``u``.
+
+    ``choice`` draws one uniform u per sample and returns
+    ``cdf.searchsorted(u, side="right")``: the number of cdf points at or
+    below u.  Up to THRESHOLD_DRAW_MAX_SUPPORT points that count is taken one
+    comparison pass per point, which beats the binary search, and held as
+    int8 (a view of the first pass's booleans).  cdf[-1] is 1 > u, so only
+    the interior points can count; for a single point the first pass adds
+    nothing.
+    """
+    rng.random(out=u)
     if cdf.size > THRESHOLD_DRAW_MAX_SUPPORT:
         return cdf.searchsorted(u, side="right")
     draws = (u >= cdf[0]).view(np.int8)
     for point in cdf[1:-1]:
         draws += u >= point
     return draws
+
+
+class _Walk:
+    """The sampled walk of ``trials`` trials over a realized signal, by blocks.
+
+    Trial i draws its step-t element from the (t * trials + i)-th output of
+    PCG64(seed), as a walk of all trials drawing one step at a time would.
+    A block of WALK_BLOCK_TRIALS trials runs every step on its own
+    generator, moved forward to its first trial's uniform before each step,
+    so its arrays stay in cache.  Blocks may run in any order and on any
+    thread: their endpoint counts are integers and add up to the same sums.
+    """
+
+    def __init__(self, group: FiniteGroup, signal: Signal, trials: int, seed: int):
+        support, weights = signal.rows(0, len(signal))
+        # Drawing over the row alone is the same stream as drawing over all
+        # of G: the cumulative weights at the support are the same sums, and
+        # the padding's zero weights repeat the last, 1 > u, so each uniform
+        # draw lands on the same element.
+        self._cdfs = [_cdf(w) for w in weights]
+        # the translation rows of every element the signal uses, gathered once
+        elements, slot = np.unique(support, return_inverse=True)
+        self._rows = group.rows(elements).ravel()
+        self._offsets = slot.reshape(support.shape) * group.order
+        self._identity, self._order = group.identity, group.order
+        self._trials, self._seed, self._block = trials, seed, WALK_BLOCK_TRIALS
+
+    def block(self, lo: int) -> np.ndarray:
+        """Endpoint counts of the trials of the block that starts at trial ``lo``."""
+        hi = min(lo + self._block, self._trials)
+        bits = PCG64(self._seed)
+        rng, position = Generator(bits), 0
+        walk = np.full(hi - lo, self._identity, dtype=np.int32)
+        # the block's uniforms and row entries, rewritten in place every step:
+        # a block-sized array freed each step would be handed back to the OS
+        # and faulted in again by the next
+        u, index = np.empty(hi - lo), np.empty(hi - lo, dtype=np.intp)
+        for t, (cdf, offsets) in enumerate(zip(self._cdfs, self._offsets)):
+            bits.advance(t * self._trials + lo - position)
+            # each trial moves to entry walk[i] of the translation row it
+            # drew; every index is in range, and mode="clip" writes the
+            # gathers into their outputs unbuffered
+            offsets.take(_draw(rng, cdf, u), out=index, mode="clip")
+            index += walk
+            self._rows.take(index, out=walk, mode="clip")
+            position = t * self._trials + hi
+        return np.bincount(walk, minlength=self._order)
+
+    def counts(self) -> np.ndarray:
+        """Endpoint counts of all trials.
+
+        The calling thread and one more take blocks from one iterator.  After
+        either one raises, neither takes another block; the other thread is
+        joined and the first exception re-raised.  A single block runs on the
+        calling thread alone.
+        """
+        if self._trials <= self._block:
+            return self.block(0)
+        starts = iter(range(0, self._trials, self._block))
+        lock = threading.Lock()
+        failed: List[BaseException] = []
+
+        def work(counts: np.ndarray) -> None:
+            try:
+                while True:
+                    with lock:
+                        lo = None if failed else next(starts, None)
+                    if lo is None:
+                        return
+                    counts += self.block(lo)
+            except BaseException as exc:
+                with lock:
+                    failed.append(exc)
+
+        ours, theirs = np.zeros((2, self._order), dtype=np.intp)
+        helper = threading.Thread(target=work, args=(theirs,), name="random-state-walk")
+        helper.start()
+        try:
+            work(ours)
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
+        return ours + theirs
 
 
 def run_random_state_generation(
@@ -605,10 +702,11 @@ def run_random_state_generation(
 ) -> ExperimentResult:
     """Sample group-element trajectories and compare the endpoint law to uniform.
 
-    Each trial draws g(t) from the step weights independently and composes;
-    the endpoint distribution over the orbit is exactly the lifted weight
-    vector p(t_steps), so the empirical histogram is checked against both it
-    and the uniform law.  The lift tolerance is sampling_tolerance at
+    Each trial draws g(t) from the step weights independently and composes
+    (``_Walk``, in blocks of trials on two threads); the endpoint
+    distribution over the orbit is exactly the lifted weight vector
+    p(t_steps), so the empirical histogram is checked against both it and
+    the uniform law.  The lift tolerance is sampling_tolerance at
     SAMPLING_BETA, which correct code exceeds with probability at most beta.
     """
     if trials < 1:
@@ -634,22 +732,7 @@ def run_random_state_generation(
     traj.setflags(write=False)
     exact_law = traj[-1]
 
-    rng = Generator(PCG64(seed))
-    walk = np.full(trials, group.identity, dtype=np.int32)
-    for support, weights in zip(*signal.rows(0, t_steps)):
-        # Drawing over the row alone is the same stream as drawing over all
-        # of G: the cumulative weights at the support are the same sums, and
-        # the padding's zero weights repeat the last, 1 > u, so each uniform
-        # draw lands on the same element.
-        # each trial moves to entry walk[i] of the translation row it drew
-        index = np.multiply(_draw(rng, weights, trials), group.order, dtype=np.intp)
-        index += walk
-        walk = group.rows(support).ravel().take(index)
-        del index  # not held through the next step's draw
-    # bincount casts int32 to a fresh intp array: count in slices of BLOCK_BYTES
-    counts = np.zeros(group.order, dtype=np.intp)
-    for a in range(0, trials, BLOCK_BYTES // 8):
-        counts += np.bincount(walk[a : a + BLOCK_BYTES // 8], minlength=group.order)
+    counts = _Walk(group, signal, trials, seed).counts()
     empirical = counts / float(trials)
 
     uniform = np.full(group.order, 1.0 / group.order)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,8 +40,8 @@ from groupsym.applications import (
     spectral_comparison,
     star_consensus_example,
 )
-from groupsym.config import DEFAULT_TOLERANCES
-from groupsym.harness import certify_schedule
+from groupsym.config import DEFAULT_TOLERANCES, parse_config
+from groupsym.harness import HarnessError, certify_schedule, execute
 from groupsym.groups import cyclic_group, symmetric_group, transposition_index
 from groupsym.lifted import ConvexWeights
 from groupsym.schedules import (
@@ -931,7 +933,7 @@ def test_draw_is_generator_choice_on_the_same_stream(k, tiny, monkeypatch):
         ours = np.random.Generator(np.random.PCG64(k))
         ref = np.random.Generator(np.random.PCG64(k))
         for size in (1, 20_000):
-            draws = applications_module._draw(ours, p, size)
+            draws = applications_module._draw(ours, applications_module._cdf(p), np.empty(size))
             assert np.array_equal(draws, ref.choice(k, size=size, p=p))
             assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -972,6 +974,178 @@ def test_random_state_walk_matches_a_dense_table_walk_on_more_schedules(group, m
         walk = group.table[rng.choice(group.order, size=trials, p=s.weights), walk]
     counts = np.bincount(walk, minlength=group.order)
     assert np.array_equal(result.final_state, counts / float(trials))
+
+
+def dense_table_walk_counts(group, sched, steps, trials, seed):
+    """Endpoint counts of a walk that draws every trial by ``choice``, one step at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    walk = np.full(trials, group.identity, dtype=np.int64)
+    for s in sched.realize(steps):
+        walk = group.table[rng.choice(group.order, size=trials, p=s.weights), walk]
+    return np.bincount(walk, minlength=group.order)
+
+
+def record_claims(monkeypatch):
+    """Wrap ``_Walk.block`` to record each (thread, first trial) claim.
+
+    Each thread's first block waits until the other thread has claimed one
+    too, so both workers claim blocks however the threads are scheduled.
+    """
+    claims = []
+    meeting = threading.Barrier(2, timeout=10)
+    block = applications_module._Walk.block
+
+    def claimed(self, lo):
+        me = threading.get_ident()
+        first = all(thread != me for thread, _ in claims)
+        claims.append((me, lo))
+        if first:
+            meeting.wait()
+        return block(self, lo)
+
+    monkeypatch.setattr(applications_module._Walk, "block", claimed)
+    return claims
+
+
+WALK_SCHEDULES = {
+    "random-gossip": (
+        symmetric_group(4),
+        lambda g: RandomGossipSchedule(g, [1, 5, 9, 14], (0.3, 0.7), seed=3),
+        12,
+    ),
+    "random-subset": (
+        symmetric_group(4),
+        lambda g: RandomSubsetSchedule(g, [1, 5, 9, 14, 20], (0.3, 0.7), 8),
+        7,
+    ),
+    # 120- and 40-point rows and a 3-point one
+    "custom-sequence": (
+        symmetric_group(5),
+        lambda g: ExplicitSchedule(g, custom_rows(g.order, [120, 3, 40]), policy="cycle"),
+        7,
+    ),
+    "cyclic": (cyclic_group(12), lambda g: RandomGossipSchedule(g, [1, 5, 7], (0.3, 0.7), seed=6), 7),
+    "zero-steps": (symmetric_group(4), lambda g: CyclicSchedule(g, [1], 0.5), 0),
+}
+
+
+# the default cutoff, and 1, which sends every support of two or more points
+# through the binary search
+@pytest.mark.parametrize("cutoff", [applications_module.THRESHOLD_DRAW_MAX_SUPPORT, 1])
+# five full blocks, and four with a short last one
+@pytest.mark.parametrize("trials", [5000, 4999])
+@pytest.mark.parametrize("name", list(WALK_SCHEDULES))
+def test_threaded_walk_matches_a_dense_table_walk(name, trials, cutoff, monkeypatch):
+    group, make_schedule, steps = WALK_SCHEDULES[name]
+    monkeypatch.setattr(applications_module, "WALK_BLOCK_TRIALS", 1000)
+    monkeypatch.setattr(applications_module, "THRESHOLD_DRAW_MAX_SUPPORT", cutoff)
+    claims = record_claims(monkeypatch)
+    act = regular_action(group)
+    y0 = np.random.default_rng(2).normal(size=group.order)
+    result = run_random_state_generation(act, y0, make_schedule(group), steps, trials, seed=21)
+    counts = dense_table_walk_counts(group, make_schedule(group), steps, trials, 21)
+    assert np.array_equal(result.final_state, counts / float(trials))
+    # every block claimed once, and by both workers
+    assert sorted(lo for _, lo in claims) == list(range(0, trials, 1000))
+    assert len({thread for thread, _ in claims}) == 2
+
+
+def test_threaded_walk_under_fast_thread_switching(monkeypatch):
+    # 200 blocks of 100 trials, with the interpreter switching threads every
+    # few microseconds: a block claimed twice or lost changes the counts
+    group, make_schedule, steps = WALK_SCHEDULES["random-subset"]
+    monkeypatch.setattr(applications_module, "WALK_BLOCK_TRIALS", 100)
+    claims = record_claims(monkeypatch)
+    act = regular_action(group)
+    y0 = np.random.default_rng(2).normal(size=group.order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run_random_state_generation(act, y0, make_schedule(group), steps, 20_000, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    counts = dense_table_walk_counts(group, make_schedule(group), steps, 20_000, 5)
+    assert np.array_equal(result.final_state, counts / 20_000.0)
+    assert sorted(lo for _, lo in claims) == list(range(0, 20_000, 100))
+
+
+def test_one_block_walk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a walk of one block started a thread")
+
+    monkeypatch.setattr(applications_module, "WALK_BLOCK_TRIALS", 1000)
+    monkeypatch.setattr(
+        applications_module, "threading", SimpleNamespace(Lock=threading.Lock, Thread=no_thread)
+    )
+    group, make_schedule, steps = WALK_SCHEDULES["random-subset"]
+    act = regular_action(group)
+    y0 = np.random.default_rng(2).normal(size=group.order)
+    result = run_random_state_generation(act, y0, make_schedule(group), steps, 1000, seed=21)
+    counts = dense_table_walk_counts(group, make_schedule(group), steps, 1000, 21)
+    assert np.array_equal(result.final_state, counts / 1000.0)
+
+
+def fail_on_the_helper(monkeypatch):
+    """Make ``_draw`` raise on the walk's second thread, in the first block it takes.
+
+    The calling thread's draws wait until that thread has failed and ended,
+    so the calling thread is still inside its first block when the failure
+    lands.  Returns the exception raised and the recorded claims.
+    """
+    boom = RuntimeError("draw failed on the helper thread")
+    failed = threading.Event()
+    helper = []
+    draw = applications_module._draw
+
+    def flaky(rng, cdf, u):
+        if threading.current_thread() is not threading.main_thread():
+            helper.append(threading.current_thread())
+            failed.set()
+            raise boom
+        assert failed.wait(10)
+        helper[0].join(10)
+        assert not helper[0].is_alive()
+        return draw(rng, cdf, u)
+
+    monkeypatch.setattr(applications_module, "_draw", flaky)
+    return boom, record_claims(monkeypatch)
+
+
+def test_a_failed_worker_stops_the_walk(monkeypatch, tmp_path):
+    monkeypatch.setattr(applications_module, "WALK_BLOCK_TRIALS", 1000)
+    threads = threading.active_count()
+    group, make_schedule, steps = WALK_SCHEDULES["random-gossip"]
+    y0 = np.random.default_rng(2).normal(size=group.order)
+
+    boom, claims = fail_on_the_helper(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        run_random_state_generation(
+            regular_action(group), y0, make_schedule(group), steps, 5000, seed=21
+        )
+    assert info.value is boom
+    # one block each: neither worker claimed another after the failure
+    assert len(claims) == 2 and len({thread for thread, _ in claims}) == 2
+    assert threading.active_count() == threads
+
+    boom, claims = fail_on_the_helper(monkeypatch)
+    cfg = parse_config(
+        {
+            "schema_version": 1,
+            "application": "random-state",
+            "params": {"group": {"kind": "symmetric", "m": 4}},
+            "schedule": {"kind": "random-gossip", "support": [1, 5, 9, 14]},
+            "steps": steps,
+            "trials": 5000,
+            "seed": 1,
+        }
+    )
+    out = tmp_path / "run"
+    with pytest.raises(HarnessError) as info:
+        execute(cfg, out_dir=str(out))
+    assert info.value.__cause__ is boom
+    assert len(claims) == 2 and len({thread for thread, _ in claims}) == 2
+    assert threading.active_count() == threads
+    assert not out.exists() and list(tmp_path.iterdir()) == []
 
 
 # -- dynamical decoupling ---------------------------------------------------------------

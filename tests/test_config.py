@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import groupsym.applications as applications_module
 import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
@@ -642,6 +643,14 @@ class TestMemoryPreflight:
         allowance = sum(parts.values()) - parts["trials"] + 2**20
         # the int32 walk plus one BLOCK_BYTES slice of it cast to intp by bincount
         assert peak <= 4 * cfg.trials + lifted_module.BLOCK_BYTES + allowance
+
+    def test_walk_peaks_at_one_block_of_trials_per_worker(self):
+        cfg, parts, peak = self.sampled_run_peak(6)
+        allowance = sum(parts.values()) - parts["trials"] + 2**20
+        # two workers, each holding one block of trials at the charge per trial
+        blocks = 2 * (parts["trials"] // cfg.trials) * applications_module.WALK_BLOCK_TRIALS
+        assert blocks < 4 * cfg.trials
+        assert peak <= blocks + allowance
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: None)
