@@ -923,7 +923,7 @@ CUTOFF = applications_module.THRESHOLD_DRAW_MAX_SUPPORT
 
 
 @pytest.mark.parametrize("tiny", [False, True])
-@pytest.mark.parametrize("k", [1, 2, 5, 11, CUTOFF, CUTOFF + 1, 720])
+@pytest.mark.parametrize("k", [1, 2, 5, 11, 32, 33, CUTOFF, CUTOFF + 1, 720])
 def test_draw_is_generator_choice_on_the_same_stream(k, tiny, monkeypatch):
     p = spread_weights(k, seed=k, tiny=tiny)
     # each support size through its own branch, then through the other one
