@@ -606,6 +606,29 @@ def _draw(rng: Generator, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return draws
 
 
+def _run_steps(width: int, order: int, steps: int) -> int:
+    """Steps c of one composed run of the walk: the most, up to ``steps``, whose
+    table of width**c translation rows of ``order`` int32 entries fits in
+    BLOCK_BYTES // 16, so that it stays in cache beside the block's arrays;
+    1 when two steps' table does not fit."""
+    c = 1
+    while c < steps and 4 * order * width ** (c + 1) <= BLOCK_BYTES // 16:
+        c += 1
+    return c
+
+
+def walk_bytes(trials: int) -> int:
+    """Bytes the sampled walk of ``trials`` trials holds at its peak.
+
+    Each of two workers holds one block of trials at 24 bytes a trial (the
+    float64 uniforms, whose bytes then hold the gather index; the int32
+    walk; a composed run's row offsets, at most int32; and one intp
+    transient: a binary-search draw, ``take``'s cast of a narrower draw or
+    ``bincount``'s of the walk), plus its two composed-table buffers.
+    """
+    return 2 * (24 * min(trials, WALK_BLOCK_TRIALS) + 2 * (BLOCK_BYTES // 16))
+
+
 class _Walk:
     """The sampled walk of ``trials`` trials over a realized signal, by blocks.
 
@@ -615,6 +638,12 @@ class _Walk:
     generator, moved forward to its first trial's uniform before each step,
     so its arrays stay in cache.  Blocks may run in any order and on any
     thread: their endpoint counts are integers and add up to the same sums.
+
+    The steps go in runs of ``_run_steps`` steps.  A run's draws d_0 ..
+    d_{c-1}, each an entry of its step's K-point support, form one mixed-radix
+    row index sum_j d_j * K**j of the run's composed table, whose row holds
+    the exact translation h_{d_{c-1}} o ... o h_{d_0}; the block gathers its
+    walk through that table once per run instead of once per step.
     """
 
     def __init__(self, group: FiniteGroup, signal: Signal, trials: int, seed: int):
@@ -630,6 +659,30 @@ class _Walk:
         self._offsets = slot.reshape(support.shape) * group.order
         self._identity, self._order = group.identity, group.order
         self._trials, self._seed, self._block = trials, seed, WALK_BLOCK_TRIALS
+        self._width = support.shape[1]
+        self._run = _run_steps(self._width, group.order, len(signal))
+
+    def _compose(self, run: range, table: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """The flat translation table of the steps in ``run``.
+
+        Row r = sum_j d_j * K**j (entries r * order to (r + 1) * order) maps
+        each element b to the product of the drawn elements of the run's
+        steps with b, the last step's leftmost.  Level j is built by sending
+        each row of level j - 1 through the row of each of step j's K
+        support points; ``table`` and ``spare`` trade roles at each level.
+        """
+        order, rows = self._order, self._rows
+        for d, offset in enumerate(self._offsets[run.start]):
+            table[d * order : (d + 1) * order] = rows[offset : offset + order]
+        size = self._width * order
+        for t in run[1:]:
+            for d, offset in enumerate(self._offsets[t]):
+                rows[offset : offset + order].take(
+                    table[:size], out=spare[d * size : (d + 1) * size], mode="clip"
+                )
+            table, spare = spare, table
+            size *= self._width
+        return table[:size]
 
     def block(self, lo: int) -> np.ndarray:
         """Endpoint counts of the trials of the block that starts at trial ``lo``."""
@@ -637,19 +690,43 @@ class _Walk:
         bits = PCG64(self._seed)
         rng, position = Generator(bits), 0
         walk = np.full(hi - lo, self._identity, dtype=np.int32)
-        # the block's uniforms and row entries, rewritten in place every step:
-        # a block-sized array freed each step would be handed back to the OS
-        # and faulted in again by the next
-        u, index = np.empty(hi - lo), np.empty(hi - lo, dtype=np.intp)
-        for t, (cdf, offsets) in enumerate(zip(self._cdfs, self._offsets)):
-            bits.advance(t * self._trials + lo - position)
-            # each trial moves to entry walk[i] of the translation row it
-            # drew; every index is in range, and mode="clip" writes the
-            # gathers into their outputs unbuffered
-            offsets.take(_draw(rng, cdf, u), out=index, mode="clip")
-            index += walk
-            self._rows.take(index, out=walk, mode="clip")
-            position = t * self._trials + hi
+        # The block's arrays are rewritten in place every step: a block-sized
+        # array freed each step would be handed back to the OS and faulted in
+        # again by the next.  Once a step's uniforms are drawn, their bytes
+        # hold its weighted draw and then the gather index.
+        u = np.empty(hi - lo)
+        # a one-step run takes its row offsets straight into the index
+        index = row = u.view(np.intp)
+        steps, c = len(self._cdfs), self._run
+        if c > 1:
+            tables = np.empty((2, self._width**c * self._order), dtype=np.int32)
+            # a composed row offset plus a walk entry stays below the table's
+            # size, so the smallest signed type that holds -size holds it
+            row = np.empty(hi - lo, dtype=np.min_scalar_type(-tables.shape[1]))
+            digit = u.view(row.dtype)[: hi - lo]
+        for start in range(0, steps, c):
+            run = range(start, min(start + c, steps))
+            source = self._rows if c == 1 else self._compose(run, *tables)
+            for j, t in enumerate(run):
+                bits.advance(t * self._trials + lo - position)
+                draws = _draw(rng, self._cdfs[t], u)
+                position = t * self._trials + hi
+                if c == 1:
+                    # a one-step run reads its support's rows where they are
+                    self._offsets[t].take(draws, out=row, mode="clip")
+                elif j == 0:
+                    np.multiply(draws, self._order, out=row, dtype=row.dtype)
+                else:
+                    weight = self._order * self._width**j
+                    row += np.multiply(draws, weight, out=digit, dtype=row.dtype)
+                # freed before the next step draws: a binary-search draw is
+                # as large as the gather index
+                del draws
+            # each trial moves to entry walk[i] of the row its run drew; every
+            # index is in range, and mode="clip" writes the gather into walk
+            # unbuffered
+            np.add(row, walk, out=index)
+            source.take(index, out=walk, mode="clip")
         return np.bincount(walk, minlength=self._order)
 
     def counts(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .actions import decode_state
-from .applications import OUTCOME_AXES_CAP, OUTCOME_SIZE_CAP, QUANTUM_DIM_CAP
+from .applications import OUTCOME_AXES_CAP, OUTCOME_SIZE_CAP, QUANTUM_DIM_CAP, walk_bytes
 from .groups import MAX_SYMMETRIC_DEGREE
 
 __all__ = [
@@ -321,9 +321,9 @@ def _dense_bytes(
     (the lifted trajectory, one float64 per element per step), ``signal``
     (the realized signal: per step, an intp element and a float64 weight in
     each of its K columns, see ``_signal_width``) and ``trials`` (the sampled
-    walk: per trial, one step's float64 uniform and intp draw/index, and the
-    int32 walk before and after the step).  Empty when the group order is
-    only known after loading a file.
+    walk's blocks and composed tables on its two workers, see
+    ``applications.walk_bytes``).  Empty when the group order is only known
+    after loading a file.
     """
     order = _group_order(app, params)
     if order is None:
@@ -342,7 +342,7 @@ def _dense_bytes(
         **states,
         "weights": 8 * order * (steps + 1),
         "signal": (8 + 8) * _signal_width(schedule, params, order) * steps,
-        "trials": (8 + 8 + 4 + 4) * (trials or 0),
+        "trials": walk_bytes(trials) if trials else 0,
     }
 
 

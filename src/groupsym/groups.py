@@ -22,6 +22,7 @@ returns that same instance, so a run builds each group once and
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -179,12 +180,44 @@ class FiniteGroup:
         if self._table is None:
             with self._lock:
                 if self._table is None:
-                    table = np.empty((self.order, self.order), dtype=np.int32)
-                    for a in range(self.order):
-                        table[a] = self._rank_row(a)
+                    table = self._compose_table()
                     table.setflags(write=False)
                     self._table = table
         return self._table
+
+    def _compose_table(self) -> np.ndarray:
+        """The dense table of a permutation-backed group, by composing rows.
+
+        Row a lists a*b for every b, so row(a*s) = row(a)[row(s)].  A
+        breadth-first search from the identity reaches each element as a*s,
+        for a reached a and a generator s, and gathers its row once; only the
+        generators' rows are ranked.  Each generator is the least element not
+        yet reached, and every reached element meets it, so the search closes
+        on the whole group whatever its permutations.
+        """
+        order = self.order
+        table = np.empty((order, order), dtype=np.int32)
+        table[self.identity] = np.arange(order)
+        reached = np.zeros(order, dtype=bool)
+        reached[self.identity] = True
+        generators = []
+        queue = collections.deque()
+        while True:
+            while queue:
+                row = table[queue.popleft()]
+                for s in generators:
+                    product = row[s]
+                    if not reached[product]:
+                        reached[product] = True
+                        row.take(table[s], out=table[product])
+                        queue.append(product)
+            missing = np.flatnonzero(~reached)
+            if not missing.size:
+                return table
+            s = int(missing[0])
+            table[s], reached[s] = self._rank_row(s), True
+            generators.append(s)
+            queue.extend(np.flatnonzero(reached))
 
     def rows(self, elems) -> np.ndarray:
         """Translation rows ``table[elems]``: row i lists ``elems[i] * b`` for every b.

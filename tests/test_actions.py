@@ -609,6 +609,19 @@ def test_dft_kernels_sharing_one_buffer_match_their_unbuffered_forms():
     assert act._buffer() is act._buffer()
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 64, 256])
+def test_dft_residual_power_is_the_einsum_power_bit_for_bit(N):
+    act = dft_action(N)
+    rng = np.random.default_rng(41 + N)
+    scale = 10.0 ** rng.integers(-100, 100, size=(N, N))
+    X = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * scale
+    for state in (X, np.outer(rng.standard_normal(N), np.ones(N)).astype(complex)):
+        Y = np.fft.fft(state, axis=0).view(np.float64).reshape(-1, 2)
+        power = np.einsum("ij,ij->i", Y, Y)
+        expect = math.sqrt(float((act._gains @ power[act._diagonals].sum(axis=1)).max()))
+        assert fixed_point_residual(act, state) == expect
+
+
 @pytest.mark.parametrize("kind", ["block", "dft", "custom"])
 def test_step_writes_into_a_separate_out(kind):
     act, x = action_kinds()[kind]

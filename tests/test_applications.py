@@ -985,6 +985,13 @@ def dense_table_walk_counts(group, sched, steps, trials, seed):
     return np.bincount(walk, minlength=group.order)
 
 
+# The walk's own block and draw.  The wrappers below wrap these, never an
+# earlier wrapper: a test that wraps twice would otherwise also run the first
+# wrapper's barrier, which a new thread (one whose ident was not reused) waits
+# on alone until it times out.
+WALK_BLOCK, WALK_DRAW = applications_module._Walk.block, applications_module._draw
+
+
 def record_claims(monkeypatch):
     """Wrap ``_Walk.block`` to record each (thread, first trial) claim.
 
@@ -993,7 +1000,7 @@ def record_claims(monkeypatch):
     """
     claims = []
     meeting = threading.Barrier(2, timeout=10)
-    block = applications_module._Walk.block
+    block = WALK_BLOCK
 
     def claimed(self, lo):
         me = threading.get_ident()
@@ -1026,6 +1033,20 @@ WALK_SCHEDULES = {
     ),
     "cyclic": (cyclic_group(12), lambda g: RandomGossipSchedule(g, [1, 5, 7], (0.3, 0.7), seed=6), 7),
     "zero-steps": (symmetric_group(4), lambda g: CyclicSchedule(g, [1], 0.5), 0),
+    # 720-, 300- and 3-point rows: supports over 255 and over 127, through
+    # both draw branches, and too wide for a run of two steps
+    "custom-sequence-s6": (
+        symmetric_group(6),
+        lambda g: ExplicitSchedule(g, custom_rows(g.order, [720, 300, 3]), policy="cycle"),
+        7,
+    ),
+    # the identity among the gossip elements: steps 1, 6 and 7 put all their
+    # weight on it, a one-point row in a signal of two-point rows
+    "one-point-steps": (
+        symmetric_group(4),
+        lambda g: RandomGossipSchedule(g, [0, 1, 5, 9], (0.3, 0.7), seed=3),
+        11,
+    ),
 }
 
 
@@ -1047,6 +1068,48 @@ def test_threaded_walk_matches_a_dense_table_walk(name, trials, cutoff, monkeypa
     assert np.array_equal(result.final_state, counts / float(trials))
     # every block claimed once, and by both workers
     assert sorted(lo for _, lo in claims) == list(range(0, trials, 1000))
+    assert len({thread for thread, _ in claims}) == 2
+
+
+def record_runs(monkeypatch):
+    """Wrap ``_Walk._compose`` to record the steps of each composed run."""
+    runs = []
+    compose = applications_module._Walk._compose
+
+    def recorded(self, run, table, spare):
+        runs.append(list(run))
+        return compose(self, run, table, spare)
+
+    monkeypatch.setattr(applications_module._Walk, "_compose", recorded)
+    return runs
+
+
+# runs of one, two and three steps, each cut by a BLOCK_BYTES whose walk
+# table budget (a sixteenth) holds just that run's K**c rows of |G| int32
+# entries, and the runs of the default budget
+@pytest.mark.parametrize("run", [1, 2, 3, None], ids=["run1", "run2", "run3", "default"])
+@pytest.mark.parametrize("name", list(WALK_SCHEDULES))
+def test_walk_in_composed_runs_matches_a_dense_table_walk(name, run, monkeypatch):
+    group, make_schedule, steps = WALK_SCHEDULES[name]
+    width = make_schedule(group).realize(steps).idx.shape[1]
+    budget = None if run is None else 16 * 4 * group.order * width**run
+    fits = budget is not None and budget <= applications_module.BLOCK_BYTES
+    if fits:
+        monkeypatch.setattr(applications_module, "BLOCK_BYTES", budget)
+    c = applications_module._run_steps(width, group.order, steps)
+    if run is not None:
+        # a support too wide for the run under the default budget walks step by step
+        assert c == (max(1, min(run, steps)) if fits else 1)
+    monkeypatch.setattr(applications_module, "WALK_BLOCK_TRIALS", 1000)
+    claims, runs = record_claims(monkeypatch), record_runs(monkeypatch)
+    act = regular_action(group)
+    y0 = np.random.default_rng(2).normal(size=group.order)
+    result = run_random_state_generation(act, y0, make_schedule(group), steps, 4999, seed=21)
+    counts = dense_table_walk_counts(group, make_schedule(group), steps, 4999, 21)
+    assert np.array_equal(result.final_state, counts / 4999.0)
+    # each of the five blocks composes the runs of c steps, the last one short
+    cut = [list(range(a, min(a + c, steps))) for a in range(0, steps, c)] if c > 1 else []
+    assert sorted(runs) == sorted(cut * 5)
     assert len({thread for thread, _ in claims}) == 2
 
 
@@ -1095,7 +1158,7 @@ def fail_on_the_helper(monkeypatch):
     boom = RuntimeError("draw failed on the helper thread")
     failed = threading.Event()
     helper = []
-    draw = applications_module._draw
+    draw = WALK_DRAW
 
     def flaky(rng, cdf, u):
         if threading.current_thread() is not threading.main_thread():

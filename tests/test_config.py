@@ -634,23 +634,33 @@ class TestMemoryPreflight:
 
     def test_sampled_walk_peaks_within_its_charge(self):
         cfg, parts, peak = self.sampled_run_peak(6)
-        assert parts["trials"] == 24 * cfg.trials
+        # two workers' blocks of 24 bytes a trial and their two composed tables,
+        # however many trials run
+        blocks = applications_module.WALK_BLOCK_TRIALS
+        assert parts["trials"] == 2 * (24 * blocks + 2 * (lifted_module.BLOCK_BYTES // 16))
+        assert applications_module.walk_bytes(config_module.MAX_TRIALS) == parts["trials"]
         # the allowance covers the group, the signal and the interpreter's own
         assert peak <= sum(parts.values()) + 2**20
 
     def test_walk_endpoints_are_counted_in_slices(self):
         cfg, parts, peak = self.sampled_run_peak(0)
         allowance = sum(parts.values()) - parts["trials"] + 2**20
-        # the int32 walk plus one BLOCK_BYTES slice of it cast to intp by bincount
-        assert peak <= 4 * cfg.trials + lifted_module.BLOCK_BYTES + allowance
+        # each worker counts the endpoints of its own block: its uniforms, its
+        # int32 walk and bincount's intp cast of it, 20 bytes a trial; one
+        # int32 walk of every trial would not fit
+        blocks = 2 * 20 * applications_module.WALK_BLOCK_TRIALS
+        assert blocks + allowance < 4 * cfg.trials
+        assert peak <= blocks + allowance
 
     def test_walk_peaks_at_one_block_of_trials_per_worker(self):
         cfg, parts, peak = self.sampled_run_peak(6)
         allowance = sum(parts.values()) - parts["trials"] + 2**20
-        # two workers, each holding one block of trials at the charge per trial
-        blocks = 2 * (parts["trials"] // cfg.trials) * applications_module.WALK_BLOCK_TRIALS
-        assert blocks < 4 * cfg.trials
-        assert peak <= blocks + allowance
+        # two workers, each holding one block of trials and its composed tables
+        assert parts["trials"] == applications_module.walk_bytes(
+            applications_module.WALK_BLOCK_TRIALS
+        )
+        assert parts["trials"] < 4 * cfg.trials
+        assert peak <= parts["trials"] + allowance
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(config_module, "physical_memory_bytes", lambda: None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -420,6 +421,32 @@ def test_permutation_backed_group_agrees_with_dense_construction(m):
     assert not g.table.flags.writeable
     assert np.array_equal(g.rows(elems), table[elems])  # now gathered from the table
     assert np.array_equal(symmetric_group(m).table, table)
+
+
+def fresh_alternating(m):
+    """A permutation-backed A_m: the even permutations of range(m), in lexicographic order."""
+    perms = [
+        p
+        for p in itertools.permutations(range(m))
+        if sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m)) % 2 == 0
+    ]
+    return FiniteGroup(None, name=f"A{m}", perms=np.array(perms, dtype=np.int64), validate=False)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(fresh_symmetric, m) for m in range(1, 7)]
+    + [functools.partial(fresh_alternating, m) for m in (3, 4)],
+    ids=[f"S{m}" for m in range(1, 7)] + ["A3", "A4"],
+)
+def test_composed_table_equals_the_ranked_rows(make):
+    g = make()
+    ranked = np.array([g._rank_row(a) for a in range(g.order)], dtype=np.int32).reshape(g.order, -1)
+    elems = np.arange(g.order)[::-1]
+    assert np.array_equal(g.rows(elems), ranked[elems])
+    assert g._table is None  # serving every row still built no table
+    assert np.array_equal(g.table, ranked)
+    assert g.table.dtype == np.int32 and not g.table.flags.writeable
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
