@@ -25,9 +25,7 @@ from .actions import (
     axis_permutation_action,
     conjugation_action,
     dft_action,
-    fixed_point_residual,
     permutation_action,
-    step,
     subsystem_permutation_action,
     symmetrizer,
 )
@@ -63,12 +61,12 @@ __all__ = [
 RESIDUAL_THRESHOLD = 1e-8
 # The lift check's tolerance is LIFT_ROUNDOFF * eps * (steps_run + |G|) *
 # max(1, ||x0||_inf): float64 round-off of steps_run mixing steps on the direct
-# side and of a |G|-term weighted orbit sum on the lifted side.  The shift-phase
-# maps of the DFT action come closest.  At N=256 over seeds 1-10 the gap is up
-# to 1.2 eps * (steps_run + |G|) * ||x0||_inf with the schedule seed fixed, and
-# 1.7 eps with it drawn from the seed too, through the orbit matrix and through
-# the action's Fourier mixing kernel alike; this factor puts the worst at 1/19
-# of the tolerance.
+# side and of a |G|-term weighted orbit sum on the lifted side.  The factor was
+# sized on the DFT action's maps stepped term by term, whose gap reached 1.7 eps
+# * (steps_run + |G|) * ||x0||_inf at N=256 over seeds 1-10, 1/19 of the
+# tolerance.  A dft run records the Frobenius bound of its Fourier form instead
+# (actions._FourierRun): at most 0.15 eps * (steps_run + |G|) * ||x0||_inf over
+# the same seeds, with the schedule seed fixed or drawn from the seed.
 LIFT_ROUNDOFF = 32.0
 EPS = float(np.finfo(np.float64).eps)
 # Sampling runs: the lift check's tolerance on TV(empirical, exact endpoint
@@ -148,16 +146,6 @@ def _monitor_value(fn: Callable[[np.ndarray], object], x: np.ndarray, name: str,
     return value
 
 
-def _lift_gap(recon: np.ndarray, x: np.ndarray) -> float:
-    """max |recon - x.ravel()|, formed in recon, a fresh array from the mixer.
-
-    A helper, so that the reconstruction is freed before the next step.
-    """
-    np.subtract(recon, x.reshape(-1), out=recon)
-    # the absolute values land in the real parts of a complex recon
-    return np.abs(recon, out=recon).real.max()
-
-
 def run_symmetrization(
     action: LinearAction,
     x0,
@@ -177,46 +165,40 @@ def run_symmetrization(
     Monitors are callables of the state whose values must stay at their
     initial value; their worst drift is reported.  A non-finite residual,
     lift gap or monitor value raises a ValueError naming its step.  The
-    reconstruction and the orbit average F(x0), returned as
-    ``orbit_average``, come from the action's ``mixer`` of x0.  Each step
-    writes the action's ``_step`` kernel into one of two state buffers in
-    turn, so x0 is never written.  ``schedule`` may also be a Signal or a
-    sequence of ConvexWeights; the realized Signal is returned as ``signal``.
+    direct side is the action's ``direct_run`` of x0: it steps, measures
+    the residual and the lift gap, returns the orbit average F(x0) as
+    ``orbit_average``, and forms the state that monitors, ``residual_fn``
+    and ``final_state`` read.  x0 is never written.  ``schedule`` may also
+    be a Signal or a sequence of ConvexWeights; the realized Signal is
+    returned as ``signal``.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     t_start = time.perf_counter()
-    x = x0 = action.space.validate(x0)
+    x0 = action.space.validate(x0)
     if not np.isfinite(x0).all():
         raise ValueError("initial state has a non-finite entry")
     if not isinstance(schedule, Schedule):
         schedule = Signal.from_weights(schedule, action.group)
     signal = schedule.realize(steps)
     monitors = dict(monitors or {})
-    if residual_fn is None:
-        residual_fn = lambda state: fixed_point_residual(action, state)
 
-    # the state alternates between two buffers: x0 may be the caller's own
-    # array (validate returns it as is), so it is never written.  They are
-    # taken before the mixer's temporaries: taken after them, they raised
-    # the peak RSS of a dft N=256 run by about 1 MB, the freed temporaries
-    # left below them going unused.
-    buffers = (np.empty_like(x0), np.empty_like(x0))
-    mix, orbit_average = action.mixer(x)
+    run = action.direct_run(x0)
+    residual = run.residual if residual_fn is None else lambda: residual_fn(run.state())
     lifted = lifted_steps(signal, action.group)
     traj = next(lifted)
 
-    residuals = [_finite(residual_fn(x), "fixed-point residual", 0)]
-    monitor_series = {name: [_monitor_value(fn, x, name, 0)] for name, fn in monitors.items()}
+    residuals = [_finite(residual(), "fixed-point residual", 0)]
+    monitor_series = {name: [_monitor_value(fn, x0, name, 0)] for name, fn in monitors.items()}
     lift_gap = 0.0
 
     for t, traj in enumerate(lifted):
         idx, w = signal.rows(t, t + 1)
-        x = step(action, idx[0], w[0], x, out=buffers[t % 2])
-        residuals.append(_finite(residual_fn(x), "fixed-point residual", t + 1))
-        lift_gap = max(lift_gap, _finite(_lift_gap(mix(traj[-1]), x), "lift gap", t + 1))
+        run.step(idx[0], w[0])
+        residuals.append(_finite(residual(), "fixed-point residual", t + 1))
+        lift_gap = max(lift_gap, _finite(run.lift_gap(traj[-1]), "lift gap", t + 1))
         for name, fn in monitors.items():
-            monitor_series[name].append(_monitor_value(fn, x, name, t + 1))
+            monitor_series[name].append(_monitor_value(fn, run.state(), name, t + 1))
         if early_stop and residuals[-1] <= threshold:
             break
 
@@ -244,7 +226,7 @@ def run_symmetrization(
         lyapunov=lyap,
         kl=kl,
         weights_trajectory=traj,
-        final_state=x,
+        final_state=run.state(),
         conserved_drift=drift,
         lift_direct_gap=lift_gap,
         lift_tolerance=lift_roundoff(steps_run, action.group.order, x0),
@@ -253,7 +235,7 @@ def run_symmetrization(
         steps_run=steps_run,
         metadata=meta,
         extras={"conserved_series": {k: np.array(v) for k, v in monitor_series.items()}},
-        orbit_average=orbit_average,
+        orbit_average=run.orbit_average,
         signal=signal,
     )
 
@@ -690,6 +672,10 @@ class _Walk:
         bits = PCG64(self._seed)
         rng, position = Generator(bits), 0
         walk = np.full(hi - lo, self._identity, dtype=np.int32)
+        steps, c = len(self._cdfs), self._run
+        if not steps:
+            # no draws: the walk's endpoints are where it starts
+            return np.bincount(walk, minlength=self._order)
         # The block's arrays are rewritten in place every step: a block-sized
         # array freed each step would be handed back to the OS and faulted in
         # again by the next.  Once a step's uniforms are drawn, their bytes
@@ -697,7 +683,6 @@ class _Walk:
         u = np.empty(hi - lo)
         # a one-step run takes its row offsets straight into the index
         index = row = u.view(np.intp)
-        steps, c = len(self._cdfs), self._run
         if c > 1:
             tables = np.empty((2, self._width**c * self._order), dtype=np.int32)
             # a composed row offset plus a walk entry stays below the table's

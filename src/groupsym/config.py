@@ -61,15 +61,16 @@ MAX_TRIALS = 10_000_000
 # A run's dense arrays may take at most this share of physical memory; the
 # rest covers their transient copies, the interpreter and the rest of the host.
 MEMORY_SHARE = 0.5
-# dft mixes, reconstructs and measures its state through the Fourier kernels
-# of the DFT action and never forms the orbit.  At most nine and a half N x N
-# complex arrays are live at once: the action's phase table, its gain,
-# diagonal and shift tables (float64 and int64, half an array each) and the
-# one buffer its step, residual and mixer share; the initial state, its
-# transform and the orbit average; the engine's two state buffers; and the
-# residual's transform or the reconstruction, which never overlap.  They are
-# charged as twelve, which also covers the result document's encoded arrays.
-DFT_KERNEL_ARRAYS = 12
+# dft runs in the Fourier basis of the DFT action and never forms the orbit,
+# nor a state per step.  At most seven N x N complex arrays are live at once:
+# the action's gain, diagonal and shift tables (float64 and int64, half an
+# array each) and the one buffer its mixture and residual share; the initial
+# state, its transform and the orbit average; the final state, formed once
+# at the end; and the tolerance's |x0| (half an array).  The result write
+# holds fewer: the final state, the orbit average, their base64 texts
+# (four thirds of an array each) and the encoder's copy of one text.  They
+# are charged as eight.
+DFT_KERNEL_ARRAYS = 8
 
 
 class ConfigError(ValueError):
@@ -317,7 +318,7 @@ def _dense_bytes(
     ``rows`` (the int32 translation rows that gossip, prob-sym and
     quantum-gossip rank on demand), ``orbit``
     (one state per group element) or, for dft, ``kernel`` (the Fourier
-    kernels' N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
+    run's N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
     (the lifted trajectory, one float64 per element per step), ``signal``
     (the realized signal: per step, an intp element and a float64 weight in
     each of its K columns, see ``_signal_width``) and ``trials`` (the sampled

@@ -442,6 +442,22 @@ def _text(*parts: str) -> Callable[[str], object]:
     return write
 
 
+def _json(doc: dict) -> Callable[[str], object]:
+    """Write ``doc`` as ``json.dumps`` would, then a newline, one encoder chunk at a time.
+
+    ``json.dumps`` joins its chunks into one more copy of the whole text: a
+    dft run's two base64 arrays held three copies at once, the largest
+    share of its peak memory.
+    """
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+
+    return write
+
+
 def _artifact_dir(config: RunConfig, out_dir: Optional[str]) -> str:
     if out_dir:
         return out_dir
@@ -503,7 +519,7 @@ def execute(config: RunConfig, *, out_dir: Optional[str] = None) -> RunArtifacts
                     result.signal, config.steps, config.tolerances
                 )
         doc = result_to_dict(result, config)
-        _atomic_write(os.path.join(directory, RESULT_FILE), _text(json.dumps(doc), "\n"))
+        _atomic_write(os.path.join(directory, RESULT_FILE), _json(doc))
 
     made: List[str] = []
     try:

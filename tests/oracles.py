@@ -37,3 +37,28 @@ def orbit_walk_residual(action, x):
         diff = (block - flat).view(np.float64)
         worst = max(worst, float(np.einsum("ij,ij->i", diff, diff).max()))
     return math.sqrt(worst)
+
+
+def dft_direct_step(idx, w, X, out):
+    """One DFT-action mixing step term by term, sum_k w[k] a(idx[k], X), into ``out``.
+
+    Rows [0, N-k) of a(k, X) are rows [k, N) of X and the rest rows
+    [0, k), times the column phases w^-(k n mod N): each term is the
+    product ``np.roll(X, -k, 0) * phases`` forms, written into one buffer
+    by two slice multiplies, then weighted and added in row order, zero
+    weights skipped.  So it equals the base class's one ``apply`` per term
+    bit for bit, and holds the N x N direct state that a dft run no longer
+    forms step by step.
+    """
+    N = X.shape[0]
+    n = np.arange(N)
+    term = np.empty_like(X)
+    out.fill(0)
+    for k, wk in zip(idx, w):
+        if wk:
+            phases = np.exp(-2j * np.pi * ((k * n) % N) / N)
+            np.multiply(X[k:], phases, out=term[: N - k])
+            np.multiply(X[:k], phases, out=term[N - k :])
+            term *= wk
+            out += term
+    return out

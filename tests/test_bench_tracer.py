@@ -87,7 +87,11 @@ def test_traced_gossip_run_times_the_step_and_counts_its_applies(tmp_path):
     assert layers["actions.apply_calls"] > 0
 
 
-def test_traced_dft_run_times_the_step(tmp_path):
+def test_traced_dft_run_keeps_its_step_in_the_engine_span(tmp_path):
+    # a dft run steps, and measures its residual, on the N-vector of its
+    # Fourier form inside the engine: no actions.step or
+    # fixed_point_residual call, so their layers read zero and the engine's
+    # self time holds the loop
     doc = {
         "schema_version": 1,
         "application": "dft",
@@ -95,4 +99,6 @@ def test_traced_dft_run_times_the_step(tmp_path):
         "schedule": {"kind": "random-gossip", "support": list(range(1, 8))},
         "seed": 3,
     }
-    assert traced_layers(doc, str(tmp_path / "art"))["actions.step_s"] > 0
+    layers = traced_layers(doc, str(tmp_path / "art"))
+    assert layers["actions.step_s"] == 0 and layers["actions.residual_s"] == 0
+    assert layers["applications.engine_self_s"] > 0

@@ -575,14 +575,14 @@ class TestMemoryPreflight:
             "schedule": {"kind": "cyclic", "elements": [1]},
             "seed": 1,
         }
-        # the 16 GiB orbit matrix is never built: twelve 16 MiB arrays
+        # the 16 GiB orbit matrix is never built: eight 16 MiB arrays
         parts = config_module._dense_bytes("dft", {"N": 1024}, doc["schedule"], 500)
         assert "orbit" not in parts
-        assert parts["kernel"] == 12 * 16 * 1024**2
+        assert parts["kernel"] == 8 * 16 * 1024**2
         self.with_memory(monkeypatch, 8)
         assert parse_config(doc).params["N"] == 1024
         self.with_memory(monkeypatch, 0.25)
-        with pytest.raises(ConfigError, match=r"params: .*kernel 0\.19"):
+        with pytest.raises(ConfigError, match=r"params: .*kernel 0\.12"):
             parse_config(doc)
 
     def test_verdict_follows_physical_memory(self, monkeypatch):
@@ -645,10 +645,10 @@ class TestMemoryPreflight:
     def test_walk_endpoints_are_counted_in_slices(self):
         cfg, parts, peak = self.sampled_run_peak(0)
         allowance = sum(parts.values()) - parts["trials"] + 2**20
-        # each worker counts the endpoints of its own block: its uniforms, its
-        # int32 walk and bincount's intp cast of it, 20 bytes a trial; one
-        # int32 walk of every trial would not fit
-        blocks = 2 * 20 * applications_module.WALK_BLOCK_TRIALS
+        # each worker counts the endpoints of its own block: with no steps it
+        # draws nothing, so it holds its int32 walk and bincount's intp cast
+        # of it, 12 bytes a trial; one int32 walk of every trial would not fit
+        blocks = 2 * 12 * applications_module.WALK_BLOCK_TRIALS
         assert blocks + allowance < 4 * cfg.trials
         assert peak <= blocks + allowance
 

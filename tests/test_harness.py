@@ -21,12 +21,18 @@ import groupsym.harness as harness_module
 import groupsym.lifted as lifted_module
 from groupsym.actions import (
     decode_state,
+    dft_action,
     encode_state,
     pauli_matrices,
     pauli_quotient_group,
     save_state,
 )
-from groupsym.applications import SAMPLING_BETA, run_dynamical_decoupling, sampling_tolerance
+from groupsym.applications import (
+    SAMPLING_BETA,
+    lift_roundoff,
+    run_dynamical_decoupling,
+    sampling_tolerance,
+)
 from groupsym.cli import main
 from groupsym.config import ConfigError, config_hash, parse_config, serialize_config
 from groupsym.groups import symmetric_group, transposition_index
@@ -46,6 +52,7 @@ from groupsym.harness import (
 )
 from groupsym.lifted import read_trajectory_csv
 from groupsym.schedules import Schedule
+from oracles import dft_direct_step
 
 
 def gossip_config(**extra):
@@ -837,7 +844,7 @@ GOLDEN_REPORTS = {
         "PASS kl margin=2.030e-12 strict decrease over 6-step windows in steps 0..28",
         "PASS envelope margin=1.000e-12 rho=0.76988, T=6, inside over steps 0..28",
         "SKIP conserved skipped: no conserved series recorded",
-        "PASS lift margin=4.466e-13 gap 1.031e-14",
+        "PASS lift margin=4.554e-13 gap 1.535e-15",
         "PASS consistency series lengths and trajectory agree",
         "PASS dft margin=5.890e-10 first row within 1.112e-09 of DFT(x)/N (gap 5.228e-10)",
     ],
@@ -848,7 +855,7 @@ GOLDEN_REPORTS = {
         "SKIP kl skipped: no certificate",
         "SKIP envelope skipped: no certificate",
         "SKIP conserved skipped: no conserved series recorded",
-        "PASS lift margin=7.804e-13 gap 2.933e-14",
+        "PASS lift margin=8.075e-13 gap 2.182e-15",
         "PASS consistency series lengths and trajectory agree",
         "PASS dft margin=9.968e-01 first row within 1.676e+00 of DFT(x)/N (gap 6.790e-01)",
     ],
@@ -933,8 +940,8 @@ def golden_config(name):
 # document with that key removed, as execute writes it).
 GOLDEN_RESULTS = {
     "dd": "051adb177e6a7c2fa726a27547640c44fddc1f1394ada131ba7d801aace546fc",
-    "dft": "5bd31965cdaefa7cc8c9ba276f278026a14874bba1cd1accd567e683ab8fdfce",
-    "dft-subgroup": "23b810b9a0f59074de25ef736d2e2f9b1590c05ab5f904e0ba089556959d376a",
+    "dft": "259d06d510ae545a242aa6cb88b29b1ca5405ecefc583720454374aa910b12e4",
+    "dft-subgroup": "5e6141f8fbccd70de471267e048cc7009eb2dc00b1ef214dd12f14279af28d7f",
     "gossip": "1c65f4819749e27d7fc553f98c30e402e5b37cc5544db093c863ccb0952d0e07",
     "gossip-cyclic": "1eb235f978d36462cd1e14140f7fa13795a90f4f39bb42d8f22258c2e677feae",
     "gossip-subset": "de6411d3d51791567900f1bbe683ec537639b17c8e47e9ad37f6045c08d39ad5",
@@ -998,6 +1005,61 @@ def test_golden_verify_report(name, tmp_path):
     subset = ["weights", "kl", "lift"]
     expected = [line for line in GOLDEN_REPORTS[name] if line.split()[1] in subset]
     assert verify(art.directory, subset).lines() == expected
+
+
+@pytest.mark.parametrize("name", ["dft", "dft-subgroup", "N=8", "N=64"])
+def test_dft_run_follows_the_term_by_term_direct_state(name):
+    # a dft run holds M_t, not the state; the state it stands for must be
+    # the one the plain N x N steps reach
+    cfg = golden_config(name) if name in GOLDEN_RUNS else dft_config(int(name[2:]), seed=11)
+    result = run_from_config(cfg)
+    N = cfg.params["N"]
+    x = np.asarray(harness_module._initial_array(cfg, (N,), "complex"), dtype=np.complex128)
+    X0 = np.outer(x, np.ones(N))  # as run_dft builds it
+    act = dft_action(N)
+    run = act.direct_run(X0)
+    mix, _ = act.mixer(X0)
+    X, gap = X0, 0.0
+    assert result.steps_run > 0
+    for t in range(result.steps_run):
+        idx, w = result.signal.rows(t, t + 1)
+        X = dft_direct_step(idx[0], w[0], X, np.empty_like(X))
+        run.step(idx[0], w[0])
+        # within the lift check's round-off allowance for t + 1 steps
+        assert np.abs(run.state() - X).max() <= lift_roundoff(t + 1, N, X0)
+        gap = max(gap, float(np.abs(mix(result.weights_trajectory[t + 1]) - run.state().ravel()).max()))
+    assert np.array_equal(run.state(), result.final_state)
+    # by Parseval the recorded gap is the Frobenius norm of mix(p_t) - state
+    # at its worst step, which bounds the largest entry at every step
+    assert result.lift_direct_gap >= gap > 0
+    # weights off by q read as ||mix(p_T + q) - state||_F, far above round-off
+    p = result.weights_trajectory[-1] + 1e-3 * np.random.default_rng(N).standard_normal(N)
+    frobenius = np.linalg.norm(mix(p) - run.state().ravel())
+    assert run.lift_gap(p) == pytest.approx(frobenius, rel=1e-9)
+
+
+# The benchmark's dft-z256 workload: N = 256 over the support 1..255 with its
+# pinned schedule seed.  Its steps and trajectory.csv do not depend on how
+# the direct state is held.
+DFT_Z256_SCHEDULE = {"kind": "random-gossip", "support": list(range(1, 256)), "seed": 3386250816931739734}
+DFT_Z256_PINS = {
+    7: (64, "bb508e333d5bd55c84dc6c70020829739a8911c74a046035d6eb97070b4a4444"),
+    11: (65, "1169290146d155d9a84d31b4b5c70f303c0306d21ff4aed569e1e9c1bdf0a9e2"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DFT_Z256_PINS))
+def test_dft_z256_keeps_its_steps_and_trajectory(seed, tmp_path):
+    steps, sha256 = DFT_Z256_PINS[seed]
+    art = execute(dft_config(256, seed, schedule=DFT_Z256_SCHEDULE), out_dir=run_dir(tmp_path))
+    assert art.exit_code == EXIT_OK
+    assert art.result.steps_run == steps
+    with open(os.path.join(art.directory, "trajectory.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
+    statuses = {c.name: c.status for c in verify(art.directory).checks}
+    # a dft run records no conserved series; every other check passes
+    assert statuses.pop("conserved") == "skip"
+    assert set(statuses.values()) == {"pass"}
 
 
 # -- the forked trajectory writer's failures ------------------------------------
@@ -1293,7 +1355,8 @@ def test_symmetric_runs_never_build_the_dense_table(application, params, tmp_pat
 
 def test_dft_run_stays_within_its_memory_preflight(tmp_path):
     # the preflight charges DFT_KERNEL_ARRAYS N x N complex arrays for what the
-    # Fourier kernels, the engine's state buffers and the step kernel hold
+    # Fourier run and the result write hold, next to the group's table and
+    # the lifted weights
     cfg = dft_config(256)
     parts = config_module._dense_bytes(cfg.application, cfg.params, cfg.schedule, cfg.steps)
     tracemalloc.start()
