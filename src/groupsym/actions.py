@@ -43,6 +43,7 @@ __all__ = [
     "ProjectionCheck",
     "is_projection",
     "restricted_operator_bound",
+    "Base64State",
     "encode_state",
     "decode_state",
     "save_state",
@@ -898,23 +899,26 @@ def restricted_operator_bound(action: LinearAction, x0) -> float:
 # -- state serialization -------------------------------------------------------
 
 
+class Base64State(dict):
+    """encode_state's binary form.  Its "base64" text comes from b64encode, so
+    a JSON writer may copy it unescaped."""
+
+
 def encode_state(x: np.ndarray) -> dict:
     """JSON-ready form of an array, exact either way.
 
     A float64 or complex128 array with more than INLINE_ARRAY_MAX entries is
-    ``{"shape", "dtype": "<f8" | "<c16", "base64"}`` over its raw
-    little-endian C-order bytes.  Anything else is ``{"shape", "complex",
+    the Base64State ``{"shape", "dtype": "<f8" | "<c16", "base64"}`` over its
+    raw little-endian C-order bytes.  Anything else is ``{"shape", "complex",
     "data"}`` with nested lists, complex entries as [re, im] pairs.
     """
     arr = np.asarray(x)
     dtype = _BINARY_DTYPES.get((arr.dtype.kind, arr.dtype.itemsize))
     if dtype is not None and arr.size > INLINE_ARRAY_MAX:
         raw = arr.astype(dtype, copy=False).tobytes(order="C")
-        return {
-            "shape": list(arr.shape),
-            "dtype": dtype,
-            "base64": base64.b64encode(raw).decode("ascii"),
-        }
+        return Base64State(
+            shape=list(arr.shape), dtype=dtype, base64=base64.b64encode(raw).decode("ascii")
+        )
     return {
         "shape": list(arr.shape),
         "complex": bool(np.iscomplexobj(arr)),

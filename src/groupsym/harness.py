@@ -29,6 +29,7 @@ from numpy.fft import fft
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .actions import (
+    Base64State,
     decode_state,
     encode_state,
     load_state,
@@ -442,17 +443,60 @@ def _text(*parts: str) -> Callable[[str], object]:
     return write
 
 
+class _Verbatim:
+    """Text that _json writes between quotes as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _with_verbatim_base64(value):
+    """``value`` with each Base64State's text held as a _Verbatim.  Containers
+    are copied; the strings in them are not."""
+    if isinstance(value, Base64State):
+        return {**value, "base64": _Verbatim(value["base64"])}
+    if isinstance(value, dict):
+        return {k: _with_verbatim_base64(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_with_verbatim_base64(v) for v in value]
+    return value
+
+
+class _VerbatimEncoder(json.JSONEncoder):
+    """json.dump's encoder, except that a _Verbatim encodes as "" and queues
+    its text: the chunk it yields next is that "", which _json replaces."""
+
+    def __init__(self):
+        super().__init__()
+        self.queued: List[str] = []
+
+    def default(self, o):
+        if isinstance(o, _Verbatim):
+            self.queued.append(o.text)
+            return ""
+        return super().default(o)
+
+
 def _json(doc: dict) -> Callable[[str], object]:
     """Write ``doc`` as ``json.dumps`` would, then a newline, one encoder chunk at a time.
 
     ``json.dumps`` joins its chunks into one more copy of the whole text: a
     dft run's two base64 arrays held three copies at once, the largest
-    share of its peak memory.
+    share of its peak memory.  The base64 text of each Base64State is
+    written as it is, not through the escaping pass, which it never needs.
     """
 
     def write(tmp: str) -> None:
+        encoder = _VerbatimEncoder()
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+            for chunk in encoder.iterencode(_with_verbatim_base64(doc)):
+                if encoder.queued:
+                    fh.write('"')
+                    fh.write(encoder.queued.pop())
+                    chunk = '"'
+                fh.write(chunk)
             fh.write("\n")
 
     return write

@@ -12,12 +12,14 @@ point; mixing certificates quantify how fast trajectories contract onto it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import mmap
 import os
 import signal
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 try:
     import fcntl
@@ -64,9 +66,11 @@ TRAJECTORY_FLOAT_FORMAT = "%.17g"
 # A trajectory CSV of at least this many fields is formatted by two processes
 # where os.fork exists: a forked child claims rows from the back while this
 # process does the caller's overlapped work and then claims rows from the
-# front.  Measured in fresh processes on two CPUs, a forked write lost to the
-# serial write at 100k fields of dense weights (55 against 48 ms) and won at
-# 200k, both for dense weights and for rows of mostly exact zeros.
+# front.  Measured with the numpy formatter, 8 fresh processes each on two
+# CPUs and rows of 723 dense fields, the forked write ties the serial write at
+# 100k fields (23.2 against 23.9 ms, faster in 6 of 8) and wins at 200k
+# (35.2 against 45.9 ms) and 400k (54.1 against 79.4 ms, 8 of 8 each); rows of
+# 9 fields give the same picture.
 FORKED_WRITE_MIN_FIELDS = 200_000
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
@@ -614,13 +618,271 @@ def laplacian(M: TransitionMatrix) -> np.ndarray:
     return np.eye(M.group.order) - M.matrix
 
 
-def _row(row_format, weights, lyapunov, kl, t: int) -> str:
-    return row_format % (t, *weights[t].tolist(), lyapunov[t], kl[t])
+class _FormatTables(NamedTuple):
+    pow10: np.ndarray  # (k, 4) float64: hi, lo, and hi's Veltkamp halves, for 10**k
+    quads: np.ndarray  # uint32: the four ASCII digits of 0..9999, as one word each
+    zeros: np.ndarray  # 4 * the trailing zeros of 0..9999 written with four digits
+    forms: np.ndarray  # decimal exponent + _EXP_OFFSET -> the key of its form, 17 digits
+    layout: np.ndarray  # (key, _SLOT) intp: the source byte of each output byte
+    words: np.ndarray  # uint32 source words ".-e+", ".-e-" and ",\r\n\0"
+    blank: np.ndarray  # the 8 source words of a zero
 
 
-def _claim(spill, slots, front: bool) -> Optional[int]:
-    """Take one row from the front or the back of the unclaimed range
-    [slots[0], slots[1]); None once none are left.
+# The fast formatter writes |x| in [_EXACT_MIN, _EXACT_MAX] and zero; any other
+# value, and any whose scaled fraction is within _TIE_MARGIN of one half, goes
+# through TRAJECTORY_FLOAT_FORMAT.
+_EXACT_MIN, _EXACT_MAX = 1e-180, 1e180
+_TIE_MARGIN = 1e-9
+# Decimal exponents run over [-_EXP_OFFSET, _EXP_OFFSET].
+_EXP_OFFSET = 183
+# Output bytes of one field at most: "-2.2250738585072014e-308" and CRLF.
+_SLOT = 26
+# Formatter working memory per field, in bytes (275 measured with tracemalloc,
+# most of it the gather index): a call formats at most BLOCK_BYTES //
+# _FIELD_BYTES fields.
+_FIELD_BYTES = 280
+# Field forms: %g's fixed form for each exponent in [-4, 16], the exponent
+# form with two and with three exponent digits, and zero.  A layout key is
+# ((form * 17 + significant digits - 1) * 2 + negative) * 2 + ends a row.
+_FIELD_FORMS = 24
+_SIGNIFICANT = 17
+_FORM_KEYS = _SIGNIFICANT * 4
+
+
+def _pow10_pair(k: int) -> Tuple[float, float]:
+    """10**k as hi + lo: hi the nearest double, lo the nearest double to the rest."""
+    if k >= 0:
+        n = 10**k
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-k
+    hi = 1 / d  # int division rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (d * den)
+
+
+def _field_layout(form: int, digits: int) -> List[int]:
+    """Source bytes (see _csv_fields) of an unsigned field in ``form`` with
+    ``digits`` significant digits: %g's layout with trailing zeros dropped."""
+    sig = list(range(3, 3 + digits))
+    if form == _FIELD_FORMS - 1:
+        return [0]
+    if form < 21:
+        e = form - 4
+        if e < 0:
+            return [0, 20] + [0] * (-e - 1) + sig
+        return list(range(3, 4 + e)) + ([20] + sig[e + 1 :] if digits > e + 1 else [])
+    exponent = [22, 23, 26, 27] if form == 21 else [22, 23, 25, 26, 27]
+    return sig[:1] + ([20] + sig[1:] if digits > 1 else []) + exponent
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The formatter's tables, built on first use."""
+    hi, lo = np.array(
+        [_pow10_pair(k) for k in range(16 - _EXP_OFFSET, 17 + _EXP_OFFSET)]
+    ).T
+    split = hi * 134217729.0
+    hh = split - (split - hi)
+    pow10 = np.stack([hi, lo, hh, hi - hh], axis=1)
+
+    # quads[abcd] holds the ASCII digits a, b, c, d; zeros[abcd] is 4 per
+    # trailing zero, counting 0000 as four
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        quads[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    quads = quads.view(np.uint32).ravel()
+    z = np.arange(10) == 0
+    zeros = 4 * (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None]))))
+    zeros = zeros.ravel()
+
+    e = np.arange(-_EXP_OFFSET, _EXP_OFFSET + 1)
+    forms = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    forms = forms * _FORM_KEYS + (_SIGNIFICANT - 1) * 4  # 17 digits, less 4 per trailing zero
+
+    bodies = [
+        _field_layout(form, n) for form in range(_FIELD_FORMS) for n in range(1, _SIGNIFICANT + 1)
+    ]
+    body = np.fromiter(  # 31 is NUL
+        itertools.chain.from_iterable(b + [31] * (_SLOT - len(b)) for b in bodies),
+        np.intp,
+        len(bodies) * _SLOT,
+    ).reshape(len(bodies), _SLOT)
+    layout = np.empty((len(bodies), 2, 2, _SLOT), np.intp)  # (form and digits, neg, end)
+    layout[:, 0] = body[:, None]
+    layout[:, 1, :, 0] = 21
+    layout[:, 1, :, 1:] = body[:, None, :-1]
+    rows = np.arange(len(bodies))[:, None]
+    ends = np.array([len(b) for b in bodies])[:, None] + [0, 1]  # by neg
+    layout[rows, [0, 1], 0, ends] = 28
+    layout[rows, [0, 1], 1, ends] = 29
+    layout[rows, [0, 1], 1, ends + 1] = 30
+    words = np.frombuffer(b".-e+.-e-,\r\n\0", np.uint32)
+    blank = np.array([quads[0]] * 5 + [words[0], quads[0], words[2]], np.uint32)
+    tables = _FormatTables(pow10, quads, zeros, forms, layout.reshape(-1, _SLOT), words, blank)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as p + c: p the rounded double product, c the rest to
+    about 1e-14 (|c| < 32).  a * hi is split exactly (Dekker's product)."""
+    hi, lo, hh, hl = np.take(pow10, _EXP_OFFSET - e, axis=0).T
+    p = a * hi
+    split = a * 134217729.0
+    ah = split - (split - a)
+    al = a - ah
+    c = ah * hh
+    c -= p
+    c += ah * hl
+    c += al * hh
+    c += al * hl
+    c += a * lo
+    return p, c
+
+
+def _decade_shift(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """+1 where p + c >= 1e17, -1 where p + c < 1e16, else 0."""
+    return ((p - 1e17) + c >= 0).astype(np.intp) - ((p - 1e16) + c < 0)
+
+
+def _field_sources(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each value of ``v``, its 32 source bytes and its layout key for
+    _csv_fields (before the row ends), and the indices of the values left to
+    TRAJECTORY_FLOAT_FORMAT.
+
+    A nonzero value is written as %.17g writes it: its 17 correctly rounded
+    significant digits D * 10**(e - 16), laid out in %g's fixed or exponent
+    form with trailing zeros dropped.  The decimal exponent e comes from
+    log10 and is corrected by one decade where the unrounded product
+    a * 10**(16 - e) is out of [1e16, 1e17); rounding D up to 1e17 carries
+    into the next decade.  The source bytes are the digits of D as five
+    4-digit groups (the first zero-padded), ".-e" and the exponent's sign,
+    the exponent as 4 digits, and ",\\r\\n\\0".  A zero takes the zero
+    layout, "0" from the padding, and no arithmetic.
+    """
+    tables = _format_tables()
+    nonzero = np.flatnonzero(v)
+    at = slice(None) if nonzero.size == v.size else nonzero
+    a = np.abs(v[at])
+    fast = a >= _EXACT_MIN
+    fast &= a <= _EXACT_MAX
+    a[~fast] = 1.0
+
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p, c = _scaled(a, e, tables.pow10)
+    shift = _decade_shift(p, c)
+    moved = np.flatnonzero(shift)
+    slow = np.flatnonzero(~fast)
+    if moved.size:
+        e[moved] += shift[moved]
+        p[moved], c[moved] = _scaled(a[moved], e[moved], tables.pow10)
+        slow = np.union1d(slow, moved[_decade_shift(p[moved], c[moved]) != 0])
+    whole = np.floor(c)
+    c -= whole  # now the fraction, in [0, 1)
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += c > 0.5
+    c -= 0.5
+    tie = np.flatnonzero(np.abs(c) < _TIE_MARGIN)
+    if tie.size:
+        slow = np.union1d(slow, tie)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+
+    lead = d // 10**16
+    d -= lead * 10**16
+    upper = d // 10**8
+    d -= upper * 10**8
+    lower = d.astype(np.int32)
+    upper = upper.astype(np.int32)
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    src = np.empty((v.size, 8), np.uint32)
+    src[:] = tables.blank
+    for j, g in enumerate((lead, g1, g2, g3, g4)):
+        src[at, j] = tables.quads[g]
+    src[at, 5] = tables.words[(e < 0).view(np.uint8)]
+    src[at, 6] = tables.quads[np.abs(e)]
+
+    # less 4 per trailing zero of D, found from its last nonzero group
+    zeros = tables.zeros
+    low = np.where(g4 != 0, zeros[g4], zeros[g3] + 16)
+    high = np.where(g2 != 0, zeros[g2], zeros[g1] + 16)
+    key = np.full(v.size, (_FIELD_FORMS - 1) * _FORM_KEYS)
+    key[at] = tables.forms[e + _EXP_OFFSET] - np.where(lower != 0, low, high + 32)
+    key += np.signbit(v) * 2
+    return src, key, nonzero[slow]
+
+
+def _csv_fields(values: np.ndarray, ends_rows: bool) -> bytes:
+    """The CSV text of a (rows, fields) block of values: each value as
+    ``TRAJECTORY_FLOAT_FORMAT % value``, followed by a comma, except that each
+    row's last value is followed by CRLF when ``ends_rows``.
+
+    Each field is gathered from its 32 source bytes (_field_sources) by the
+    layout of its key, into a slot of _SLOT bytes whose unused end is NUL
+    and dropped.  Values the sources leave out are formatted by
+    TRAJECTORY_FLOAT_FORMAT into their slots.
+    """
+    rows, cols = values.shape
+    v = values.ravel()
+    src, key, slow = _field_sources(v)
+    if ends_rows:
+        key.reshape(rows, cols)[:, -1] += 1
+    index = np.take(_format_tables().layout, key, axis=0)
+    index += np.arange(0, 32 * v.size, 32)[:, None]
+    out = np.take(src.view(np.uint8).ravel(), index)
+    del index  # the largest array here, freed before the copies below
+    if slow.size:
+        ends = (slow % cols == cols - 1) & ends_rows
+        fields = [
+            (TRAJECTORY_FLOAT_FORMAT % x + ("\r\n" if end else ",")).encode().ljust(_SLOT, b"\0")
+            for x, end in zip(v[slow].tolist(), ends.tolist())
+        ]
+        out[slow] = np.frombuffer(b"".join(fields), np.uint8).reshape(-1, _SLOT)
+    return out.tobytes().translate(None, b"\0")
+
+
+def _rows_per_block(cols: int) -> int:
+    """Rows of ``cols`` fields that one formatter call takes, at least one."""
+    return max(1, BLOCK_BYTES // _FIELD_BYTES // cols)
+
+
+def _rows_text(rows: range, weights: np.ndarray, lyapunov, kl) -> List[bytes]:
+    """The CSV lines of ``rows``, given their lyapunov and kl entries, in
+    pieces of at most one formatter call: all rows, or pieces of one wide row."""
+    block = np.empty((len(rows), weights.shape[1] + 3))
+    block[:, 0] = rows
+    block[:, 1:-2] = weights[rows.start : rows.stop]
+    block[:, -2] = lyapunov
+    block[:, -1] = kl
+    cols = block.shape[1]
+    width = max(1, BLOCK_BYTES // _FIELD_BYTES) if len(rows) == 1 else cols
+    return [
+        _csv_fields(block[:, start : start + width], start + width >= cols)
+        for start in range(0, cols, width)
+    ]
+
+
+def _claimed_text(rows: range, weights: np.ndarray, lyapunov, kl, back: bool) -> List[bytes]:
+    """_rows_text of claimed ``rows``, whose lyapunov and kl entries are read in
+    claim order: from the ``back``, last row first."""
+    entries = [(lyapunov[t], kl[t]) for t in (reversed(rows) if back else rows)]
+    if back:
+        entries.reverse()
+    lyap, rel = zip(*entries)
+    return _rows_text(rows, weights, lyap, rel)
+
+
+def _claim(spill, slots, rows: int, front: bool) -> Optional[range]:
+    """Take up to ``rows`` rows from the front or the back of the unclaimed
+    range [slots[0], slots[1]); None once none are left.
 
     The record lock on the spill serializes the two writers' claims; the kernel
     drops it if its holder dies.
@@ -631,10 +893,10 @@ def _claim(spill, slots, front: bool) -> Optional[int]:
         if lo >= hi:
             return None
         if front:
-            slots[0] = lo + 1
-            return lo
-        slots[1] = hi - 1
-        return hi - 1
+            slots[0] = min(hi, lo + rows)
+            return range(lo, slots[0])
+        slots[1] = max(lo, hi - rows)
+        return range(slots[1], hi)
     finally:
         fcntl.lockf(spill, fcntl.LOCK_UN)
 
@@ -649,39 +911,49 @@ def write_trajectory_csv(
 ) -> None:
     """Write a lifted trajectory as CSV: step,g0,...,g_{n-1},lyapunov,kl.
 
-    Floats are written with 17 significant digits so parsing returns the
-    exact doubles that were computed.  Rows end in CRLF, and no field ever
-    needs quoting, so the bytes match ``csv.writer`` output.
+    Each value is written as ``TRAJECTORY_FLOAT_FORMAT % value`` writes it,
+    17 significant digits, so parsing returns the exact doubles that were
+    computed.  The numpy formatter ``_csv_fields`` makes those bytes; a value
+    it cannot settle exactly (|x| outside [1e-180, 1e180], NaN or infinite,
+    or a scaled fraction within 1e-9 of one half, exact ties included) goes
+    through ``TRAJECTORY_FLOAT_FORMAT`` itself, which the tests use as the
+    oracle.  Rows end in CRLF, and no field ever needs quoting, so the bytes
+    match ``csv.writer`` output.  Rows are formatted and written a block at a
+    time, about ``BLOCK_BYTES`` of formatter memory each, never the whole
+    text at once.
 
     ``overlap``, if given, is called once in this process before any row is
     written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is
     formatted by two processes where ``os.fork`` exists: a child forked
-    first formats rows, claimed one at a time from the back, into an unnamed
-    spill file beside ``path``, while this process runs ``overlap`` and then
-    claims rows from the front and writes them to ``path``.  When no rows are
-    left it reaps the child and appends the child's rows in reverse order.
-    The bytes are the same however the rows fall.  A child that fails raises OSError; if this
-    process fails first, ``overlap`` included, the child is killed.  Either
-    way it is reaped before this returns or raises.
+    first formats rows, claimed a block at a time from the back, into an
+    unnamed spill file beside ``path``, while this process runs ``overlap``
+    and then claims blocks from the front and writes them to ``path``.  When
+    no rows are left it reaps the child and appends the child's blocks in
+    reverse order.  The bytes are the same however the rows fall.  A child
+    that fails raises OSError; if this process fails first, ``overlap``
+    included, the child is killed.  Either way it is reaped before this
+    returns or raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
     if len(lyapunov) != steps or len(kl) != steps:
         raise ValueError("column lengths do not match the trajectory")
     header = ",".join(["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]) + "\r\n"
-    row_format = "%d," + ",".join([TRAJECTORY_FLOAT_FORMAT] * (order + 2)) + "\r\n"
-    columns = (row_format, weights, lyapunov, kl)
+    size = _rows_per_block(order + 3)
     if not hasattr(os, "fork") or not steps or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
         if overlap is not None:
             overlap()
-        with open(path, "w", newline="") as fh:
-            fh.write(header)
-            fh.writelines(_row(*columns, t) for t in range(steps))
+        lyapunov, kl = np.asarray(lyapunov, dtype=np.float64), np.asarray(kl, dtype=np.float64)
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            for start in range(0, steps, size):
+                rows = slice(start, start + size)
+                fh.writelines(_rows_text(range(steps)[rows], weights, lyapunov[rows], kl[rows]))
         return
 
     directory = os.path.dirname(os.path.abspath(path))
-    # shared slots: the unclaimed rows [lo, hi), the child's row count, then
-    # the byte length of each row it spilled
+    # shared slots: the unclaimed rows [lo, hi), the child's block count, then
+    # the byte length of each block it spilled
     with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, 8 * (3 + steps)) as shared, \
             memoryview(shared).cast("q") as slots:
         slots[1] = steps - 1  # the child's first row, claimed before it starts
@@ -689,13 +961,13 @@ def write_trajectory_csv(
         if pid == 0:
             # only format and write, then leave without unwinding the caller
             try:
-                t = steps - 1
-                while t is not None:
-                    text = _row(*columns, t).encode()
+                rows = range(steps - 1, steps)
+                while rows is not None:
+                    text = b"".join(_claimed_text(rows, weights, lyapunov, kl, back=True))
                     spill.write(text)
                     slots[3 + slots[2]] = len(text)
                     slots[2] += 1
-                    t = _claim(spill, slots, front=False)
+                    rows = _claim(spill, slots, size, front=False)
                 spill.flush()
                 os._exit(0)
             except BaseException:
@@ -705,10 +977,10 @@ def write_trajectory_csv(
                 overlap()
             with open(path, "wb") as fh:
                 fh.write(header.encode())
-                t = _claim(spill, slots, front=True)
-                while t is not None:
-                    fh.write(_row(*columns, t).encode())
-                    t = _claim(spill, slots, front=True)
+                rows = _claim(spill, slots, size, front=True)
+                while rows is not None:
+                    fh.writelines(_claimed_text(rows, weights, lyapunov, kl, back=False))
+                    rows = _claim(spill, slots, size, front=True)
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
                 if status:

@@ -20,6 +20,7 @@ import groupsym.groups as groups_module
 import groupsym.harness as harness_module
 import groupsym.lifted as lifted_module
 from groupsym.actions import (
+    Base64State,
     decode_state,
     dft_action,
     encode_state,
@@ -1431,6 +1432,39 @@ class TestBinaryArrays:
         assert series["average_spectrum"]["dtype"] == "<f8"
         for name, payload in series.items():
             assert np.array_equal(decode_state(payload), expected[name]), name
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [dft_config, lambda: dft_config(16), lambda: golden_config("quantum-gossip")],
+        ids=["dft-z8", "dft-z16", "golden-quantum-gossip"],
+    )
+    def test_result_json_is_json_dumps_bytes(self, make_config, tmp_path, monkeypatch):
+        """result.json copies each base64 text unescaped and is still byte for
+        byte json.dumps of the document, then a newline."""
+        docs = []
+        real = harness_module.result_to_dict
+        monkeypatch.setattr(
+            harness_module, "result_to_dict", lambda *args: docs.append(real(*args)) or docs[-1]
+        )
+        art = execute(make_config(), out_dir=run_dir(tmp_path))
+        with open(os.path.join(art.directory, "result.json")) as fh:
+            assert fh.read() == json.dumps(docs[0]) + "\n"
+
+    def test_json_writer_copies_only_base64_states_verbatim(self, tmp_path):
+        state = encode_state(np.arange(100.0))
+        assert isinstance(state, Base64State)
+        doc = {
+            "a": [state, (1, 2.5, None), {"base64": 'not "base64"\n\u00e9'}],
+            "b": state,
+            "c": ["\u2603", float("nan"), -0.0, True],
+            3: {"nested": [[state]]},
+        }
+        path = str(tmp_path / "doc.json")
+        harness_module._json(doc)(path)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(doc) + "\n"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            harness_module._json({"x": np.float32(1.0)})(path)
 
     @pytest.mark.parametrize(
         "make_config, key",

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from groupsym.actions import regular_action
 from groupsym.applications import run_random_state_generation, run_symmetrization
 from groupsym.groups import cyclic_group, group_from_table, symmetric_group, transposition_index
 from groupsym.lifted import (
+    TRAJECTORY_FLOAT_FORMAT,
     ConvexWeights,
     GroupMismatchError,
     MixingCertificate,
@@ -741,17 +744,15 @@ def wait_for(condition, timeout=30.0):
         time.sleep(0.001)
 
 
-@pytest.mark.parametrize(
-    "steps, timing",
-    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
-    + [(2000, "at once")],  # both processes race for 2000 one-row claims
-)
-def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
-    """One-row claims: however the parent's overlapped work is timed against
-    the child, each row is written once, the parent's rows are a prefix, the
-    child's a suffix taken from the back, and the bytes are the serial ones.
-    Partway, the child holds its first row until the parent has read one."""
+def forked_claims(steps, timing, claim_rows, tmp_path, monkeypatch):
+    """Write ``steps`` rows of 8 fields on the forked path, claims of
+    ``claim_rows`` rows after the child's first.  However the parent's
+    overlapped work is timed against the child, each row is written once,
+    the parent's rows are a prefix, the child's a suffix read from the back,
+    and the bytes are the serial ones.  Partway, the child holds its first
+    row until the parent has read one."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
+    monkeypatch.setattr(lifted_module, "BLOCK_BYTES", 8 * claim_rows * lifted_module._FIELD_BYTES)
     pids = []
     real_fork = os.fork
 
@@ -793,6 +794,25 @@ def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monke
         assert 0 < len(front) < steps
 
 
+@pytest.mark.parametrize(
+    "steps, timing",
+    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
+    + [(2000, "at once")],  # both processes race for 2000 one-row claims
+)
+def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
+    """One-row claims (see forked_claims)."""
+    forked_claims(steps, timing, 1, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "steps, timing",
+    [(steps, timing) for timing in TIMINGS for steps in (8, 15)] + [(2000, "at once")],
+)
+def test_forked_writer_claims_blocks_of_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
+    """Claims of up to 7 rows, as narrow rows get by default (see forked_claims)."""
+    forked_claims(steps, timing, 7, tmp_path, monkeypatch)
+
+
 def test_trajectory_csv_detects_bad_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("step,g0,g1,lyapunov,kl\n0,0.5,0.5,0.0,0.0\n7,0.5,0.5,0.0,0.0\n")
@@ -819,6 +839,188 @@ def test_trajectory_csv_reader_is_bit_equal_to_csv_module(tmp_path):
     write_trajectory_csv(path, weights, lyap, kl)
     for got, want in zip(read_trajectory_csv(path), csv_module_read(path)):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+# -- the trajectory.csv formatter ----------------------------------------------
+
+
+def formatter_fields(values):
+    """The fields the numpy formatter writes for ``values``, as one CSV row."""
+    row = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    text = lifted_module._csv_fields(row, True)
+    assert text.endswith(b"\r\n")
+    return text[:-2].decode().split(",")
+
+
+def assert_formats_like_oracle(values, block=1 << 14):
+    """Field for field against TRAJECTORY_FLOAT_FORMAT, the formatter's
+    fallback and its oracle, ``block`` values per formatter call."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for start in range(0, values.size, block):
+        chunk = values[start : start + block].tolist()
+        got = formatter_fields(chunk)
+        want = [TRAJECTORY_FLOAT_FORMAT % v for v in chunk]
+        assert len(got) == len(want)
+        wrong = [(v, g, w) for v, g, w in zip(chunk, got, want) if g != w]
+        assert not wrong, wrong[:5]
+
+
+def fallback_share(values, block=1 << 14):
+    """Share of ``values`` the formatter leaves to TRAJECTORY_FLOAT_FORMAT."""
+    slow = sum(
+        lifted_module._field_sources(values[start : start + block])[2].size
+        for start in range(0, values.size, block)
+    )
+    return slow / values.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_formatter_matches_oracle_on_any_finite_double(values):
+    assert_formats_like_oracle(values)
+
+
+def test_formatter_edge_values():
+    assert formatter_fields([0.0, -0.0]) == ["0", "-0"]
+    tiny, huge = lifted_module._EXACT_MIN, lifted_module._EXACT_MAX
+    edges = [
+        0.0,
+        -0.0,
+        5e-324,
+        2.2250738585072014e-308,  # the smallest normal
+        sys.float_info.max,
+        1.0,
+        0.5,
+        1 / 3,
+        123456789.0,
+        tiny,
+        huge,
+        np.nextafter(tiny, 0),
+        np.nextafter(huge, np.inf),
+    ]
+    assert_formats_like_oracle(edges + [-x for x in edges] + [math.nan, math.inf, -math.inf])
+
+
+def test_formatter_on_both_sides_of_each_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-20, 18)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    assert_formats_like_oracle(np.concatenate([values, -values]))
+
+
+def test_formatter_at_the_fixed_exponent_boundary_and_decade_carries():
+    boundary = [1e-5, 1e-4]
+    values = boundary + [np.nextafter(x, to) for x in boundary for to in (0.0, 1.0)]
+    values += [9.9999999999999995e-5, 9.999999999999999e-6, 0.000123, 1.5e-5]
+    assert [TRAJECTORY_FLOAT_FORMAT % x for x in boundary] == ["1.0000000000000001e-05", "0.0001"]
+    # doubles just below 10**k whose 17 digits round up into the next decade
+    carries = [(k, float(f"1e{k}")) for k in (-176, -175, -174, -79, -73, -70, -14, 98, 129, 153)]
+    assert all(Fraction(x) < Fraction(10) ** k for k, x in carries)
+    assert_formats_like_oracle(values + [x for _, x in carries] + [-x for x in values])
+    assert formatter_fields([x for _, x in carries]) == [f"1e{k:+03d}" for k, _ in carries]
+
+
+def test_formatter_on_dyadic_exact_ties():
+    rng = np.random.default_rng(3)
+    whole = rng.integers(10**15, 2**51, 300)
+    # sixteen digits then .25 or .75: an exact tie at 17 significant digits
+    ties = np.concatenate([whole + 0.25, whole + 0.75, 2.0 ** -np.arange(1, 80)])
+    assert all(Fraction(x).denominator == 4 for x in ties[: 2 * whole.size])
+    assert_formats_like_oracle(np.concatenate([ties, -ties]))
+
+
+@pytest.mark.parametrize(
+    "draw, share",
+    [("uniform", 0.0), ("log-uniform", 0.02), ("dyadic", 0.05)],
+)
+def test_formatter_on_a_million_draws(draw, share):
+    """Uniform, log-uniform and dyadic draws, both signs; the fast path
+    settles all but a small share (the exact ties among them)."""
+    rng = np.random.default_rng(27)
+    n = 10**6
+    if draw == "uniform":
+        values = rng.uniform(0.0, 1.0, n)
+    elif draw == "log-uniform":
+        values = 10.0 ** rng.uniform(-30.0, 20.0, n)
+    else:
+        values = rng.integers(1, 2**20, n) / 2.0 ** rng.integers(0, 40, n)
+    values[1::2] *= -1
+    assert_formats_like_oracle(values)
+    assert fallback_share(values) <= share
+
+
+def test_formatter_separators_by_row():
+    block = np.array([[0.0, 0.5, -2.0], [1.0, 2.0**-10, 3e20]])
+    assert lifted_module._csv_fields(block, True) == b"0,0.5,-2\r\n1,0.0009765625,3e+20\r\n"
+    assert lifted_module._csv_fields(block, False) == b"0,0.5,-2,1,0.0009765625,3e+20,"
+
+
+def test_formatter_calls_no_blas(monkeypatch):
+    """The forked writer child formats rows; it must not enter a BLAS whose
+    threads the fork did not copy."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    for name in ("dot", "matmul", "einsum", "inner", "vdot", "tensordot"):
+        monkeypatch.setattr(np, name, boom)
+    lifted_module._format_tables.cache_clear()
+    assert_formats_like_oracle(np.random.default_rng(1).uniform(-1, 1, 5000))
+
+
+def test_importing_groupsym_builds_no_format_table():
+    import groupsym
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(groupsym.__file__)))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = (
+        "import groupsym, groupsym.cli, groupsym.harness, groupsym.lifted as lifted;"
+        "print(lifted._format_tables.cache_info().currsize)"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("fields", [5, 24, 100_000])
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_trajectory_csv_blocks_and_pieces_keep_the_bytes(fields, forked, tmp_path, monkeypatch):
+    """Formatter calls of 5 fields split each row into pieces, of 24 fields
+    take two rows, and of 100k the whole file; the bytes stay csv.writer's."""
+    monkeypatch.setattr(lifted_module, "BLOCK_BYTES", fields * lifted_module._FIELD_BYTES)
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    rng = np.random.default_rng(fields)
+    weights = rng.dirichlet(np.ones(7), size=9)
+    weights[2, :4] = [0.0, -0.0, 5e-324, 1234567890123456.25]  # zeros, a fallback, a tie
+    weights[3, :3] = [math.nan, math.inf, 1e200]
+    lyap, kl = rng.uniform(0, 1, size=9), rng.exponential(size=9) * 1e-250
+    path = tmp_path / "blocks.csv"
+    write_trajectory_csv(path, weights, lyap, kl)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", weights, lyap, kl)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_trajectory_csv_write_memory_stays_near_one_block(forked, tmp_path, monkeypatch):
+    """250k fields, a 5.6 MB file: the write's peak beyond its inputs stays
+    within a small multiple of BLOCK_BYTES, tables included."""
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    lifted_module._format_tables.cache_clear()
+    rng = np.random.default_rng(4)
+    weights = rng.dirichlet(np.ones(2497), size=100)
+    lyap, kl = list(rng.uniform(size=100)), list(rng.uniform(size=100))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(path, weights, lyap, kl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 5 * lifted_module.BLOCK_BYTES
+    assert peak < 2 * lifted_module.BLOCK_BYTES
 
 
 CSV_HEADER = "step,g0,g1,lyapunov,kl\r\n"
