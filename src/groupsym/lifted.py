@@ -63,15 +63,19 @@ WEIGHT_ATOL = 1e-12
 RENORM_DRIFT = 1e-13
 # Floats in trajectory CSVs round-trip exactly at 17 significant digits.
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
-# A trajectory CSV of at least this many fields is formatted by two processes
-# where os.fork exists: a forked child claims rows from the back while this
-# process does the caller's overlapped work and then claims rows from the
-# front.  Measured with the numpy formatter, 8 fresh processes each on two
-# CPUs and rows of 723 dense fields, the forked write ties the serial write at
-# 100k fields (23.2 against 23.9 ms, faster in 6 of 8) and wins at 200k
-# (35.2 against 45.9 ms) and 400k (54.1 against 79.4 ms, 8 of 8 each); rows of
-# 9 fields give the same picture.
+# A trajectory CSV of at least this many fields, in rows of at least
+# FORKED_WRITE_MIN_ROW_FIELDS fields, is formatted by two processes where
+# os.fork exists: a forked child claims rows one at a time from the back while
+# this process does the caller's overlapped work and then claims rows from the
+# front.  A claim costs about 0.1 ms of numpy calls however narrow its row, so
+# narrower rows are written serially.  Measured with the numpy formatter, 8
+# fresh processes each on two CPUs and dense weights, the forked write ties the
+# serial write at 100k fields and wins at 200k and 400k (8 of 8 each) in rows
+# of 5,043 fields (34.0 against 48.5 ms at 200k) and of 1,500; in rows of 723
+# it loses at 200k (51.2 against 45.5 ms) and ties at 400k, and in rows of 9 it
+# takes 1.19 s against 45 ms at 200k.
 FORKED_WRITE_MIN_FIELDS = 200_000
+FORKED_WRITE_MIN_ROW_FIELDS = 1_500
 # Working-set budget of one batched array operation.  Orbit blocks (actions)
 # and the start chunks of the window kernel both stay near this size, large
 # enough to amortize per-call overhead and small enough to stay in cache.
@@ -870,19 +874,9 @@ def _rows_text(rows: range, weights: np.ndarray, lyapunov, kl) -> List[bytes]:
     ]
 
 
-def _claimed_text(rows: range, weights: np.ndarray, lyapunov, kl, back: bool) -> List[bytes]:
-    """_rows_text of claimed ``rows``, whose lyapunov and kl entries are read in
-    claim order: from the ``back``, last row first."""
-    entries = [(lyapunov[t], kl[t]) for t in (reversed(rows) if back else rows)]
-    if back:
-        entries.reverse()
-    lyap, rel = zip(*entries)
-    return _rows_text(rows, weights, lyap, rel)
-
-
-def _claim(spill, slots, rows: int, front: bool) -> Optional[range]:
-    """Take up to ``rows`` rows from the front or the back of the unclaimed
-    range [slots[0], slots[1]); None once none are left.
+def _claim(spill, slots, front: bool) -> Optional[int]:
+    """Take one row from the front or the back of the unclaimed range
+    [slots[0], slots[1]); None once none are left.
 
     The record lock on the spill serializes the two writers' claims; the kernel
     drops it if its holder dies.
@@ -893,10 +887,10 @@ def _claim(spill, slots, rows: int, front: bool) -> Optional[range]:
         if lo >= hi:
             return None
         if front:
-            slots[0] = min(hi, lo + rows)
-            return range(lo, slots[0])
-        slots[1] = max(lo, hi - rows)
-        return range(slots[1], hi)
+            slots[0] = lo + 1
+            return lo
+        slots[1] = hi - 1
+        return hi - 1
     finally:
         fcntl.lockf(spill, fcntl.LOCK_UN)
 
@@ -923,26 +917,31 @@ def write_trajectory_csv(
     text at once.
 
     ``overlap``, if given, is called once in this process before any row is
-    written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is
-    formatted by two processes where ``os.fork`` exists: a child forked
-    first formats rows, claimed a block at a time from the back, into an
-    unnamed spill file beside ``path``, while this process runs ``overlap``
-    and then claims blocks from the front and writes them to ``path``.  When
-    no rows are left it reaps the child and appends the child's blocks in
-    reverse order.  The bytes are the same however the rows fall.  A child
-    that fails raises OSError; if this process fails first, ``overlap``
-    included, the child is killed.  Either way it is reaped before this
-    returns or raises.
+    written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields, in
+    rows of at least ``FORKED_WRITE_MIN_ROW_FIELDS``, is formatted by two
+    processes where ``os.fork`` exists: a child forked first formats rows,
+    claimed one at a time from the back, into an unnamed spill file beside
+    ``path``, while this process runs ``overlap`` and then claims rows from
+    the front and writes them to ``path``.  When no rows are left it reaps
+    the child and appends the child's rows in reverse order.
+    The bytes are the same however the rows fall.  A child that fails raises
+    OSError; if this process fails first, ``overlap`` included, the child is
+    killed.  Either way it is reaped before this returns or raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
     if len(lyapunov) != steps or len(kl) != steps:
         raise ValueError("column lengths do not match the trajectory")
     header = ",".join(["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]) + "\r\n"
-    size = _rows_per_block(order + 3)
-    if not hasattr(os, "fork") or not steps or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
+    if (
+        not hasattr(os, "fork")
+        or not steps
+        or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS
+        or order + 3 < FORKED_WRITE_MIN_ROW_FIELDS
+    ):
         if overlap is not None:
             overlap()
+        size = _rows_per_block(order + 3)
         lyapunov, kl = np.asarray(lyapunov, dtype=np.float64), np.asarray(kl, dtype=np.float64)
         with open(path, "wb") as fh:
             fh.write(header.encode())
@@ -952,8 +951,8 @@ def write_trajectory_csv(
         return
 
     directory = os.path.dirname(os.path.abspath(path))
-    # shared slots: the unclaimed rows [lo, hi), the child's block count, then
-    # the byte length of each block it spilled
+    # shared slots: the unclaimed rows [lo, hi), the child's row count, then
+    # the byte length of each row it spilled
     with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, 8 * (3 + steps)) as shared, \
             memoryview(shared).cast("q") as slots:
         slots[1] = steps - 1  # the child's first row, claimed before it starts
@@ -961,13 +960,13 @@ def write_trajectory_csv(
         if pid == 0:
             # only format and write, then leave without unwinding the caller
             try:
-                rows = range(steps - 1, steps)
-                while rows is not None:
-                    text = b"".join(_claimed_text(rows, weights, lyapunov, kl, back=True))
+                t = steps - 1
+                while t is not None:
+                    text = b"".join(_rows_text(range(t, t + 1), weights, [lyapunov[t]], [kl[t]]))
                     spill.write(text)
                     slots[3 + slots[2]] = len(text)
                     slots[2] += 1
-                    rows = _claim(spill, slots, size, front=False)
+                    t = _claim(spill, slots, front=False)
                 spill.flush()
                 os._exit(0)
             except BaseException:
@@ -977,10 +976,10 @@ def write_trajectory_csv(
                 overlap()
             with open(path, "wb") as fh:
                 fh.write(header.encode())
-                rows = _claim(spill, slots, size, front=True)
-                while rows is not None:
-                    fh.writelines(_claimed_text(rows, weights, lyapunov, kl, back=False))
-                    rows = _claim(spill, slots, size, front=True)
+                t = _claim(spill, slots, front=True)
+                while t is not None:
+                    fh.writelines(_rows_text(range(t, t + 1), weights, [lyapunov[t]], [kl[t]]))
+                    t = _claim(spill, slots, front=True)
                 status = os.waitpid(pid, 0)[1]
                 pid = 0
                 if status:

@@ -955,6 +955,7 @@ GOLDEN_RESULTS = {
 def write_path(monkeypatch, forked):
     """Force the serial or the forked trajectory.csv writer; return the fork calls."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     forks = []
     real_fork = os.fork
 

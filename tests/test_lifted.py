@@ -699,6 +699,7 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
         "arrays": (lyap, kl),
     }
     # serial, then forked
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", threshold)
         for steps in (1, 2, 3, 15):
@@ -744,15 +745,18 @@ def wait_for(condition, timeout=30.0):
         time.sleep(0.001)
 
 
-def forked_claims(steps, timing, claim_rows, tmp_path, monkeypatch):
-    """Write ``steps`` rows of 8 fields on the forked path, claims of
-    ``claim_rows`` rows after the child's first.  However the parent's
-    overlapped work is timed against the child, each row is written once,
-    the parent's rows are a prefix, the child's a suffix read from the back,
-    and the bytes are the serial ones.  Partway, the child holds its first
-    row until the parent has read one."""
+@pytest.mark.parametrize(
+    "steps, timing",
+    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
+    + [(2000, "at once")],  # both processes race for 2000 one-row claims
+)
+def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
+    """One-row claims: however the parent's overlapped work is timed against
+    the child, each row is written once, the parent's rows are a prefix, the
+    child's a suffix taken from the back, and the bytes are the serial ones.
+    Partway, the child holds its first row until the parent has read one."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
-    monkeypatch.setattr(lifted_module, "BLOCK_BYTES", 8 * claim_rows * lifted_module._FIELD_BYTES)
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     pids = []
     real_fork = os.fork
 
@@ -794,23 +798,26 @@ def forked_claims(steps, timing, claim_rows, tmp_path, monkeypatch):
         assert 0 < len(front) < steps
 
 
-@pytest.mark.parametrize(
-    "steps, timing",
-    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
-    + [(2000, "at once")],  # both processes race for 2000 one-row claims
-)
-def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
-    """One-row claims (see forked_claims)."""
-    forked_claims(steps, timing, 1, tmp_path, monkeypatch)
+@pytest.mark.parametrize("order, forks", [(5, 0), (1496, 0), (1497, 1)])
+def test_forked_writer_needs_rows_of_its_minimum_width(order, forks, tmp_path, monkeypatch):
+    """A file over FORKED_WRITE_MIN_FIELDS forks only if its rows hold at least
+    FORKED_WRITE_MIN_ROW_FIELDS fields (1,500: 1,497 weights and 3 more)."""
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
+    pids = []
+    real_fork = os.fork
 
+    def fork():
+        pids.append(real_fork())
+        return pids[-1]
 
-@pytest.mark.parametrize(
-    "steps, timing",
-    [(steps, timing) for timing in TIMINGS for steps in (8, 15)] + [(2000, "at once")],
-)
-def test_forked_writer_claims_blocks_of_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
-    """Claims of up to 7 rows, as narrow rows get by default (see forked_claims)."""
-    forked_claims(steps, timing, 7, tmp_path, monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    rng = np.random.default_rng(order)
+    weights = rng.dirichlet(np.ones(order), size=3)
+    lyap, kl = rng.uniform(0, 1, size=3), rng.uniform(0, 1, size=3)
+    path = tmp_path / "rows.csv"
+    write_trajectory_csv(path, weights, lyap, kl)
+    assert len(pids) == forks
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", weights, lyap, kl)
 
 
 def test_trajectory_csv_detects_bad_rows(tmp_path):
@@ -993,6 +1000,7 @@ def test_trajectory_csv_blocks_and_pieces_keep_the_bytes(fields, forked, tmp_pat
     take two rows, and of 100k the whole file; the bytes stay csv.writer's."""
     monkeypatch.setattr(lifted_module, "BLOCK_BYTES", fields * lifted_module._FIELD_BYTES)
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     rng = np.random.default_rng(fields)
     weights = rng.dirichlet(np.ones(7), size=9)
     weights[2, :4] = [0.0, -0.0, 5e-324, 1234567890123456.25]  # zeros, a fallback, a tie
@@ -1008,6 +1016,7 @@ def test_trajectory_csv_write_memory_stays_near_one_block(forked, tmp_path, monk
     """250k fields, a 5.6 MB file: the write's peak beyond its inputs stays
     within a small multiple of BLOCK_BYTES, tables included."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
+    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     lifted_module._format_tables.cache_clear()
     rng = np.random.default_rng(4)
     weights = rng.dirichlet(np.ones(2497), size=100)
