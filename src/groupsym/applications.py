@@ -395,43 +395,30 @@ def star_consensus_example(alpha: float):
 
 
 def run_probability_symmetrization(
-    m: int, outcome_sizes, edges, schedule, joint0, steps: int, **engine
+    m: int, outcome_size: int, edges, schedule, joint0, steps: int, **engine
 ) -> ExperimentResult:
-    """Exchange mixing of a joint distribution over m finite outcome sets.
+    """Exchange mixing of a joint distribution over m outcome sets of one size.
 
     Swapping variables j and k with probability alpha replaces the joint
     tensor by the matching convex combination of index transpositions; the
     limit is exchangeable and total probability is conserved.  ``engine``
     keywords go to ``run_symmetrization``.
     """
-    if isinstance(outcome_sizes, (int, np.integer)):
-        sizes = [int(outcome_sizes)] * m
-    else:
-        sizes = [int(v) for v in outcome_sizes]
-    if len(sizes) != m:
-        raise ValueError(f"expected {m} outcome sizes, got {len(sizes)}")
-    if len(set(sizes)) != 1:
-        raise ValueError(
-            f"outcome sizes must all be equal for exchange symmetry, got {sizes}"
-        )
-    size = sizes[0]
+    size = int(outcome_size)
     if not 1 <= size <= OUTCOME_SIZE_CAP:
         raise ValueError(f"outcome size {size} outside 1..{OUTCOME_SIZE_CAP}")
     if not 1 <= m <= OUTCOME_AXES_CAP:
         raise ValueError(f"m={m} outside 1..{OUTCOME_AXES_CAP}")
 
-    joint = np.asarray(joint0, dtype=np.float64)
-    if joint.shape != (size,) * m:
-        raise ValueError(
-            f"joint distribution has shape {joint.shape}, expected {(size,) * m}"
-        )
+    action = axis_permutation_action(m, size, symmetric_group(m))
+    joint = action.space.validate(np.asarray(joint0, dtype=np.float64))
     if joint.min() < -1e-12:
         raise ValueError("joint distribution has negative entries")
     if abs(joint.sum() - 1.0) > 1e-9:
         raise ValueError(f"joint distribution sums to {joint.sum()}, expected 1")
 
     return _run_on_edges(
-        axis_permutation_action(m, size, symmetric_group(m)),
+        action,
         edges,
         schedule,
         joint,
@@ -460,14 +447,11 @@ def run_quantum_gossip(
         raise ValueError(
             f"total dimension {dim} exceeds the dense cap {QUANTUM_DIM_CAP}"
         )
-    X0 = np.asarray(X0, dtype=np.complex128)
-    if X0.shape != (dim, dim):
-        raise ValueError(f"X0 has shape {X0.shape}, expected {(dim, dim)}")
+    action = subsystem_permutation_action(symmetric_group(m), local_dim)
+    X0 = action.space.validate(np.asarray(X0, dtype=np.complex128))
     herm = float(np.abs(X0 - X0.conj().T).max())
     if herm > 1e-10:
         raise ValueError(f"X0 is not Hermitian (defect {herm:.3e})")
-    group = symmetric_group(m)
-    action = subsystem_permutation_action(group, local_dim)
 
     monitors = {
         "trace_real": lambda X: float(np.trace(X).real),

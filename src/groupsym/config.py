@@ -15,8 +15,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+from numpy.random import SeedSequence
+
+from . import actions, applications, groups
 from .actions import decode_state
 from .applications import OUTCOME_AXES_CAP, OUTCOME_SIZE_CAP, QUANTUM_DIM_CAP, walk_bytes
 from .groups import MAX_SYMMETRIC_DEGREE
@@ -30,13 +34,13 @@ __all__ = [
     "canonical_sha256",
     "physical_memory_bytes",
     "check_spectral_memory",
+    "APPLICATION_TABLE",
     "APPLICATIONS",
     "SCHEDULE_KINDS",
     "DEFAULT_TOLERANCES",
 ]
 
 SCHEMA_VERSION = 1
-APPLICATIONS = ("gossip", "prob-sym", "quantum-gossip", "dft", "random-state", "dd")
 SCHEDULE_KINDS = (
     "cyclic",
     "random-gossip",
@@ -47,14 +51,6 @@ SCHEDULE_KINDS = (
 RANDOM_SCHEDULE_KINDS = ("random-gossip", "random-subset")
 DEFAULT_ALPHA_RANGE = [0.3, 0.7]
 DEFAULT_TOLERANCES = {"residual": 1e-8, "delta_floor": 1e-6, "conserved": 1e-9}
-DEFAULT_STEPS = {
-    "gossip": 1000,
-    "prob-sym": 500,
-    "quantum-gossip": 500,
-    "dft": 500,
-    "random-state": 30,
-    "dd": 20,
-}
 DEFAULT_TRIALS = 100000
 MAX_STEPS = 1_000_000
 MAX_TRIALS = 10_000_000
@@ -120,7 +116,9 @@ def _as_alpha(value, path: str) -> float:
     return alpha
 
 
-def _as_edges(value, m: int, path: str) -> list:
+def _edges(params: dict, m: int) -> list:
+    path = "params.edges"  # by default, every pair of the m nodes
+    value = params.get("edges", [[j, k] for j in range(m) for k in range(j + 1, m)])
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of [j, k] pairs")
     out = []
@@ -138,10 +136,6 @@ def _as_edges(value, m: int, path: str) -> list:
             _fail(f"{path}[{i}]", f"edge must join two distinct nodes, got ({j}, {k})")
         out.append([j, k])
     return out
-
-
-def _complete_edges(m: int) -> list:
-    return [[j, k] for j in range(m) for k in range(j + 1, m)]
 
 
 def _check_file(rel_path, base_dir: str, path: str) -> str:
@@ -192,95 +186,185 @@ class RunConfig:
         return os.path.join(self.base_dir, rel_path)
 
 
-def _validate_group_spec(spec, base_dir: str, path: str) -> dict:
+# -- the applications ------------------------------------------------------------
+#
+# A parameter rule validates a config's raw ``params`` object, with the
+# directory its files resolve against, and returns its normalized form.
+
+
+def _gossip_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"m", "n", "edges"}, set(), "params")
+    m = _as_int(params.get("m", 3), "params.m", lo=2, hi=MAX_SYMMETRIC_DEGREE)
+    n = _as_int(params.get("n", 1), "params.n", lo=1, hi=64)
+    return {"m": m, "n": n, "edges": _edges(params, m)}
+
+
+def _prob_sym_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"m", "outcome_size", "edges"}, {"m", "outcome_size"}, "params")
+    m = _as_int(params["m"], "params.m", lo=1, hi=OUTCOME_AXES_CAP)
+    size = _as_int(params["outcome_size"], "params.outcome_size", lo=1, hi=OUTCOME_SIZE_CAP)
+    return {"m": m, "outcome_size": size, "edges": _edges(params, m)}
+
+
+def _quantum_gossip_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"m", "local_dim", "edges"}, {"m", "local_dim"}, "params")
+    m = _as_int(params["m"], "params.m", lo=1, hi=6)
+    d = _as_int(params["local_dim"], "params.local_dim", lo=2, hi=64)
+    if d**m > QUANTUM_DIM_CAP:
+        _fail("params", f"total dimension {d**m} exceeds the dense cap {QUANTUM_DIM_CAP}")
+    return {"m": m, "local_dim": d, "edges": _edges(params, m)}
+
+
+def _dft_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"N"}, {"N"}, "params")
+    return {"N": _as_int(params["N"], "params.N", lo=1, hi=1024)}
+
+
+def _random_state_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"group"}, {"group"}, "params")
+    spec, path = params["group"], "params.group"
     _require_keys(spec, {"kind", "n", "m", "path"}, {"kind"}, path)
     kind = spec["kind"]
     if kind == "cyclic":
         _require_keys(spec, {"kind", "n"}, {"kind", "n"}, path)
-        return {"kind": "cyclic", "n": _as_int(spec["n"], f"{path}.n", lo=1, hi=1024)}
+        return {"group": {"kind": "cyclic", "n": _as_int(spec["n"], f"{path}.n", lo=1, hi=1024)}}
     if kind == "symmetric":
         _require_keys(spec, {"kind", "m"}, {"kind", "m"}, path)
         m = _as_int(spec["m"], f"{path}.m", lo=1, hi=MAX_SYMMETRIC_DEGREE)
-        return {"kind": "symmetric", "m": m}
+        return {"group": {"kind": "symmetric", "m": m}}
     if kind == "table":
         _require_keys(spec, {"kind", "path"}, {"kind", "path"}, path)
         return {
-            "kind": "table",
-            "path": _check_file(spec["path"], base_dir, f"{path}.path"),
+            "group": {"kind": "table", "path": _check_file(spec["path"], base_dir, f"{path}.path")}
         }
     _fail(f"{path}.kind", f"unknown group kind {kind!r}")
 
 
-def _validate_params(app: str, params, base_dir: str) -> dict:
-    path = "params"
-    if params is None:
-        params = {}
-    if app == "gossip":
-        _require_keys(params, {"m", "n", "edges"}, set(), path)
-        m = _as_int(params.get("m", 3), f"{path}.m", lo=2, hi=MAX_SYMMETRIC_DEGREE)
-        n = _as_int(params.get("n", 1), f"{path}.n", lo=1, hi=64)
-        edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
-        return {"m": m, "n": n, "edges": edges}
-    if app == "prob-sym":
-        _require_keys(params, {"m", "outcome_size", "edges"}, {"m", "outcome_size"}, path)
-        m = _as_int(params["m"], f"{path}.m", lo=1, hi=OUTCOME_AXES_CAP)
-        size = _as_int(
-            params["outcome_size"], f"{path}.outcome_size", lo=1, hi=OUTCOME_SIZE_CAP
-        )
-        edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
-        return {"m": m, "outcome_size": size, "edges": edges}
-    if app == "quantum-gossip":
-        _require_keys(params, {"m", "local_dim", "edges"}, {"m", "local_dim"}, path)
-        m = _as_int(params["m"], f"{path}.m", lo=1, hi=6)
-        d = _as_int(params["local_dim"], f"{path}.local_dim", lo=2, hi=64)
-        if d**m > QUANTUM_DIM_CAP:
-            _fail(path, f"total dimension {d**m} exceeds the dense cap {QUANTUM_DIM_CAP}")
-        edges = _as_edges(params.get("edges", _complete_edges(m)), m, f"{path}.edges")
-        return {"m": m, "local_dim": d, "edges": edges}
-    if app == "dft":
-        _require_keys(params, {"N"}, {"N"}, path)
-        return {"N": _as_int(params["N"], f"{path}.N", lo=1, hi=1024)}
-    if app == "random-state":
-        _require_keys(params, {"group"}, {"group"}, path)
-        return {"group": _validate_group_spec(params["group"], base_dir, f"{path}.group")}
-    if app == "dd":
-        _require_keys(params, {"dt", "frame_cap"}, set(), path)
-        out = {}
-        if "dt" in params:
-            out["dt"] = _as_float(params["dt"], f"{path}.dt", positive=True)
-        if "frame_cap" in params:
-            out["frame_cap"] = _as_int(params["frame_cap"], f"{path}.frame_cap", lo=0, hi=20)
-        return out
-    _fail("application", f"unknown application {app!r}")
+def _dd_params(params, base_dir: str) -> dict:
+    _require_keys(params, {"dt", "frame_cap"}, set(), "params")
+    out = {}
+    if "dt" in params:
+        out["dt"] = _as_float(params["dt"], "params.dt", positive=True)
+    if "frame_cap" in params:
+        out["frame_cap"] = _as_int(params["frame_cap"], "params.frame_cap", lo=0, hi=20)
+    return out
 
 
-def _group_order(app: str, params: dict) -> Optional[int]:
-    if app in ("gossip", "prob-sym", "quantum-gossip"):
-        return math.factorial(params["m"])
-    if app == "dft":
-        return params["N"]
-    if app == "random-state":
-        spec = params["group"]
-        if spec["kind"] == "cyclic":
-            return spec["n"]
-        if spec["kind"] == "symmetric":
-            return math.factorial(spec["m"])
-        return None  # a table file is capped at a small validated order on load
-    return 4  # dd: the single-qubit Pauli quotient
+def _spec_order(spec: dict) -> Optional[int]:
+    if spec["kind"] == "cyclic":
+        return spec["n"]
+    if spec["kind"] == "symmetric":
+        return math.factorial(spec["m"])
+    return None  # a table file is capped at a small validated order on load
 
 
-def _state_bytes(app: str, params: dict, order: int) -> int:
-    if app == "gossip":
-        return 8 * params["m"] * params["n"]
-    if app == "prob-sym":
-        return 8 * params["outcome_size"] ** params["m"]
-    if app == "quantum-gossip":
-        return 16 * params["local_dim"] ** (2 * params["m"])
-    if app == "dft":
-        return 16 * params["N"] ** 2
-    if app == "random-state":
-        return 8 * order
-    return 16 * 4  # dd: a 2x2 complex Hamiltonian
+def _spec_group(config: RunConfig) -> groups.FiniteGroup:
+    spec = config.params["group"]
+    if spec["kind"] == "cyclic":
+        return groups.cyclic_group(spec["n"])
+    if spec["kind"] == "symmetric":
+        return groups.symmetric_group(spec["m"])
+    return groups.group_from_json(config.resolve(spec["path"]))
+
+
+SEED_SCHEDULE = 0
+SEED_STATE = 1
+SEED_TRIALS = 2
+
+
+def _substream(seed: int, key: int) -> int:
+    """Derive an independent 64-bit stream seed from the top-level seed."""
+    ss = SeedSequence(seed, spawn_key=(key,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+@dataclass(frozen=True)
+class Application:
+    """What one application is: parsing, the memory preflight, building and running read it.
+
+    An entry calls runners, action constructors and group builders through
+    their module's attribute when it runs and never holds one, because the
+    benchmark's tracer times them by rebinding those attributes.
+    """
+
+    steps: int  # the default step count
+    params: Callable[[object, str], dict]  # the parameter rule: (raw params, base_dir) -> params
+    order: Callable[[dict], Optional[int]]  # |G|; None where only loading a file tells it
+    group: Callable[[RunConfig], groups.FiniteGroup]
+    state: Callable[[dict, int], Tuple[int, ...]]  # the initial state's shape, from params and |G|
+    kind: str  # its flavor (harness._initial_array); with the shape, this sets its bytes
+    run: Callable[..., applications.ExperimentResult]  # (config, group, schedule, x0)
+    # on m nodes: schedules name [j, k] edges, the edge set is the default
+    # support, and the run ranks translation rows instead of holding a table
+    on_nodes: bool = False
+    schedule: Optional[str] = None  # the one schedule kind it accepts
+    samples: bool = False  # draws ``trials``
+    charge: Optional[Callable[[dict], dict]] = None  # its state arrays, in place of the orbit
+
+
+# the applications on m nodes run on S_m
+_ON_NODES = dict(
+    order=lambda p: math.factorial(p["m"]),
+    group=lambda c: groups.symmetric_group(c.params["m"]),
+    on_nodes=True,
+)
+
+# One record per application, in the order messages list them.
+APPLICATION_TABLE: Dict[str, Application] = {
+    "gossip": Application(
+        steps=1000, params=_gossip_params, **_ON_NODES, kind="real",
+        state=lambda p, order: (p["m"] * p["n"],),
+        run=lambda c, group, schedule, x0: applications.run_gossip_consensus(
+            c.params["m"], c.params["n"], c.params["edges"], schedule, x0, c.steps,
+            threshold=c.tolerances["residual"],
+        ),
+    ),
+    "prob-sym": Application(
+        steps=500, params=_prob_sym_params, **_ON_NODES, kind="prob",
+        state=lambda p, order: (p["outcome_size"],) * p["m"],
+        run=lambda c, group, schedule, x0: applications.run_probability_symmetrization(
+            c.params["m"], c.params["outcome_size"], c.params["edges"], schedule, x0, c.steps,
+            threshold=c.tolerances["residual"],
+        ),
+    ),
+    "quantum-gossip": Application(
+        steps=500, params=_quantum_gossip_params, **_ON_NODES, kind="hermitian",
+        state=lambda p, order: (p["local_dim"] ** p["m"],) * 2,
+        run=lambda c, group, schedule, x0: applications.run_quantum_gossip(
+            c.params["m"], c.params["local_dim"], c.params["edges"], schedule, x0, c.steps,
+            threshold=c.tolerances["residual"],
+        ),
+    ),
+    "dft": Application(
+        steps=500, params=_dft_params, order=lambda p: p["N"], kind="complex",
+        group=lambda c: groups.cyclic_group(c.params["N"]),
+        state=lambda p, order: (p["N"],),
+        run=lambda c, group, schedule, x0: applications.run_dft(
+            c.params["N"], x0, schedule, c.steps, threshold=c.tolerances["residual"]
+        ),
+        charge=lambda p: {"kernel": DFT_KERNEL_ARRAYS * 16 * p["N"] ** 2},
+    ),
+    "random-state": Application(
+        steps=30, params=_random_state_params, group=_spec_group, kind="real", samples=True,
+        order=lambda p: _spec_order(p["group"]),
+        state=lambda p, order: (order,),
+        run=lambda c, group, schedule, x0: applications.run_random_state_generation(
+            actions.regular_action(group), x0, schedule, c.steps, c.trials,
+            _substream(c.seed, SEED_TRIALS),
+        ),
+    ),
+    "dd": Application(
+        steps=20, params=_dd_params, schedule="dd-bisection", kind="traceless-hermitian-2",
+        order=lambda p: 4,  # the single-qubit Pauli quotient
+        group=lambda c: actions.pauli_quotient_group(),
+        state=lambda p, order: (2, 2),
+        run=lambda c, group, schedule, x0: applications.run_dynamical_decoupling(
+            group, x0, actions.pauli_matrices(), schedule, c.steps,
+            threshold=c.tolerances["residual"], **c.params,
+        ),
+    ),
+}
+APPLICATIONS = tuple(APPLICATION_TABLE)
 
 
 def _support_rows(schedule: dict, params: dict, order: int) -> int:
@@ -315,10 +399,10 @@ def _dense_bytes(
 
     Keys: ``table`` (the int32 Cayley table, for groups that hold one and
     for the regular action of random-state, which is dense by nature) or
-    ``rows`` (the int32 translation rows that gossip, prob-sym and
-    quantum-gossip rank on demand), ``orbit``
-    (one state per group element) or, for dft, ``kernel`` (the Fourier
-    run's N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
+    ``rows`` (the int32 translation rows that an application on nodes
+    ranks on demand), ``orbit`` (one state per group element) or the parts
+    its record's ``charge`` names (dft's ``kernel``, the Fourier run's
+    N x N complex arrays, see ``DFT_KERNEL_ARRAYS``), ``weights``
     (the lifted trajectory, one float64 per element per step), ``signal``
     (the realized signal: per step, an intp element and a float64 weight in
     each of its K columns, see ``_signal_width``) and ``trials`` (the sampled
@@ -326,18 +410,19 @@ def _dense_bytes(
     ``applications.walk_bytes``).  Empty when the group order is only known
     after loading a file.
     """
-    order = _group_order(app, params)
+    record = APPLICATION_TABLE[app]
+    order = record.order(params)
     if order is None:
         return {}
-    if app in ("gossip", "prob-sym", "quantum-gossip"):
+    if record.on_nodes:
         translations = {"rows": 4 * order * _support_rows(schedule, params, order)}
     else:
         translations = {"table": 4 * order * order}
-    state = _state_bytes(app, params, order)
-    if app == "dft":
-        states = {"kernel": DFT_KERNEL_ARRAYS * state}
+    if record.charge:
+        states = record.charge(params)
     else:
-        states = {"orbit": order * state}
+        itemsize = 8 if record.kind in ("real", "prob") else 16
+        states = {"orbit": order * itemsize * math.prod(record.state(params, order))}
     return {
         **translations,
         **states,
@@ -355,7 +440,7 @@ def physical_memory_bytes() -> Optional[int]:
         return None
 
 
-def _check_memory(parts: dict) -> None:
+def _check_memory(parts: dict, path: str = "params") -> None:
     physical = physical_memory_bytes()
     need = sum(parts.values())
     if physical is None or need <= MEMORY_SHARE * physical:
@@ -365,7 +450,7 @@ def _check_memory(parts: dict) -> None:
         f"{name} {size / gib:.2f}" for name, size in parts.items() if size >= 0.01 * gib
     )
     _fail(
-        "params",
+        path,
         f"the run's dense arrays need about {need / gib:.1f} GiB ({detail} GiB), "
         f"more than {MEMORY_SHARE:.0%} of the {physical / gib:.1f} GiB of physical memory",
     )
@@ -378,7 +463,7 @@ def check_spectral_memory(config: RunConfig) -> None:
     builds the (|G|, |G|) float64 lifted transition matrix, which the
     eigensolver copies once more.
     """
-    order = _group_order(config.application, config.params)
+    order = APPLICATION_TABLE[config.application].order(config.params)
     _check_memory({"table": 4 * order * order, "transition": 2 * 8 * order * order})
 
 
@@ -420,18 +505,19 @@ def _validate_alpha_range(value, path: str) -> list:
 
 def _validate_schedule(app: str, spec, base_dir: str) -> dict:
     path = "schedule"
+    required = APPLICATION_TABLE[app].schedule
     if spec is None:
-        if app == "dd":
-            _fail(path, "dd runs require a dd-bisection schedule")
+        if required:
+            _fail(path, f"{app} runs require a {required} schedule")
         spec = {"kind": "random-gossip"}
     if not isinstance(spec, dict):
         _fail(path, f"expected an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind not in SCHEDULE_KINDS:
         _fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
-    allow_edges = app in ("gossip", "prob-sym", "quantum-gossip")
-    if app == "dd" and kind != "dd-bisection":
-        _fail(f"{path}.kind", "dd runs require kind 'dd-bisection'")
+    allow_edges = APPLICATION_TABLE[app].on_nodes
+    if required and kind != required:
+        _fail(f"{path}.kind", f"{app} runs require kind {required!r}")
     if kind == "cyclic":
         _require_keys(spec, {"kind", "elements", "alpha"}, {"kind", "elements"}, path)
         return {
@@ -459,7 +545,7 @@ def _validate_schedule(app: str, spec, base_dir: str) -> dict:
             out["seed"] = _as_int(spec["seed"], f"{path}.seed", lo=0, hi=2**64 - 1)
         return out
     if kind == "dd-bisection":
-        if app != "dd":
+        if required != kind:
             _fail(f"{path}.kind", "dd-bisection schedules only apply to dd runs")
         _require_keys(spec, {"kind", "chooser", "alpha"}, {"kind", "chooser"}, path)
         return {
@@ -582,13 +668,15 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
             f"unknown application {app!r}; expected one of {', '.join(APPLICATIONS)}",
         )
 
-    params = _validate_params(app, doc.get("params"), base)
+    record = APPLICATION_TABLE[app]
+    params = doc.get("params")
+    params = record.params({} if params is None else params, base)
     schedule = _validate_schedule(app, doc.get("schedule"), base)
     initial_state = _validate_initial_state(doc.get("initial_state"), base)
-    steps = _as_int(doc.get("steps", DEFAULT_STEPS[app]), "steps", lo=0, hi=MAX_STEPS)
+    steps = _as_int(doc.get("steps", record.steps), "steps", lo=0, hi=MAX_STEPS)
 
     trials = doc.get("trials")
-    if app == "random-state":
+    if record.samples:
         trials = _as_int(
             trials if trials is not None else DEFAULT_TRIALS, "trials", lo=1, hi=MAX_TRIALS
         )
@@ -611,7 +699,7 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
         needs_seed.append("the randomized schedule has no seed of its own")
     if initial_state["source"] == "random":
         needs_seed.append("the initial state is randomized")
-    if app == "random-state":
+    if record.samples:
         needs_seed.append("trial sampling is randomized")
     if seed is None and needs_seed:
         _fail("seed", f"required: {'; '.join(needs_seed)}")

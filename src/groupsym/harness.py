@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from numpy.fft import fft
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, Generator
 
 from .actions import (
     Base64State,
@@ -34,26 +34,25 @@ from .actions import (
     encode_state,
     load_state,
     pauli_matrices,
-    pauli_quotient_group,
     permutation_action,
-    regular_action,
 )
 from .applications import (
     SAMPLING_BETA,
     ExperimentResult,
     lift_roundoff,
-    run_dft,
-    run_dynamical_decoupling,
-    run_gossip_consensus,
-    run_probability_symmetrization,
-    run_quantum_gossip,
-    run_random_state_generation,
     sampling_tolerance,
     spectral_comparison,
 )
 from .config import (
+    APPLICATION_TABLE,
+    APPLICATIONS,
+    SEED_SCHEDULE,
+    SEED_STATE,
     ConfigError,
     RunConfig,
+    _check_memory,
+    _signal_width,
+    _substream,
     canonical_sha256,
     check_spectral_memory,
     config_hash,
@@ -61,13 +60,7 @@ from .config import (
     serialize_config,
     with_absolute_paths,
 )
-from .groups import (
-    FiniteGroup,
-    cyclic_group,
-    group_from_json,
-    symmetric_group,
-    transposition_index,
-)
+from .groups import FiniteGroup, transposition_index
 from .lifted import (
     WEIGHT_ATOL,
     MixingCertificate,
@@ -144,43 +137,20 @@ CERTIFICATE_HORIZON = 256
 class HarnessError(RuntimeError):
     """Runtime failure inside a run, annotated with its module of origin."""
 
-    def __init__(self, message: str, *, module: str = "harness", step: Optional[int] = None):
-        where = f"[{module}" + (f", step {step}" if step is not None else "") + "]"
-        super().__init__(f"{where} {message}")
+    def __init__(self, message: str, *, module: str = "harness"):
+        super().__init__(f"[{module}] {message}")
         self.module = module
-        self.step = step
-
-
-def _substream(seed: int, key: int) -> int:
-    """Derive an independent 64-bit stream seed from the top-level seed."""
-    ss = SeedSequence(seed, spawn_key=(key,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-SEED_SCHEDULE = 0
-SEED_STATE = 1
-SEED_TRIALS = 2
 
 
 # -- building runs from configs -----------------------------------------------
 
 
-def _build_group(spec: dict, config: RunConfig) -> FiniteGroup:
-    if spec["kind"] == "cyclic":
-        return cyclic_group(spec["n"])
-    if spec["kind"] == "symmetric":
-        return symmetric_group(spec["m"])
-    return group_from_json(config.resolve(spec["path"]))
-
-
-def _resolve_elements(entries, group: FiniteGroup, m: Optional[int]) -> List[int]:
+def _resolve_elements(entries, group: FiniteGroup) -> List[int]:
     """Map config-level entries (indices, [j, k] edges, names) to element indices."""
     names = getattr(group, "element_names", None)
     out = []
     for entry in entries:
         if isinstance(entry, list):
-            if m is None:
-                raise ConfigError(f"edge entry {entry} is only valid for node-based runs")
             out.append(transposition_index(group, entry[0], entry[1]))
         elif isinstance(entry, str):
             if not names or entry not in names:
@@ -191,28 +161,25 @@ def _resolve_elements(entries, group: FiniteGroup, m: Optional[int]) -> List[int
     return out
 
 
-def build_schedule(config: RunConfig, group: FiniteGroup, *, m: Optional[int] = None,
-                   default_support: Optional[List[int]] = None):
+def build_schedule(config: RunConfig, group: FiniteGroup):
     """Construct the schedule object a config describes over a concrete group."""
     spec = config.schedule
     kind = spec["kind"]
     if kind == "cyclic":
-        elements = _resolve_elements(spec["elements"], group, m)
+        elements = _resolve_elements(spec["elements"], group)
         return CyclicSchedule(group, elements, spec["alpha"])
     if kind in ("random-gossip", "random-subset"):
         if "support" in spec:
-            support = _resolve_elements(spec["support"], group, m)
-        elif default_support:
-            support = list(default_support)
-        else:
-            raise ConfigError("schedule.support: required for this application")
+            support = _resolve_elements(spec["support"], group)
+        else:  # the config requires a support unless the run is on nodes: its edges
+            support = sorted({transposition_index(group, j, k) for j, k in config.params["edges"]})
         seed = spec.get("seed")
         if seed is None:
             seed = _substream(config.seed, SEED_SCHEDULE)
         cls = RandomGossipSchedule if kind == "random-gossip" else RandomSubsetSchedule
         return cls(group, support, tuple(spec["alpha_range"]), seed)
     if kind == "dd-bisection":
-        chooser = _resolve_elements(spec["chooser"], group, None)
+        chooser = _resolve_elements(spec["chooser"], group)
         return DDBisectionSchedule(group, chooser, spec["alpha"])
     # custom-sequence
     if "rows" in spec:
@@ -260,71 +227,20 @@ def _initial_array(config: RunConfig, shape, kind: str) -> np.ndarray:
 
 def _build_run(config: RunConfig) -> Tuple[FiniteGroup, Schedule]:
     """The group and the schedule a validated config runs on."""
-    app, params = config.application, config.params
-    if app in ("gossip", "prob-sym", "quantum-gossip"):
-        m = params["m"]
-        group = symmetric_group(m)
-        support = sorted({transposition_index(group, j, k) for j, k in params["edges"]})
-        return group, build_schedule(config, group, m=m, default_support=support)
-    if app == "dft":
-        group = cyclic_group(params["N"])
-    elif app == "random-state":
-        group = _build_group(params["group"], config)
-    elif app == "dd":
-        group = pauli_quotient_group()
-    else:
-        raise ConfigError(f"application: unknown application {app!r}")
+    group = APPLICATION_TABLE[config.application].group(config)
     return group, build_schedule(config, group)
 
 
 def run_from_config(config: RunConfig) -> ExperimentResult:
-    """Dispatch a validated config to its runner.
+    """Run a validated config through its application's runner.
 
     An engine run's ``certificate`` is left unset: ``execute`` searches it
     (``certify_schedule``) while the trajectory.csv writer formats rows.
     """
-    threshold = config.tolerances["residual"]
-    app, params, steps = config.application, config.params, config.steps
+    app = APPLICATION_TABLE[config.application]
     group, schedule = _build_run(config)
-
-    if app == "gossip":
-        m, n = params["m"], params["n"]
-        x0 = _initial_array(config, (m * n,), "real")
-        return run_gossip_consensus(m, n, params["edges"], schedule, x0, steps, threshold=threshold)
-
-    if app == "prob-sym":
-        m, size = params["m"], params["outcome_size"]
-        joint0 = _initial_array(config, (size,) * m, "prob")
-        return run_probability_symmetrization(
-            m, size, params["edges"], schedule, joint0, steps, threshold=threshold
-        )
-
-    if app == "quantum-gossip":
-        m, d = params["m"], params["local_dim"]
-        X0 = _initial_array(config, (d**m, d**m), "hermitian")
-        return run_quantum_gossip(m, d, params["edges"], schedule, X0, steps, threshold=threshold)
-
-    if app == "dft":
-        N = params["N"]
-        x = _initial_array(config, (N,), "complex")
-        return run_dft(N, x, schedule, steps, threshold=threshold)
-
-    if app == "random-state":
-        y0 = _initial_array(config, (group.order,), "real")
-        return run_random_state_generation(
-            regular_action(group),
-            y0,
-            schedule,
-            steps,
-            config.trials,
-            _substream(config.seed, SEED_TRIALS),
-        )
-
-    H_d = _initial_array(config, (2, 2), "traceless-hermitian-2")
-    kwargs = {key: params[key] for key in ("dt", "frame_cap") if key in params}
-    return run_dynamical_decoupling(
-        group, H_d, pauli_matrices(), schedule, steps, threshold=threshold, **kwargs
-    )
+    x0 = _initial_array(config, app.state(config.params, group.order), app.kind)
+    return app.run(config, group, schedule, x0)
 
 
 def certify_schedule(
@@ -760,7 +676,8 @@ def _read_artifacts(directory: str) -> _Artifacts:
 
         rows, order = weights.shape
         trials = None
-        if config_doc.get("application") == "random-state":
+        app = config_doc.get("application")
+        if app in APPLICATIONS and APPLICATION_TABLE[app].samples:
             trials = _integer(config_doc.get("trials"), "config.json trials", 1)
             if final_state.shape != (order,):
                 raise ValueError(
@@ -963,8 +880,8 @@ def _check_dft(a: _Artifacts) -> CheckResult:
     try:
         # a relative path left in config.json resolves against the run directory
         config = parse_config(a.config_doc, base_dir=os.path.abspath(a.directory))
-        N = config.params["N"]
-        x = np.asarray(_initial_array(config, (N,), "complex"), dtype=np.complex128)
+        N, app = config.params["N"], APPLICATION_TABLE[config.application]
+        x = np.asarray(_initial_array(config, app.state(config.params, N), app.kind), np.complex128)
     except (ValueError, OSError) as exc:
         return CheckResult("dft", "skip", None, f"skipped: initial state not rebuilt ({exc})")
     weights, final_state = a.weights, a.final_state
@@ -1031,7 +948,17 @@ def verify(directory: str, checks: Optional[List[str]] = None) -> VerificationRe
 
 
 def certify_run(config: RunConfig, max_T: int, *, horizon: Optional[int] = None) -> dict:
-    """Scan the configured schedule for a mixing certificate (certify_schedule)."""
+    """Scan the configured schedule for a mixing certificate (certify_schedule).
+
+    The scan's (horizon, |G|) float64 windows and realized signal are charged
+    before the group is built, unless |G| is only known once a file is loaded.
+    """
+    if horizon is None:
+        horizon = max(1, min(config.steps, CERTIFICATE_HORIZON))
+    order = APPLICATION_TABLE[config.application].order(config.params)
+    if order is not None:
+        width = _signal_width(config.schedule, config.params, order)
+        _check_memory({"windows": 8 * order * horizon, "signal": 16 * width * horizon}, "horizon")
     group, schedule = _build_run(config)
     cert = certify_schedule(
         schedule, config.steps, config.tolerances, max_T=max_T, horizon=horizon

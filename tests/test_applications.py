@@ -550,8 +550,6 @@ def test_prob_sym_limit_matches_permutation_average_oracle():
 def test_prob_sym_validation():
     sched = s3_cycle_schedule()
     good = np.full((2, 2, 2), 1.0 / 8.0)
-    with pytest.raises(ValueError, match="equal"):
-        run_probability_symmetrization(3, [2, 2, 3], complete_edges(3), sched, good, 1)
     with pytest.raises(ValueError, match="negative"):
         bad = good.copy()
         bad[0, 0, 0] = -0.2

@@ -12,9 +12,12 @@ import importlib
 import importlib.util
 import os
 
+import pytest
+
 import groupsym.applications
-from groupsym.config import parse_config
+from groupsym.config import APPLICATION_TABLE, parse_config
 from groupsym.harness import execute
+from test_harness import GOLDEN_RUNS, golden_config
 
 TRACER_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py"
@@ -64,6 +67,23 @@ def test_traced_run_sees_the_engine_and_its_monitors(tmp_path):
     # monitors reach the engine as the monitors= keyword, where the tracer wraps them
     assert layers["applications.monitors_s"] > 0
     assert layers["groups.builds"] >= 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_traced_golden_run_sees_the_calls_its_table_entry_makes(name, tmp_path):
+    # an entry of the application table calls its runner and its action
+    # constructor through their modules' attributes, which the tracer rebinds
+    config = golden_config(name)
+    tracer = load_tracer().Tracer(0)
+    tracer.install()
+    try:
+        execute(config, out_dir=str(tmp_path / "art"))
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    samples = APPLICATION_TABLE[config.application].samples
+    runner = "applications.sampling" if samples else "applications.engine"
+    assert {"harness.run_from_config", "actions.build", runner} <= names
 
 
 def traced_layers(doc, out_dir):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import tracemalloc
@@ -15,6 +16,7 @@ import groupsym.groups as groups_module
 import groupsym.harness as harness_module
 import groupsym.lifted as lifted_module
 from groupsym.actions import encode_state, save_state
+from groupsym.cli import main
 from groupsym.config import (
     ConfigError,
     config_hash,
@@ -567,6 +569,37 @@ class TestMemoryPreflight:
         with pytest.raises(ConfigError, match=r"table 6\.06.*transition 24\.2"):
             harness_module.spectral_run(cfg)
 
+    def test_certify_horizon_is_charged_before_the_group_is_built(self, monkeypatch, tmp_path):
+        # the certificate scan holds a (horizon, |G|) float64 window array:
+        # 7.51 GiB for 200,000 steps of S7
+        self.with_memory(monkeypatch, 8)
+        doc = minimal_gossip(params={"m": 7})
+        real_build = harness_module._build_run
+
+        def no_build(config):
+            raise AssertionError("the horizon must be charged before the group is built")
+
+        monkeypatch.setattr(harness_module, "_build_run", no_build)
+        with pytest.raises(ConfigError, match=r"horizon: .*windows 7\.51"):
+            harness_module.certify_run(parse_config(doc), 5, horizon=200_000)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", str(path), "--max-T", "5", "--horizon", "200000"]) == 4
+        # a horizon that fits scans as before
+        monkeypatch.setattr(harness_module, "_build_run", real_build)
+        outcome = harness_module.certify_run(
+            parse_config(minimal_gossip(params={"m": 5})), 40, horizon=1000
+        )
+        assert outcome == {
+            "T": 27,
+            "delta": 0.0017734611300948611,
+            "satisfied": True,
+            "witness": None,
+            "horizon": 1000,
+            "group_order": 120,
+            "rho": 0.7871846643886167,
+        }
+
     def test_dft_1024_is_charged_its_kernel_not_its_orbit(self, monkeypatch):
         doc = {
             "schema_version": 1,
@@ -676,3 +709,44 @@ def test_config_hash_is_the_canonical_sha256_of_the_document():
     assert config_module.canonical_sha256({"b": 1, "a": [1, 2]}) == (
         config_module.canonical_sha256({"a": [1, 2], "b": 1})
     )
+
+
+def test_each_application_is_declared_once():
+    """Only the application table tells the applications apart.
+
+    A comparison with an application's name anywhere else in the package
+    is a second declaration of what that application is.  Two places may
+    name one: ``_check_dft``, which checks the dft claim, and
+    ``spectral_run``, a verb only gossip configs have.
+    """
+    names = set(config_module.APPLICATIONS)
+    allowed = {"APPLICATION_TABLE", "_check_dft", "spectral_run"}
+    package = os.path.dirname(config_module.__file__)
+    found = []
+
+    def literals(node):
+        if isinstance(node, ast.Constant):
+            yield node.value
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            for element in node.elts:
+                yield from literals(element)
+
+    def walk(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and scope == "<module>":
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            scope = next((t.id for t in targets if isinstance(t, ast.Name)), scope)
+        if isinstance(node, ast.Compare) and scope not in allowed:
+            operands = [node.left, *node.comparators]
+            if any(value in names for operand in operands for value in literals(operand)):
+                found.append(f"{path}:{node.lineno} in {scope}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, path, scope)
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path) as fh:
+                walk(ast.parse(fh.read(), path), name, "<module>")
+    assert found == []

@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+import groupsym.applications as applications_module
 import groupsym.config as config_module
 import groupsym.groups as groups_module
 import groupsym.harness as harness_module
@@ -155,7 +156,7 @@ class TestExecute:
         def failing(*args, **kwargs):
             raise RuntimeError("runner broke")
 
-        monkeypatch.setattr(harness_module, "run_gossip_consensus", failing)
+        monkeypatch.setattr(applications_module, "run_gossip_consensus", failing)
         with pytest.raises(HarnessError, match=r"\[gossip\] runner broke") as caught:
             execute(gossip_config(steps=20), out_dir=run_dir(tmp_path))
         assert caught.value.module == "gossip"
@@ -305,6 +306,22 @@ class TestVerify:
         artifacts = next(c for c in report.checks if c.name == "artifacts")
         assert artifacts.status == "fail"
         assert "config_sha256" in artifacts.detail
+
+    @pytest.mark.parametrize("application", [["gossip"], {"name": "gossip"}])
+    def test_unhashable_application_fails_artifacts(self, tmp_path, capsys, application):
+        # config.json's application is looked up in the application table;
+        # a value that cannot be a key still reads as a tampered config
+        art = execute(gossip_config(), out_dir=run_dir(tmp_path))
+        cfg_path = os.path.join(art.directory, "config.json")
+        doc = json.load(open(cfg_path))
+        doc["application"] = application
+        json.dump(doc, open(cfg_path, "w"))
+        by_name = {c.name: c for c in verify(art.directory).checks}
+        assert by_name["artifacts"].status == "fail"
+        assert "config_sha256" in by_name["artifacts"].detail
+        assert by_name["dft"].status == "skip"
+        assert main(["verify", art.directory]) == EXIT_CONFIG
+        assert "runtime error" not in capsys.readouterr().err
 
     def test_missing_artifacts_fail_and_skip_rest(self, tmp_path):
         art = execute(gossip_config(), out_dir=run_dir(tmp_path))
