@@ -77,7 +77,9 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}" if path else message)
 
 
-def _require_keys(obj: dict, allowed, required, path: str):
+def _require_keys(obj: dict, allowed, required: Tuple[str, ...], path: str):
+    """Fail on a key outside ``allowed``, then on the first of ``required``,
+    in its declared order, that ``obj`` lacks."""
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -193,21 +195,21 @@ class RunConfig:
 
 
 def _gossip_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"m", "n", "edges"}, set(), "params")
+    _require_keys(params, {"m", "n", "edges"}, (), "params")
     m = _as_int(params.get("m", 3), "params.m", lo=2, hi=MAX_SYMMETRIC_DEGREE)
     n = _as_int(params.get("n", 1), "params.n", lo=1, hi=64)
     return {"m": m, "n": n, "edges": _edges(params, m)}
 
 
 def _prob_sym_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"m", "outcome_size", "edges"}, {"m", "outcome_size"}, "params")
+    _require_keys(params, {"m", "outcome_size", "edges"}, ("m", "outcome_size"), "params")
     m = _as_int(params["m"], "params.m", lo=1, hi=OUTCOME_AXES_CAP)
     size = _as_int(params["outcome_size"], "params.outcome_size", lo=1, hi=OUTCOME_SIZE_CAP)
     return {"m": m, "outcome_size": size, "edges": _edges(params, m)}
 
 
 def _quantum_gossip_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"m", "local_dim", "edges"}, {"m", "local_dim"}, "params")
+    _require_keys(params, {"m", "local_dim", "edges"}, ("m", "local_dim"), "params")
     m = _as_int(params["m"], "params.m", lo=1, hi=6)
     d = _as_int(params["local_dim"], "params.local_dim", lo=2, hi=64)
     if d**m > QUANTUM_DIM_CAP:
@@ -216,24 +218,24 @@ def _quantum_gossip_params(params, base_dir: str) -> dict:
 
 
 def _dft_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"N"}, {"N"}, "params")
+    _require_keys(params, {"N"}, ("N",), "params")
     return {"N": _as_int(params["N"], "params.N", lo=1, hi=1024)}
 
 
 def _random_state_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"group"}, {"group"}, "params")
+    _require_keys(params, {"group"}, ("group",), "params")
     spec, path = params["group"], "params.group"
-    _require_keys(spec, {"kind", "n", "m", "path"}, {"kind"}, path)
+    _require_keys(spec, {"kind", "n", "m", "path"}, ("kind",), path)
     kind = spec["kind"]
     if kind == "cyclic":
-        _require_keys(spec, {"kind", "n"}, {"kind", "n"}, path)
+        _require_keys(spec, {"kind", "n"}, ("kind", "n"), path)
         return {"group": {"kind": "cyclic", "n": _as_int(spec["n"], f"{path}.n", lo=1, hi=1024)}}
     if kind == "symmetric":
-        _require_keys(spec, {"kind", "m"}, {"kind", "m"}, path)
+        _require_keys(spec, {"kind", "m"}, ("kind", "m"), path)
         m = _as_int(spec["m"], f"{path}.m", lo=1, hi=MAX_SYMMETRIC_DEGREE)
         return {"group": {"kind": "symmetric", "m": m}}
     if kind == "table":
-        _require_keys(spec, {"kind", "path"}, {"kind", "path"}, path)
+        _require_keys(spec, {"kind", "path"}, ("kind", "path"), path)
         return {
             "group": {"kind": "table", "path": _check_file(spec["path"], base_dir, f"{path}.path")}
         }
@@ -241,7 +243,7 @@ def _random_state_params(params, base_dir: str) -> dict:
 
 
 def _dd_params(params, base_dir: str) -> dict:
-    _require_keys(params, {"dt", "frame_cap"}, set(), "params")
+    _require_keys(params, {"dt", "frame_cap"}, (), "params")
     out = {}
     if "dt" in params:
         out["dt"] = _as_float(params["dt"], "params.dt", positive=True)
@@ -519,7 +521,7 @@ def _validate_schedule(app: str, spec, base_dir: str) -> dict:
     if required and kind != required:
         _fail(f"{path}.kind", f"{app} runs require kind {required!r}")
     if kind == "cyclic":
-        _require_keys(spec, {"kind", "elements", "alpha"}, {"kind", "elements"}, path)
+        _require_keys(spec, {"kind", "elements", "alpha"}, ("kind", "elements"), path)
         return {
             "kind": kind,
             "elements": _validate_element_list(
@@ -528,7 +530,7 @@ def _validate_schedule(app: str, spec, base_dir: str) -> dict:
             "alpha": _as_alpha(spec.get("alpha", 0.5), f"{path}.alpha"),
         }
     if kind in RANDOM_SCHEDULE_KINDS:
-        _require_keys(spec, {"kind", "support", "alpha_range", "seed"}, {"kind"}, path)
+        _require_keys(spec, {"kind", "support", "alpha_range", "seed"}, ("kind",), path)
         out = {
             "kind": kind,
             "alpha_range": _validate_alpha_range(
@@ -547,7 +549,7 @@ def _validate_schedule(app: str, spec, base_dir: str) -> dict:
     if kind == "dd-bisection":
         if required != kind:
             _fail(f"{path}.kind", "dd-bisection schedules only apply to dd runs")
-        _require_keys(spec, {"kind", "chooser", "alpha"}, {"kind", "chooser"}, path)
+        _require_keys(spec, {"kind", "chooser", "alpha"}, ("kind", "chooser"), path)
         return {
             "kind": kind,
             "chooser": _validate_element_list(
@@ -556,7 +558,7 @@ def _validate_schedule(app: str, spec, base_dir: str) -> dict:
             "alpha": _as_alpha(spec.get("alpha", 0.5), f"{path}.alpha"),
         }
     # custom-sequence
-    _require_keys(spec, {"kind", "rows", "path", "policy"}, {"kind"}, path)
+    _require_keys(spec, {"kind", "rows", "path", "policy"}, ("kind",), path)
     out = {"kind": kind, "policy": spec.get("policy", "cycle")}
     if out["policy"] not in ("cycle", "truncate"):
         _fail(f"{path}.policy", f"must be 'cycle' or 'truncate', got {out['policy']!r}")
@@ -584,10 +586,10 @@ def _validate_initial_state(spec, base_dir: str) -> dict:
     path = "initial_state"
     if spec is None:
         return {"source": "random", "scale": 1.0}
-    _require_keys(spec, {"source", "data", "path", "scale"}, {"source"}, path)
+    _require_keys(spec, {"source", "data", "path", "scale"}, ("source",), path)
     source = spec["source"]
     if source == "inline":
-        _require_keys(spec, {"source", "data"}, {"source", "data"}, path)
+        _require_keys(spec, {"source", "data"}, ("source", "data"), path)
         if isinstance(spec["data"], dict):
             try:
                 decode_state(spec["data"])
@@ -595,13 +597,13 @@ def _validate_initial_state(spec, base_dir: str) -> dict:
                 _fail(f"{path}.data", str(exc))
         return {"source": "inline", "data": copy.deepcopy(spec["data"])}
     if source == "file":
-        _require_keys(spec, {"source", "path"}, {"source", "path"}, path)
+        _require_keys(spec, {"source", "path"}, ("source", "path"), path)
         return {
             "source": "file",
             "path": _check_file(spec["path"], base_dir, f"{path}.path"),
         }
     if source == "random":
-        _require_keys(spec, {"source", "scale"}, {"source"}, path)
+        _require_keys(spec, {"source", "scale"}, ("source",), path)
         return {
             "source": "random",
             "scale": _as_float(spec.get("scale", 1.0), f"{path}.scale", positive=True),
@@ -613,7 +615,7 @@ def _validate_tolerances(spec) -> dict:
     path = "tolerances"
     if spec is None:
         return dict(DEFAULT_TOLERANCES)
-    _require_keys(spec, set(DEFAULT_TOLERANCES), set(), path)
+    _require_keys(spec, set(DEFAULT_TOLERANCES), (), path)
     out = dict(DEFAULT_TOLERANCES)
     for key in spec:
         out[key] = _as_float(spec[key], f"{path}.{key}", positive=True)
@@ -655,7 +657,7 @@ def parse_config(source, *, base_dir: Optional[str] = None) -> RunConfig:
             "tolerances",
             "output",
         },
-        {"schema_version", "application"},
+        ("schema_version", "application"),
         "",
     )
     version = doc["schema_version"]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -254,6 +256,25 @@ class TestParams:
             parse_config(
                 {"schema_version": 1, "application": "prob-sym", "params": {"m": 2}, "seed": 1}
             )
+
+    def test_missing_keys_are_reported_in_declared_order_under_any_hash_seed(self):
+        """With both 'm' and 'outcome_size' missing, the first declared is
+        named, whatever PYTHONHASHSEED orders sets by."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(config_module.__file__)))
+        code = (
+            "from groupsym.config import ConfigError, parse_config\n"
+            "try:\n"
+            "    parse_config({'schema_version': 1, 'application': 'prob-sym', 'seed': 1})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert probe.returncode == 0, probe.stderr
+            messages.add(probe.stdout.strip())
+        assert messages == {"params: missing required key 'm'"}
 
     def test_group_spec_kinds(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown group kind"):

@@ -984,7 +984,7 @@ def write_path(monkeypatch, forked):
     return forks
 
 
-# each golden on the serial writer (ids as before) and on the forked one
+# each golden on the serial writer or reader (ids as before) and on the forked one
 GOLDEN_PATHS = [pytest.param(name, False, id=name) for name in sorted(GOLDEN_RUNS)] + [
     pytest.param(name, True, id=f"forked-{name}") for name in sorted(GOLDEN_RUNS)
 ]
@@ -1017,9 +1017,11 @@ def test_golden_sampled_law_bytes(name, tmp_path):
     assert digest == GOLDEN_SAMPLED_LAWS[name]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_verify_report(name, tmp_path):
+@pytest.mark.parametrize("name, forked", GOLDEN_PATHS)
+def test_golden_verify_report(name, forked, tmp_path, monkeypatch):
+    """On the serial trajectory.csv reader and on the forked one."""
     art = execute(golden_config(name), out_dir=run_dir(tmp_path))
+    monkeypatch.setattr(lifted_module, "FORKED_READ_MIN_BYTES", 0 if forked else sys.maxsize)
     assert verify(art.directory).lines() == GOLDEN_REPORTS[name]
     subset = ["weights", "kl", "lift"]
     expected = [line for line in GOLDEN_REPORTS[name] if line.split()[1] in subset]

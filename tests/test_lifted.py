@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -1055,3 +1056,190 @@ def test_trajectory_csv_reader_rejects_malformed_files(tmp_path, text, match):
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=match):
         read_trajectory_csv(path)
+
+
+# -- the forked trajectory.csv reader -------------------------------------------
+
+
+def read_path(monkeypatch, forked):
+    """Force the serial or the forked trajectory.csv reader; return the fork calls."""
+    monkeypatch.setattr(lifted_module, "FORKED_READ_MIN_BYTES", 0 if forked else sys.maxsize)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def loadtxt_rows(path):
+    """The serial parse of a trajectory CSV's body, as the reader always made it."""
+    with open(path) as fh:
+        fh.readline()
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+def assert_reads_like_loadtxt(path):
+    want = loadtxt_rows(path)
+    for got, cols in zip(read_trajectory_csv(path), (want[:, 1:-2], want[:, -2], want[:, -1])):
+        assert got.shape == cols.shape
+        assert np.array_equal(np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(cols).view(np.int64))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_reader_is_bit_equal_on_every_golden_csv(tmp_path, monkeypatch):
+    from test_harness import GOLDEN_RUNS, golden_config
+
+    from groupsym.harness import execute
+
+    forks = read_path(monkeypatch, True)
+    for name in sorted(GOLDEN_RUNS):
+        art = execute(golden_config(name), out_dir=str(tmp_path / name))
+        forks.clear()
+        assert_reads_like_loadtxt(os.path.join(art.directory, "trajectory.csv"))
+        assert len(forks) == 1, name
+        assert_no_child_left()
+
+
+def test_forked_reader_finds_the_newline_past_rows_wider_than_a_mebibyte(tmp_path, monkeypatch):
+    """The split scans forward from the body's midpoint, inside the middle
+    row, as far as that row's end, hundreds of kilobytes away."""
+    rng = np.random.default_rng(29)
+    weights = rng.dirichlet(np.ones(60_000), size=3)
+    path = tmp_path / "wide.csv"
+    write_trajectory_csv(path, weights, rng.uniform(size=3), rng.uniform(size=3))
+    assert min(len(line) for line in path.read_bytes().splitlines()[1:]) > 1 << 20
+    forks = read_path(monkeypatch, True)
+    assert_reads_like_loadtxt(path)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def forged_csv(tmp_path, row, change):
+    """A 12-row trajectory CSV whose ``row`` is rewritten by ``change``."""
+    rng = np.random.default_rng(row)
+    path = tmp_path / "forged.csv"
+    write_trajectory_csv(path, rng.dirichlet(np.ones(6), size=12), rng.uniform(size=12), rng.uniform(size=12))
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1 + row] = change(lines[1 + row])
+    path.write_bytes(b"\r\n".join(lines))
+    return path
+
+
+def first_back_row(path):
+    """The first row after the newline the forked reader splits at."""
+    text = path.read_bytes()
+    body = text.index(b"\n") + 1
+    mid = text.index(b"\n", body + (len(text) - body) // 2) + 1
+    return text[body:mid].count(b"\n")
+
+
+def third_field(value):
+    """A forgery that puts ``value`` in a line's third field."""
+    return lambda line: b",".join(line.split(b",")[:2] + [value] + line.split(b",")[3:])
+
+
+FORGERIES = {
+    "bad field": third_field(b"half"),
+    "short row": lambda line: line.rsplit(b",", 1)[0],
+    "nan": third_field(b"nan"),
+}
+
+
+@pytest.mark.parametrize(
+    "forgery, row",
+    [("bad field", 10), ("short row", 11), ("short row", 7), ("nan", 9), ("bad field", 1), ("nan", 2)],
+)
+def test_forked_reader_raises_the_serial_readers_error(forgery, row, tmp_path, monkeypatch):
+    """Rows 7 to 11 lie in the child's half, rows 1 and 2 in this process's."""
+    path = forged_csv(tmp_path, row, FORGERIES[forgery])
+    assert (row >= first_back_row(path)) == (row >= 7)
+    read_path(monkeypatch, False)
+    with pytest.raises(ValueError) as serial:
+        read_trajectory_csv(path)
+    forks = read_path(monkeypatch, True)
+    with pytest.raises(ValueError) as forked:
+        read_trajectory_csv(path)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["raises", "is killed"])
+def test_forked_reader_reads_serially_after_its_child_fails(how, tmp_path, monkeypatch):
+    def failing_child(*args):
+        if how == "raises":
+            raise OSError("the child cannot parse")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    path = forged_csv(tmp_path, 0, lambda line: line)
+    forks = read_path(monkeypatch, True)
+    monkeypatch.setattr(lifted_module, "_send_rows", failing_child)
+    assert_reads_like_loadtxt(path)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_forked_reader_keeps_no_child_when_this_half_fails(tmp_path, monkeypatch):
+    """A parse error in this process's half kills the child, which may still
+    be parsing, before the serial reader runs."""
+    path = forged_csv(tmp_path, 0, FORGERIES["bad field"])
+    forks = read_path(monkeypatch, True)
+    with pytest.raises(ValueError, match="half"):
+        read_trajectory_csv(path)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_reader_without_fork_reads_serially(tmp_path, monkeypatch):
+    path = forged_csv(tmp_path, 0, lambda line: line)
+    monkeypatch.setattr(lifted_module, "FORKED_READ_MIN_BYTES", 0)
+    monkeypatch.delattr(os, "fork")
+    calls = []
+    monkeypatch.setattr(lifted_module, "_load_rows_forked", lambda *args: calls.append(args))
+    assert_reads_like_loadtxt(path)
+    assert calls == []
+
+
+def test_forked_reader_starts_at_its_minimum_size(tmp_path, monkeypatch):
+    path = forged_csv(tmp_path, 0, lambda line: line)
+    forks = read_path(monkeypatch, True)
+    for threshold, forked in [(os.path.getsize(path) + 1, 0), (os.path.getsize(path), 1)]:
+        monkeypatch.setattr(lifted_module, "FORKED_READ_MIN_BYTES", threshold)
+        assert_reads_like_loadtxt(path)
+        assert len(forks) == forked
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("body", [b"0,0.5,0.5,0,0\r\n", b"0,0.5,0.5,0,0\r\n\r\n\r\n"])
+def test_forked_reader_reads_serially_where_no_split_leaves_two_halves(body, tmp_path, monkeypatch):
+    """One row, or one row and blank lines: the back half is empty or holds no
+    rows, so the rows are the serial parse's."""
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"step,g0,g1,lyapunov,kl\r\n" + body)
+    read_path(monkeypatch, True)
+    assert_reads_like_loadtxt(path)
+    assert_no_child_left()
+
+
+def test_forked_reader_calls_no_blas(tmp_path, monkeypatch):
+    """Both halves parse with np.loadtxt alone: the child must not enter a
+    BLAS whose threads the fork did not copy."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    path = forged_csv(tmp_path, 0, lambda line: line)
+    for name in ("dot", "matmul", "einsum", "inner", "vdot", "tensordot"):
+        monkeypatch.setattr(np, name, boom)
+    header = path.read_text().splitlines()[0]
+    rows = lifted_module._load_rows_forked(path, header, "utf-8")
+    assert np.array_equal(rows.view(np.int64), loadtxt_rows(path).view(np.int64))
+    assert_no_child_left()
