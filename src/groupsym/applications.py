@@ -894,15 +894,15 @@ def run_dynamical_decoupling(
         # no other run pays for loading it
         from scipy.linalg import expm
 
+        # n bisections run frames[:2**n]: one ordered product serves every n
         gaps = {}
-        frame_hams = {}
+        propagators = {}
+        U_exact = np.eye(dim, dtype=np.complex128)
         for n in range(frames_n + 1):
-            seq = schedule.expand_frames(n)
-            U_exact = np.eye(dim, dtype=np.complex128)
-            for f in seq:
-                if f not in frame_hams:
-                    frame_hams[f] = action.apply(f, H)
-                U_exact = expm(-1j * dt * frame_hams[f]) @ U_exact
+            for f in frames[2**n // 2 : 2**n]:
+                if f not in propagators:
+                    propagators[f] = expm(-1j * dt * action.apply(f, H))
+                U_exact = propagators[f] @ U_exact
             H_bar_n = sum(
                 result.weights_trajectory[n][g] * action.apply(g, H)
                 for g in range(group.order)

@@ -65,19 +65,21 @@ WEIGHT_ATOL = 1e-12
 RENORM_DRIFT = 1e-13
 # Floats in trajectory CSVs round-trip exactly at 17 significant digits.
 TRAJECTORY_FLOAT_FORMAT = "%.17g"
-# A trajectory CSV of at least this many fields, in rows of at least
-# FORKED_WRITE_MIN_ROW_FIELDS fields, is formatted by two processes where
-# os.fork exists: a forked child claims rows one at a time from the back while
-# this process does the caller's overlapped work and then claims rows from the
-# front.  A claim costs about 0.1 ms of numpy calls however narrow its row, so
-# narrower rows are written serially.  Measured with the numpy formatter, 8
-# fresh processes each on two CPUs and dense weights, the forked write ties the
-# serial write at 100k fields and wins at 200k and 400k (8 of 8 each) in rows
-# of 5,043 fields (34.0 against 48.5 ms at 200k) and of 1,500; in rows of 723
-# it loses at 200k (51.2 against 45.5 ms) and ties at 400k, and in rows of 9 it
-# takes 1.19 s against 45 ms at 200k.
+# A trajectory CSV of at least this many fields is formatted by two processes
+# where os.fork exists: a forked child claims blocks of _rows_per_block rows
+# one at a time from the back while this process does the caller's overlapped
+# work and then claims blocks from the front; rows wider than one formatter
+# call (1,872 fields) are claimed one at a time.  In rows of 5,043 fields the
+# two writes tie at 100k fields and the forked one wins at 200k (34.0 against
+# 48.5 ms).  Forked / serial ms, medians of 7 fresh processes each on two CPUs
+# with dense weights, the forked write faster in 7 of 7 pairs in every case;
+# the overlap spins one CPU about as long as the serial write:
+#   fields, overlap   12 per row   123 per row   259 per row   723 per row
+#   200k, none        36 / 48      37 / 45       34 / 44       32 / 44
+#   200k, spin        52 / 90      52 / 87       50 / 84       49 / 85
+#   400k, none        55 / 82      54 / 85       59 / 89       57 / 88
+#   400k, spin        94 / 164     108 / 173     103 / 176     105 / 181
 FORKED_WRITE_MIN_FIELDS = 200_000
-FORKED_WRITE_MIN_ROW_FIELDS = 1_500
 # A trajectory CSV of at least this many bytes is parsed by two processes where
 # os.fork exists: a forked child parses the back half of the rows while this
 # process parses the front half.  The fork, the pipe and the reap cost about
@@ -870,13 +872,14 @@ def _rows_per_block(cols: int) -> int:
 
 
 def _rows_text(rows: range, weights: np.ndarray, lyapunov, kl) -> List[bytes]:
-    """The CSV lines of ``rows``, given their lyapunov and kl entries, in
-    pieces of at most one formatter call: all rows, or pieces of one wide row."""
+    """The CSV lines of ``rows``, each column read by one slice, in pieces of
+    at most one formatter call: all rows, or pieces of one wide row."""
     block = np.empty((len(rows), weights.shape[1] + 3))
     block[:, 0] = rows
-    block[:, 1:-2] = weights[rows.start : rows.stop]
-    block[:, -2] = lyapunov
-    block[:, -1] = kl
+    span = slice(rows.start, rows.stop)
+    block[:, 1:-2] = weights[span]
+    block[:, -2] = lyapunov[span]
+    block[:, -1] = kl[span]
     cols = block.shape[1]
     width = max(1, BLOCK_BYTES // _FIELD_BYTES) if len(rows) == 1 else cols
     return [
@@ -919,8 +922,8 @@ class _Child:
 
 
 def _claim(spill, slots, front: bool) -> Optional[int]:
-    """Take one row from the front or the back of the unclaimed range
-    [slots[0], slots[1]); None once none are left.
+    """Take one block of rows from the front or the back of the unclaimed
+    range [slots[0], slots[1]); None once none are left.
 
     The record lock on the spill serializes the two writers' claims; the kernel
     drops it if its holder dies.
@@ -957,69 +960,63 @@ def write_trajectory_csv(
     through ``TRAJECTORY_FLOAT_FORMAT`` itself, which the tests use as the
     oracle.  Rows end in CRLF, and no field ever needs quoting, so the bytes
     match ``csv.writer`` output.  Rows are formatted and written a block at a
-    time, about ``BLOCK_BYTES`` of formatter memory each, never the whole
-    text at once.
+    time, ``_rows_per_block`` rows of about ``BLOCK_BYTES`` of formatter
+    memory each, never the whole text at once.
 
     ``overlap``, if given, is called once in this process before any row is
-    written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields, in
-    rows of at least ``FORKED_WRITE_MIN_ROW_FIELDS``, is formatted by two
-    processes where ``os.fork`` exists: a child forked first formats rows,
-    claimed one at a time from the back, into an unnamed spill file beside
-    ``path``, while this process runs ``overlap`` and then claims rows from
-    the front and writes them to ``path``.  When no rows are left it reaps
-    the child and appends the child's rows in reverse order.
-    The bytes are the same however the rows fall.  A child that fails raises
-    OSError; if this process fails first, ``overlap`` included, the child is
-    killed.  Either way it is reaped before this returns or raises.
+    written here.  A file of at least ``FORKED_WRITE_MIN_FIELDS`` fields is
+    formatted by two processes where ``os.fork`` exists: a child forked first
+    formats blocks, claimed one at a time from the back, into an unnamed
+    spill file beside ``path``, while this process runs ``overlap`` and then
+    claims blocks from the front and writes them to ``path``.  When no blocks
+    are left it reaps the child and appends the child's blocks in reverse
+    order.  The bytes are the same however the blocks fall.  A child that
+    fails raises OSError; if this process fails first, ``overlap`` included,
+    the child is killed.  Either way it is reaped before this returns or
+    raises.
     """
     weights = np.asarray(weights)
     steps, order = weights.shape
     if len(lyapunov) != steps or len(kl) != steps:
         raise ValueError("column lengths do not match the trajectory")
     header = ",".join(["step"] + [f"g{i}" for i in range(order)] + ["lyapunov", "kl"]) + "\r\n"
-    if (
-        not hasattr(os, "fork")
-        or not steps
-        or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS
-        or order + 3 < FORKED_WRITE_MIN_ROW_FIELDS
-    ):
+    size = _rows_per_block(order + 3)
+    blocks = [range(steps)[start : start + size] for start in range(0, steps, size)]
+    if not hasattr(os, "fork") or not steps or steps * (order + 3) < FORKED_WRITE_MIN_FIELDS:
         if overlap is not None:
             overlap()
-        size = _rows_per_block(order + 3)
-        lyapunov, kl = np.asarray(lyapunov, dtype=np.float64), np.asarray(kl, dtype=np.float64)
         with open(path, "wb") as fh:
             fh.write(header.encode())
-            for start in range(0, steps, size):
-                rows = slice(start, start + size)
-                fh.writelines(_rows_text(range(steps)[rows], weights, lyapunov[rows], kl[rows]))
+            for rows in blocks:
+                fh.writelines(_rows_text(rows, weights, lyapunov, kl))
         return
 
     directory = os.path.dirname(os.path.abspath(path))
-    # shared slots: the unclaimed rows [lo, hi), the child's row count, then
-    # the byte length of each row it spilled
-    with tempfile.TemporaryFile(dir=directory) as spill, mmap.mmap(-1, 8 * (3 + steps)) as shared, \
-            memoryview(shared).cast("q") as slots:
+    # shared slots: the unclaimed blocks [lo, hi), the child's block count,
+    # then the byte length of each block it spilled
+    with tempfile.TemporaryFile(dir=directory) as spill, \
+            mmap.mmap(-1, 8 * (3 + len(blocks))) as shared, memoryview(shared).cast("q") as slots:
 
-        def spill_rows():
-            t = steps - 1
-            while t is not None:
-                text = b"".join(_rows_text(range(t, t + 1), weights, [lyapunov[t]], [kl[t]]))
+        def spill_blocks():
+            b = len(blocks) - 1
+            while b is not None:
+                text = b"".join(_rows_text(blocks[b], weights, lyapunov, kl))
                 spill.write(text)
                 slots[3 + slots[2]] = len(text)
                 slots[2] += 1
-                t = _claim(spill, slots, front=False)
+                b = _claim(spill, slots, front=False)
             spill.flush()
 
-        slots[1] = steps - 1  # the child's first row, claimed before it starts
-        with _Child(spill_rows) as child:
+        slots[1] = len(blocks) - 1  # the child's first block, claimed before it starts
+        with _Child(spill_blocks) as child:
             if overlap is not None:
                 overlap()
             with open(path, "wb") as fh:
                 fh.write(header.encode())
-                t = _claim(spill, slots, front=True)
-                while t is not None:
-                    fh.writelines(_rows_text(range(t, t + 1), weights, [lyapunov[t]], [kl[t]]))
-                    t = _claim(spill, slots, front=True)
+                b = _claim(spill, slots, front=True)
+                while b is not None:
+                    fh.writelines(_rows_text(blocks[b], weights, lyapunov, kl))
+                    b = _claim(spill, slots, front=True)
                 code = child.reap()
                 if code:
                     raise OSError(f"trajectory writer process failed (exit status {code})")

@@ -62,3 +62,27 @@ def dft_direct_step(idx, w, X, out):
             term *= wk
             out += term
     return out
+
+
+def dd_propagator_gaps(schedule, action, H, weights_trajectory, frames_n, dt):
+    """The decoupling propagator gap at each n in 0..frames_n, re-derived per n.
+
+    For each n the exact propagator is the ordered product of
+    exp(-i dt a(f, H)) over ``schedule.expand_frames(n)``, first frame
+    rightmost, started afresh from the identity with one ``expm`` per frame;
+    the gap is its spectral-norm distance from exp(-i dt 2^n H_bar_n), where
+    H_bar_n is the weights-trajectory row n average of a(g, H).
+    """
+    from scipy.linalg import expm
+
+    dim = H.shape[0]
+    gaps = {}
+    for n in range(frames_n + 1):
+        U_exact = np.eye(dim, dtype=np.complex128)
+        for f in schedule.expand_frames(n):
+            U_exact = expm(-1j * dt * action.apply(f, H)) @ U_exact
+        terms = (weights_trajectory[n][g] * action.apply(g, H) for g in range(action.group.order))
+        H_bar_n = sum(terms)
+        U_avg = expm(-1j * dt * (2**n) * H_bar_n)
+        gaps[n] = float(np.linalg.norm(U_exact - U_avg, 2))
+    return gaps

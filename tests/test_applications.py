@@ -46,10 +46,12 @@ from groupsym.groups import cyclic_group, symmetric_group, transposition_index
 from groupsym.lifted import ConvexWeights
 from groupsym.schedules import (
     CyclicSchedule,
+    DDBisectionSchedule,
     ExplicitSchedule,
     RandomGossipSchedule,
     RandomSubsetSchedule,
 )
+from oracles import dd_propagator_gaps
 
 
 def complete_edges(m):
@@ -1298,6 +1300,23 @@ def test_dd_propagator_gap_shrinks_with_dt():
         assert g_fine[n_step] < g_coarse[n_step] + 1e-15
     # first-order accuracy: gap scales roughly with (total duration x dt)
     assert g_fine[4] < 1e-3
+
+
+@pytest.mark.parametrize("chooser, alpha", [([1, 3], 0.5), ([1, 2, 3], 0.25)])
+def test_dd_propagator_gap_equals_the_per_n_products(chooser, alpha):
+    """One ordered product across n gives the gaps of a fresh product per n, bit for bit."""
+    group = pauli_quotient_group()
+    U = pauli_matrices()
+    I, X, Y, Z = pauli_matrices()
+    H_d = (0.3 * X + 0.7 * Z - 0.2 * Y).astype(np.complex128)
+    schedule, action = DDBisectionSchedule(group, chooser, alpha), conjugation_action(group, U)
+    for frame_cap in range(9):
+        result = run_dynamical_decoupling(
+            group, H_d, U, chooser, 10, alpha, dt=0.05, frame_cap=frame_cap
+        )
+        trajectory = result.weights_trajectory
+        expected = dd_propagator_gaps(schedule, action, H_d, trajectory, frame_cap, 0.05)
+        assert result.extras["propagator_gap"] == expected, frame_cap
 
 
 def test_dd_hermiticity_validation():

@@ -972,7 +972,6 @@ GOLDEN_RESULTS = {
 def write_path(monkeypatch, forked):
     """Force the serial or the forked trajectory.csv writer; return the fork calls."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     forks = []
     real_fork = os.fork
 
@@ -1087,16 +1086,18 @@ def test_dft_z256_keeps_its_steps_and_trajectory(seed, tmp_path):
 
 
 class RaisingColumn(list):
-    """A trajectory column that raises ``exc`` on reading one of ``rows`` (< 0: from the end)."""
+    """A trajectory column that raises ``exc`` on a slice read that takes one of
+    ``rows`` (< 0: from the end)."""
 
     def __init__(self, values, rows, exc):
         super().__init__(values)
         self.rows, self.exc = {row % len(values) for row in rows}, exc
 
-    def __getitem__(self, t):
-        if t in self.rows:
-            raise self.exc(f"row {t} is unreadable")
-        return super().__getitem__(t)
+    def __getitem__(self, index):
+        hit = self.rows.intersection(range(len(self))[index])
+        if hit:
+            raise self.exc(f"row {min(hit)} is unreadable")
+        return super().__getitem__(index)
 
 
 def raise_in_kl(monkeypatch, rows, exc):
@@ -1109,17 +1110,18 @@ def raise_in_kl(monkeypatch, rows, exc):
 
 
 class ParentRaisingColumn(list):
-    """A trajectory column whose row 0 raises ``exc`` in the creating process,
-    after it makes the file ``flag``.  Reads in another process first wait for
-    ``flag``: the writer child holds its first row, so the parent claims row 0."""
+    """A trajectory column whose slice reads that take row 0 raise ``exc`` in
+    the creating process, after it makes the file ``flag``.  Reads in another
+    process first wait for ``flag``: the writer child holds its first block, so
+    the parent claims block 0."""
 
     def __init__(self, values, flag, exc):
         super().__init__(values)
         self.flag, self.exc, self.parent = flag, exc, os.getpid()
 
-    def __getitem__(self, t):
+    def __getitem__(self, index):
         if os.getpid() == self.parent:
-            if t == 0:
+            if 0 in range(len(self))[index]:
                 open(self.flag, "w").close()
                 raise self.exc("row 0 is unreadable in the parent")
         else:
@@ -1127,7 +1129,7 @@ class ParentRaisingColumn(list):
             while not os.path.exists(self.flag):
                 assert time.monotonic() < deadline, "timed out"
                 time.sleep(0.001)
-        return super().__getitem__(t)
+        return super().__getitem__(index)
 
 
 def raise_in_certificate(monkeypatch, exc, forks=()):
@@ -1152,7 +1154,7 @@ def assert_nothing_left(directory):
 
 def test_failed_writer_child_is_a_harness_error_and_leaves_no_csv(tmp_path, monkeypatch):
     forks = write_path(monkeypatch, forked=True)
-    raise_in_kl(monkeypatch, [-1], RuntimeError)  # the last row is the child's first claim
+    raise_in_kl(monkeypatch, [-1], RuntimeError)  # the last row is in the child's first claim
     with pytest.raises(HarnessError, match="could not write artifacts") as caught:
         execute(golden_config("gossip"), out_dir=run_dir(tmp_path))
     assert caught.value.module == "harness"
@@ -1175,6 +1177,8 @@ def test_parent_failure_propagates_and_reaps_the_writer_child(exc, tmp_path, mon
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
 def test_parent_failure_in_its_claim_loop_reaps_the_writer_child(exc, tmp_path, monkeypatch):
     forks = write_path(monkeypatch, forked=True)
+    # the golden's rows fit one block; one-row blocks give the parent a claim
+    monkeypatch.setattr(lifted_module, "_rows_per_block", lambda cols: 1)
     flag = tmp_path / "parent-read-row-0"
     real = lifted_module.write_trajectory_csv
 

@@ -700,7 +700,6 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
         "arrays": (lyap, kl),
     }
     # serial, then forked
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     for threshold in (sys.maxsize, 0):
         monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", threshold)
         for steps in (1, 2, 3, 15):
@@ -720,20 +719,21 @@ def logged_reads(log_path):
 
 
 class RowLog(list):
-    """A trajectory column that logs "pid row" to ``log_path`` on each read.
-    With ``handoff``, a read outside the creating process then waits until
-    the creating process has read a row, so that both processes own rows."""
+    """A trajectory column that logs "pid first-row" to ``log_path`` on each
+    slice read: the writer reads each block of rows by one slice.  With
+    ``handoff``, a read outside the creating process then waits until the
+    creating process has read a block, so that both processes own blocks."""
 
     def __init__(self, values, log_path, handoff):
         super().__init__(values)
         self.log_path, self.handoff, self.parent = log_path, handoff, os.getpid()
 
-    def __getitem__(self, t):
+    def __getitem__(self, rows):
         with open(self.log_path, "a") as log:
-            log.write(f"{os.getpid()} {t}\n")
+            log.write(f"{os.getpid()} {rows.start}\n")
         if self.handoff and os.getpid() != self.parent:
             wait_for(lambda: any(pid == self.parent for pid, _ in logged_reads(self.log_path)))
-        return super().__getitem__(t)
+        return super().__getitem__(rows)
 
 
 TIMINGS = ["at once", "partway", "after the child"]
@@ -747,17 +747,29 @@ def wait_for(condition, timeout=30.0):
 
 
 @pytest.mark.parametrize(
-    "steps, timing",
-    [(steps, timing) for timing in TIMINGS for steps in (1, 2, 3, 15)]
-    + [(2000, "at once")],  # both processes race for 2000 one-row claims
+    "steps, timing, size",
+    [
+        pytest.param(
+            steps, timing, size, id=f"{steps}-{timing}" + f"-{size}-row blocks" * (size > 1)
+        )
+        for size in (1, 3)
+        for timing in TIMINGS
+        for steps in (1, 2, 3, 15)
+    ]
+    # both processes race for 2000 one-row claims, and for 286 of 7 rows
+    + [
+        pytest.param(2000, "at once", 1, id="2000-at once"),
+        pytest.param(2000, "at once", 7, id="2000-at once-7-row blocks"),
+    ],
 )
-def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monkeypatch):
-    """One-row claims: however the parent's overlapped work is timed against
-    the child, each row is written once, the parent's rows are a prefix, the
-    child's a suffix taken from the back, and the bytes are the serial ones.
-    Partway, the child holds its first row until the parent has read one."""
+def test_forked_writer_claims_rows_from_both_ends(steps, timing, size, tmp_path, monkeypatch):
+    """Claims of ``size``-row blocks: however the parent's overlapped work is
+    timed against the child, each block is written once, the parent's blocks
+    are a prefix, the child's a suffix taken from the back, and the bytes are
+    the serial ones.  Partway, the child holds its first block until the
+    parent has read one."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
+    monkeypatch.setattr(lifted_module, "_rows_per_block", lambda cols: size)
     pids = []
     real_fork = os.fork
 
@@ -775,35 +787,39 @@ def test_forked_writer_claims_rows_from_both_ends(steps, timing, tmp_path, monke
 
     def overlap():
         child = pids[0]
-        if timing == "partway":  # the child has formatted its first row
+        if timing == "partway":  # the child has formatted its first block
             wait_for(lambda: any(pid == child for pid, _ in logged_reads(log_path)))
-        elif timing == "after the child":  # it has claimed every row and left
+        elif timing == "after the child":  # it has claimed every block and left
             wait_for(lambda: os.waitid(os.P_PID, child, os.WEXITED | os.WNOHANG | os.WNOWAIT))
 
     path = tmp_path / "forked.csv"
-    # partway, the child holds its first row until the parent reads row 0
-    handoff = timing == "partway" and steps > 1
+    blocks = -(-steps // size)
+    # partway, the child holds its first block until the parent reads block 0
+    handoff = timing == "partway" and blocks > 1
     write_trajectory_csv(path, weights, lyap, RowLog(kl, log_path, handoff), overlap=overlap)
     assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", weights, lyap, kl)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     owners = logged_reads(log_path)
-    assert sorted(t for _, t in owners) == list(range(steps))
-    front = [t for pid, t in owners if pid == os.getpid()]
-    back = [t for pid, t in owners if pid == pids[0]]
+    assert all(row % size == 0 for _, row in owners)  # each read is one whole block
+    owners = [(pid, row // size) for pid, row in owners]
+    assert sorted(b for _, b in owners) == list(range(blocks))
+    front = [b for pid, b in owners if pid == os.getpid()]
+    back = [b for pid, b in owners if pid == pids[0]]
     assert front == list(range(len(front)))
-    assert back == list(range(steps - 1, len(front) - 1, -1))
+    assert back == list(range(blocks - 1, len(front) - 1, -1))
     if timing == "after the child":
         assert front == []
     if handoff:
-        assert 0 < len(front) < steps
+        assert 0 < len(front) < blocks
 
 
-@pytest.mark.parametrize("order, forks", [(5, 0), (1496, 0), (1497, 1)])
-def test_forked_writer_needs_rows_of_its_minimum_width(order, forks, tmp_path, monkeypatch):
-    """A file over FORKED_WRITE_MIN_FIELDS forks only if its rows hold at least
-    FORKED_WRITE_MIN_ROW_FIELDS fields (1,500: 1,497 weights and 3 more)."""
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0)
+@pytest.mark.parametrize("steps, forks", [(16_666, 0), (16_667, 1)])
+def test_forked_writer_starts_at_its_minimum_size(steps, forks, tmp_path, monkeypatch):
+    """Rows of 12 fields (9 weights and 3 more) fork once they reach
+    FORKED_WRITE_MIN_FIELDS, 200,000 fields in 16,667 rows; one row fewer is
+    written serially.  The bytes are the serial ones either way."""
+    assert lifted_module.FORKED_WRITE_MIN_FIELDS == 200_000
     pids = []
     real_fork = os.fork
 
@@ -812,9 +828,9 @@ def test_forked_writer_needs_rows_of_its_minimum_width(order, forks, tmp_path, m
         return pids[-1]
 
     monkeypatch.setattr(os, "fork", fork)
-    rng = np.random.default_rng(order)
-    weights = rng.dirichlet(np.ones(order), size=3)
-    lyap, kl = rng.uniform(0, 1, size=3), rng.uniform(0, 1, size=3)
+    rng = np.random.default_rng(steps)
+    weights = rng.dirichlet(np.ones(9), size=steps)
+    lyap, kl = rng.uniform(0, 1, size=steps), rng.uniform(0, 1, size=steps)
     path = tmp_path / "rows.csv"
     write_trajectory_csv(path, weights, lyap, kl)
     assert len(pids) == forks
@@ -1001,7 +1017,6 @@ def test_trajectory_csv_blocks_and_pieces_keep_the_bytes(fields, forked, tmp_pat
     take two rows, and of 100k the whole file; the bytes stay csv.writer's."""
     monkeypatch.setattr(lifted_module, "BLOCK_BYTES", fields * lifted_module._FIELD_BYTES)
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     rng = np.random.default_rng(fields)
     weights = rng.dirichlet(np.ones(7), size=9)
     weights[2, :4] = [0.0, -0.0, 5e-324, 1234567890123456.25]  # zeros, a fallback, a tie
@@ -1017,7 +1032,6 @@ def test_trajectory_csv_write_memory_stays_near_one_block(forked, tmp_path, monk
     """250k fields, a 5.6 MB file: the write's peak beyond its inputs stays
     within a small multiple of BLOCK_BYTES, tables included."""
     monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_FIELDS", 0 if forked else sys.maxsize)
-    monkeypatch.setattr(lifted_module, "FORKED_WRITE_MIN_ROW_FIELDS", 0)
     lifted_module._format_tables.cache_clear()
     rng = np.random.default_rng(4)
     weights = rng.dirichlet(np.ones(2497), size=100)
